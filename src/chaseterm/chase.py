@@ -12,17 +12,39 @@ first violation in enumeration order) or randomized from a seed. Runs can be
 bounded by a step limit and, through the monitor hook, by cycle depth in the
 null-provenance graph; both produce an Aborted result instead of looping
 forever.
+
+A run never rescans the instance. It keeps one FactIndex (see model) for its
+whole life, and per constraint a pending set of candidate violations, keyed
+by the body values, that always contains every current violation. The sets
+start as all body matches in the initial instance. After a step, a body
+match that is new must map some body atom onto a fact the step added (TGD)
+or rewrote (EGD): anything else was a match before the step. So joining only
+those facts against the index, the semi-naive delta, finds every new match.
+The old matches need no recheck, because a trigger that is satisfied stays
+satisfied: a TGD step only adds facts, so a head image stays in place, and
+an EGD merge renames a satisfied body together with its head image (equal
+values stay equal). Pending keys that hold the merged-away value are renamed
+with it. Entries are therefore validated lazily, when read, and dropped for
+good once satisfied. A merge can free a null's name for a later fresh null,
+which is equal to it as a key, so a leftover heap entry counts only while
+its sort key, which holds the creation index, is still the live one. The
+deterministic policy reads its sets in value_key
+order up to the first violation, which is exactly the least violation a
+full rescan finds; the randomized policy validates every set and draws from
+the same ordered pool a rescan builds.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from chaseterm.model import (
-    TGD, Assignment, Constant, Constraint, Instance, LabeledNull,
-    Position, Value, find_violations, instantiate, replace_value, value_key,
+    TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
+    Position, Value, body_matches, fact_key, head_holds,
+    instantiate, replace_value, value_key,
 )
 
 TERMINATED = "terminated"
@@ -73,32 +95,36 @@ class ChaseResult:
     kcyclic_chain: Optional[tuple] = None
 
 
-def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, ChaseStepRecord]:
-    """Apply one chase step for a violated (c, a). Raises ChaseFailed when an
-    EGD would equate two distinct constants."""
-    recorded = tuple((v.name, a[v]) for v in c.body_vars)
-    if c.kind == TGD:
-        used = set(I.null_names())
-        counter = I.null_counter
-        ext = dict(a)
-        fresh: List[LabeledNull] = []
-        for v in c.existential_vars:
-            while f"n{counter}" in used:
-                counter += 1
-            n = LabeledNull(f"n{counter}", counter)
-            used.add(n.name)
+def _tgd_step(c: Constraint, a: Assignment, counter: int,
+              taken) -> Tuple[frozenset, ChaseStepRecord, int]:
+    """The facts a TGD step adds, its record and the next null counter.
+
+    Each existential variable gets null n<counter> with creation index
+    counter; names in taken (those of the nulls in the current instance) are
+    skipped."""
+    ext = dict(a)
+    fresh: List[LabeledNull] = []
+    for v in c.existential_vars:
+        while f"n{counter}" in taken:
             counter += 1
-            ext[v] = n
-            fresh.append(n)
-        added = instantiate(c.head, ext)
-        fresh_with_pos = tuple(
-            (n, frozenset(Position(f.relation, i + 1)
-                          for f in added for i, t in enumerate(f.args) if t == n))
-            for n in fresh)
-        J = Instance(I.facts | added, counter)
-        rec = ChaseStepRecord(0, c.id, recorded, added, None, fresh_with_pos)
-        return J, rec
-    # EGD
+        n = LabeledNull(f"n{counter}", counter)
+        counter += 1
+        ext[v] = n
+        fresh.append(n)
+    added = instantiate(c.head, ext)
+    fresh_with_pos = tuple(
+        (n, frozenset(Position(f.relation, i + 1)
+                      for f in added for i, t in enumerate(f.args) if t == n))
+        for n in fresh)
+    rec = ChaseStepRecord(0, c.id, tuple((v.name, a[v]) for v in c.body_vars),
+                          added, None, fresh_with_pos)
+    return added, rec, counter
+
+
+def _egd_step(c: Constraint, a: Assignment) -> ChaseStepRecord:
+    """The record of an EGD step, whose merged_pair is (survivor, loser):
+    the constant survives if there is one, otherwise the null with the
+    smaller creation index."""
     left, right = c.equated  # type: ignore[misc]
     u, v = a[left], a[right]
     if u == v:
@@ -106,9 +132,19 @@ def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, Cha
     if isinstance(u, Constant) and isinstance(v, Constant):
         raise ChaseFailed(u, v)
     survivor, loser = sorted((u, v), key=value_key)
-    J = Instance(replace_value(I.facts, loser, survivor), I.null_counter)
-    rec = ChaseStepRecord(0, c.id, recorded, frozenset(), (survivor, loser), ())
-    return J, rec
+    return ChaseStepRecord(0, c.id, tuple((v.name, a[v]) for v in c.body_vars),
+                           frozenset(), (survivor, loser), ())
+
+
+def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, ChaseStepRecord]:
+    """Apply one chase step for a violated (c, a). Raises ChaseFailed when an
+    EGD would equate two distinct constants."""
+    if c.kind == TGD:
+        added, rec, counter = _tgd_step(c, a, I.null_counter, I.null_names())
+        return Instance(I.facts | added, counter), rec
+    rec = _egd_step(c, a)
+    survivor, loser = rec.merged_pair
+    return Instance(replace_value(I.facts, loser, survivor), I.null_counter), rec
 
 
 def apply_record(I: Instance, rec: ChaseStepRecord) -> Instance:
@@ -122,24 +158,114 @@ def apply_record(I: Instance, rec: ChaseStepRecord) -> Instance:
     return Instance(I.facts | rec.added_facts, counter)
 
 
-def _next_violation_det(I: Instance, sigma: Sequence[Constraint], pointer: int):
-    n = len(sigma)
-    for off in range(n):
-        idx = (pointer + off) % n
-        vs = find_violations(I, sigma[idx])
-        if vs:
-            return idx, vs[0]
-    return None
+class _Pending:
+    """Candidate violations of one constraint: body matches as value tuples
+    over its body variables, each with its value_key sort key. Always a
+    superset of the current violations (see the module docstring); entries
+    are checked only when read, and dropped for good once satisfied. The
+    heap may hold stale entries; an entry is current only while `live`
+    maps its key to its own sort key."""
 
+    __slots__ = ("live", "heap")
 
-def _next_violation_rand(I: Instance, sigma: Sequence[Constraint], rng: random.Random):
-    pool = []
-    for idx, c in enumerate(sigma):
-        for a in find_violations(I, c):
-            pool.append((idx, a))
-    if not pool:
+    def __init__(self):
+        self.live: Dict[Tuple[Value, ...], Tuple] = {}
+        self.heap: List[Tuple[Tuple, Tuple[Value, ...]]] = []
+
+    def add(self, key: Tuple[Value, ...]) -> None:
+        if key not in self.live:
+            sort_key = tuple(value_key(v) for v in key)
+            self.live[key] = sort_key
+            heappush(self.heap, (sort_key, key))
+
+    def rename(self, old: Value, new: Value) -> None:
+        moved = [key for key in self.live if old in key]
+        for key in moved:
+            del self.live[key]
+        for key in moved:
+            self.add(tuple(new if v == old else v for v in key))
+
+    def first(self, violated) -> Optional[Tuple[Value, ...]]:
+        """The least live key that is still a violation, or None."""
+        heap, live = self.heap, self.live
+        while heap:
+            sort_key, key = heap[0]
+            # a stale entry may hold a merged-away null whose name a fresh
+            # null now has: equal as a key, but not in its sort key
+            if live.get(key) == sort_key:
+                if violated(key):
+                    return key
+                del live[key]
+            heappop(heap)
         return None
-    return pool[rng.randrange(len(pool))]
+
+    def all(self, violated) -> List[Tuple[Value, ...]]:
+        """Every live key that is still a violation, in order."""
+        kept = sorted((sort_key, key) for key, sort_key in self.live.items()
+                      if violated(key))
+        self.live = {key: sort_key for sort_key, key in kept}
+        self.heap = kept  # a sorted list is a heap
+        return [key for _, key in kept]
+
+
+class _Run:
+    """The state of one chase run: the run-scoped fact index, the next null
+    creation index and one pending-violation set per constraint."""
+
+    def __init__(self, I: Instance, sigma: Sequence[Constraint]):
+        self.sigma = sigma
+        self.index = FactIndex(I.facts)
+        self.counter = I.null_counter
+        self.pending = [_Pending() for _ in sigma]
+        for c, p in zip(sigma, self.pending):
+            for key in body_matches(self.index, c):
+                p.add(key)
+
+    def instance(self) -> Instance:
+        return Instance(frozenset(self.index.facts), self.counter)
+
+    def _violated(self, c: Constraint):
+        return lambda key: not head_holds(self.index, c, dict(zip(c.body_vars, key)))
+
+    def next_det(self, pointer: int):
+        """Round-robin from pointer: the least violation of the first
+        constraint that has one."""
+        n = len(self.sigma)
+        for off in range(n):
+            idx = (pointer + off) % n
+            c = self.sigma[idx]
+            key = self.pending[idx].first(self._violated(c))
+            if key is not None:
+                return idx, dict(zip(c.body_vars, key))
+        return None
+
+    def next_rand(self, rng: random.Random):
+        """A uniform draw from every violation, constraints in order."""
+        pool = [(idx, key) for idx, c in enumerate(self.sigma)
+                for key in self.pending[idx].all(self._violated(c))]
+        if not pool:
+            return None
+        idx, key = pool[rng.randrange(len(pool))]
+        return idx, dict(zip(self.sigma[idx].body_vars, key))
+
+    def apply(self, c: Constraint, a: Assignment) -> ChaseStepRecord:
+        """Apply one step to the index and feed the facts it added or
+        rewrote to every pending set. Raises ChaseFailed, leaving the run
+        unchanged, on a constant clash."""
+        if c.kind == TGD:
+            added, rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls)
+            new = self.index.add(sorted(added, key=fact_key))
+        else:
+            rec = _egd_step(c, a)
+            survivor, loser = rec.merged_pair
+            new = self.index.rename(loser, survivor)
+            for p in self.pending:
+                p.rename(loser, survivor)
+        if new:
+            for c2, p in zip(self.sigma, self.pending):
+                for key in body_matches(self.index, c2, new):
+                    p.add(key)
+        return rec
 
 
 def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChasePolicy()) -> ChaseResult:
@@ -154,37 +280,30 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
         monitor = MonitorGraph.empty()
     rng = random.Random(policy.seed) if policy.order == "rand" else None
     sigma = list(sigma)
-    current = I
+    run = _Run(I, sigma)
     steps: List[ChaseStepRecord] = []
     pointer = 0
     while True:
-        if rng is None:
-            pick = _next_violation_det(current, sigma, pointer)
-        else:
-            pick = _next_violation_rand(current, sigma, rng)
+        pick = run.next_det(pointer) if rng is None else run.next_rand(rng)
         if pick is None:
-            return ChaseResult(TERMINATED, current, tuple(steps))
+            return ChaseResult(TERMINATED, run.instance(), tuple(steps))
         if policy.max_steps is not None and len(steps) >= policy.max_steps:
-            return ChaseResult(ABORTED, current, tuple(steps),
+            return ChaseResult(ABORTED, run.instance(), tuple(steps),
                                abort_reason=STEP_LIMIT)
         idx, a = pick
         c = sigma[idx]
         try:
-            nxt, rec = chase_step(current, c, a)
+            rec = run.apply(c, a)
         except ChaseFailed as f:
-            return ChaseResult(FAILED, current, tuple(steps),
+            return ChaseResult(FAILED, run.instance(), tuple(steps),
                                failed_step=len(steps), clash=f.clash)
-        rec = ChaseStepRecord(len(steps), rec.constraint_id, rec.assignment,
-                              rec.added_facts, rec.merged_pair, rec.fresh_nulls)
+        rec = replace(rec, index=len(steps))
+        steps.append(rec)
         if monitor is not None:
-            body_image = instantiate(c.body, a)
-            monitor = monitor_update(monitor, rec, body_image)
+            monitor = monitor_update(monitor, rec, instantiate(c.body, a))
             cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
             if cyc:
-                steps.append(rec)
-                return ChaseResult(ABORTED, nxt, tuple(steps),
+                return ChaseResult(ABORTED, run.instance(), tuple(steps),
                                    abort_reason=K_CYCLIC, abort_k=policy.monitor_k,
                                    kcyclic_chain=chain)
-        steps.append(rec)
-        current = nxt
         pointer = (idx + 1) % len(sigma)

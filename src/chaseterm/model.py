@@ -7,8 +7,21 @@ of atoms over variables and constants. A constraint is either a TGD
 (body -> head, head variables missing from the body are existential) or an
 EGD (body -> x = y).
 
-Everything here is an immutable value. Operations are pure functions, so the
-rest of the package can memoize and share results freely.
+Terms, atoms, constraints and instances are immutable values, so the rest of
+the package can memoize and share them freely. The one mutable structure is
+FactIndex, the run-scoped index a chase keeps for its whole run: facts by
+relation and by (relation, position, value), plus the null names in use. A
+TGD step adds facts to it and an EGD step rewrites only the facts holding the
+losing value; the run freezes it into an Instance once, at the end.
+
+One matcher, join(), serves conjunction matching, satisfaction, violations
+and homomorphisms. It backtracks with an explicit stack, so deep searches
+cannot overflow the interpreter's recursion limit, and takes each atom's
+candidates from the narrowest bucket the already-bound arguments select.
+Buckets list their facts in fact_key order, then in the order later added,
+so enumeration never depends on hash order. A frozen Instance offers only
+relation buckets, built once per instance on first use: positional buckets
+do not pay for themselves on the throwaway instances of the firing search.
 
 A note on equality: nulls compare by name only. The creation index a null
 carries is bookkeeping for the chase (freshness, merge tie-breaking) and two
@@ -137,10 +150,6 @@ def _dedup(atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
     return tuple(out)
 
 
-def atom_vars(a: Atom) -> List[Variable]:
-    return [t for t in a.args if isinstance(t, Variable)]
-
-
 def conjunction_vars(atoms: Sequence[Atom]) -> List[Variable]:
     """Variables of a conjunction in first-occurrence order."""
     seen: List[Variable] = []
@@ -239,14 +248,6 @@ def egd(cid: str, body: Sequence[Atom], left: Variable, right: Variable) -> Cons
     return Constraint(id=cid, kind=EGD, body=body, equated=(left, right))
 
 
-def constraint_positions(constraints: Sequence[Constraint]) -> frozenset:
-    """All positions occurring in the given constraints, bodies and heads."""
-    ps = set()
-    for c in constraints:
-        ps.update(c.positions)
-    return frozenset(ps)
-
-
 # ---------------------------------------------------------------------------
 # Instances
 # ---------------------------------------------------------------------------
@@ -268,14 +269,16 @@ class Instance:
     def null_names(self) -> frozenset:
         return frozenset(t.name for t in self.domain() if isinstance(t, LabeledNull))
 
-    def positions_of(self, v: Value) -> frozenset:
-        return frozenset(
-            Position(a.relation, i + 1)
-            for a in self.facts for i, t in enumerate(a.args) if t == v)
+    @cached_property
+    def _by_relation(self) -> Dict[Tuple[str, int], List[Atom]]:
+        by_rel: Dict[Tuple[str, int], List[Atom]] = {}
+        for f in sorted(self.facts, key=fact_key):
+            by_rel.setdefault((f.relation, len(f.args)), []).append(f)
+        return by_rel
 
-    def with_facts(self, new_facts: Iterable[Atom], null_counter: Optional[int] = None) -> "Instance":
-        return Instance(self.facts | frozenset(new_facts),
-                        self.null_counter if null_counter is None else null_counter)
+    def candidates(self, at: Atom, b: Dict, var_type: type = Variable) -> List[Atom]:
+        """The facts of at's relation and arity, in fact_key order."""
+        return self._by_relation.get((at.relation, len(at.args)), [])
 
 
 def fact_key(a: Atom) -> Tuple:
@@ -295,12 +298,85 @@ def instance(facts: Iterable[Atom], null_counter: Optional[int] = None) -> Insta
     return Instance(facts=fs, null_counter=null_counter)
 
 
+def _substitute(a: Atom, old: Value, new: Value) -> Atom:
+    return Atom(a.relation, tuple(new if t == old else t for t in a.args))
+
+
 def replace_value(facts: Iterable[Atom], old: Value, new: Value) -> frozenset:
     """Substitute one value for another in every fact."""
-    out = set()
-    for a in facts:
-        out.add(Atom(a.relation, tuple(new if t == old else t for t in a.args)))
-    return frozenset(out)
+    return frozenset(_substitute(a, old, new) for a in facts)
+
+
+class FactIndex:
+    """A mutable fact set with hash indexes, kept for the life of one chase
+    run or one search.
+
+    Facts are bucketed by (relation, arity) and by (relation, arity, position,
+    value); position is 0-based here. Buckets are insertion-ordered dicts
+    used as ordered sets: the facts given at construction in fact_key order,
+    later ones in the order they arrive. `nulls` holds the names of the
+    labeled nulls the facts mention.
+    """
+
+    def __init__(self, facts: Iterable[Atom] = ()):
+        self.facts: set = set()
+        self.nulls: set = set()
+        self.by_relation: Dict[Tuple[str, int], Dict[Atom, None]] = {}
+        self.by_position: Dict[Tuple, Dict[Atom, None]] = {}
+        self.add(sorted(facts, key=fact_key))
+
+    def add(self, facts: Iterable[Atom]) -> List[Atom]:
+        """Insert facts; returns those not present before, in order."""
+        new = []
+        for f in facts:
+            if f in self.facts:
+                continue
+            self.facts.add(f)
+            new.append(f)
+            rel = (f.relation, len(f.args))
+            self.by_relation.setdefault(rel, {})[f] = None
+            for i, v in enumerate(f.args):
+                self.by_position.setdefault(rel + (i, v), {})[f] = None
+                if isinstance(v, LabeledNull):
+                    self.nulls.add(v.name)
+        return new
+
+    def rename(self, old: Value, new: Value) -> List[Atom]:
+        """Substitute new for old in the facts that hold old, and only in
+        those; returns the rewritten facts not present before."""
+        holding: Dict[Atom, None] = {}
+        for rel, arity in self.by_relation:
+            for i in range(arity):
+                holding.update(self.by_position.get((rel, arity, i, old), {}))
+        for f in holding:
+            self.facts.remove(f)
+            rel = (f.relation, len(f.args))
+            del self.by_relation[rel][f]
+            for i, v in enumerate(f.args):
+                bucket = self.by_position[rel + (i, v)]
+                del bucket[f]
+                if not bucket:
+                    del self.by_position[rel + (i, v)]
+        if isinstance(old, LabeledNull):
+            self.nulls.discard(old.name)
+        return self.add([_substitute(f, old, new) for f in holding])
+
+    def candidates(self, at: Atom, b: Dict, var_type: type = Variable):
+        """The narrowest bucket that at's fixed and already-bound arguments
+        select: every fact at can map to under b, and maybe more."""
+        rel = (at.relation, len(at.args))
+        best = self.by_relation.get(rel, ())
+        for i, t in enumerate(at.args):
+            if isinstance(t, var_type):
+                t = b.get(t)
+                if t is None:
+                    continue
+            bucket = self.by_position.get(rel + (i, t))
+            if bucket is None:
+                return ()
+            if len(bucket) < len(best):
+                best = bucket
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -328,54 +404,93 @@ def instantiate(conjunction: Sequence[Atom], a: Assignment) -> frozenset:
     return frozenset(out)
 
 
-def _facts_by_relation(I: Instance) -> Dict[str, List[Atom]]:
-    by_rel: Dict[str, List[Atom]] = {}
-    for f in I.facts:
-        by_rel.setdefault(f.relation, []).append(f)
-    for fs in by_rel.values():
-        fs.sort(key=fact_key)
-    return by_rel
+def _bind(pattern: Sequence[Term], values: Sequence[Value], b: Dict,
+          var_type: type) -> Optional[List]:
+    """Extend b in place so that pattern maps onto values; returns the newly
+    bound terms, or None (with b unchanged) when they do not unify."""
+    new = []
+    for t, v in zip(pattern, values):
+        if isinstance(t, var_type):
+            bound = b.get(t)
+            if bound is None:
+                b[t] = v
+                new.append(t)
+            elif bound != v:
+                break
+        elif t != v:
+            break
+    else:
+        return new
+    for t in new:
+        del b[t]
+    return None
+
+
+def join(atoms: Sequence[Atom], facts, b: Dict,
+         var_type: type = Variable) -> Iterator[Dict]:
+    """Every extension of the binding b that maps all atoms into facts.
+
+    facts is an Instance or a FactIndex; its candidates() picks the facts an
+    atom may map to. Terms of var_type are bound, every other term must match
+    exactly. Backtracking runs on an explicit stack, atom by atom in the
+    given order, and b is extended in place: each solution is b itself, valid
+    until the next one is requested, so callers copy what they keep.
+    """
+    n = len(atoms)
+    if n == 0:
+        yield b
+        return
+    stack = [iter(facts.candidates(atoms[0], b, var_type))]
+    trail: List[List] = [[]]  # terms bound at each level
+    while stack:
+        i = len(stack) - 1
+        for t in trail[i]:
+            del b[t]
+        at = atoms[i]
+        for f in stack[i]:
+            new = _bind(at.args, f.args, b, var_type)
+            if new is not None:
+                break
+        else:
+            stack.pop()
+            trail.pop()
+            continue
+        trail[i] = new
+        if i + 1 == n:
+            yield b
+        else:
+            stack.append(iter(facts.candidates(atoms[i + 1], b, var_type)))
+            trail.append([])
 
 
 def match_conjunction(atoms: Sequence[Atom], I: Instance,
                       binding: Optional[Assignment] = None) -> Iterator[Assignment]:
     """All extensions of `binding` that map every atom into I.
 
-    Plain backtracking join over the facts, grouped by relation. Yields each
-    completed assignment once per derivation; callers dedup if they care.
+    Yields each completed assignment once per derivation; callers dedup if
+    they care.
     """
-    by_rel = _facts_by_relation(I)
-
-    def extend(i: int, b: Assignment) -> Iterator[Assignment]:
-        if i == len(atoms):
-            yield dict(b)
-            return
-        at = atoms[i]
-        for f in by_rel.get(at.relation, ()):
-            if len(f.args) != len(at.args):
-                continue
-            nb = dict(b)
-            ok = True
-            for pat, val in zip(at.args, f.args):
-                if isinstance(pat, Variable):
-                    bound = nb.get(pat)
-                    if bound is None:
-                        nb[pat] = val
-                    elif bound != val:
-                        ok = False
-                        break
-                elif pat != val:
-                    ok = False
-                    break
-            if ok:
-                yield from extend(i + 1, nb)
-
-    yield from extend(0, binding or {})
+    for b in join(atoms, I, dict(binding or {})):
+        yield dict(b)
 
 
 # ---------------------------------------------------------------------------
 # Satisfaction and violations
 # ---------------------------------------------------------------------------
+
+def head_holds(facts, c: Constraint, a: Assignment) -> bool:
+    """Does a satisfy c's head in facts (an Instance or a FactIndex), the
+    body being already in place? A TGD needs some extension over its
+    existential variables that maps the whole head into the facts; an EGD
+    needs the equated values to coincide."""
+    if c.kind == EGD:
+        left, right = c.equated  # type: ignore[misc]
+        return a[left] == a[right]
+    if not c.existential_vars:
+        return instantiate(c.head, a) <= facts.facts
+    base = {v: a[v] for v in c.body_vars if v in a}
+    return next(join(c.head, facts, base), None) is not None
+
 
 def satisfies(I: Instance, c: Constraint, a: Assignment) -> bool:
     """Does I satisfy c under assignment a?
@@ -389,33 +504,42 @@ def satisfies(I: Instance, c: Constraint, a: Assignment) -> bool:
     body = instantiate(c.body, a)
     if not body <= I.facts:
         return True
-    if c.kind == EGD:
-        left, right = c.equated  # type: ignore[misc]
-        return a[left] == a[right]
-    base = {v: a[v] for v in c.body_vars if v in a}
-    for _ in match_conjunction(c.head, I, base):
-        return True
-    return False
+    return head_holds(I, c, a)
+
+
+def body_matches(facts, c: Constraint,
+                 new: Optional[Sequence[Atom]] = None) -> Iterator[Tuple[Value, ...]]:
+    """The body matches of c in facts (an Instance or a FactIndex), as value
+    tuples over c.body_vars, with repeats. Given `new`, a subset of the
+    facts, only the matches that map some body atom onto a new fact: the
+    semi-naive delta of a step that added or rewrote those facts."""
+    if new is None:
+        for m in join(c.body, facts, {}):
+            yield tuple(m[v] for v in c.body_vars)
+        return
+    for i, at in enumerate(c.body):
+        rest = c.body[:i] + c.body[i + 1:]
+        for f in new:
+            if f.relation != at.relation or len(f.args) != len(at.args):
+                continue
+            b: Dict = {}
+            if _bind(at.args, f.args, b, Variable) is None:
+                continue
+            for m in join(rest, facts, b):
+                yield tuple(m[v] for v in c.body_vars)
 
 
 def find_violations(I: Instance, c: Constraint) -> List[Assignment]:
     """All assignments whose body image lies in I but which violate c, ordered
     lexicographically by value tuple (body variables in first-occurrence
     order) under the global value order."""
-    seen = set()
-    out: List[Assignment] = []
-    if c.body:
-        candidates = match_conjunction(c.body, I)
-    else:
-        candidates = iter([{}])
-    for a in candidates:
-        key = tuple(a[v] for v in c.body_vars)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not satisfies(I, c, a):
+    keys = sorted(set(body_matches(I, c)),
+                  key=lambda key: tuple(value_key(v) for v in key))
+    out = []
+    for key in keys:
+        a = dict(zip(c.body_vars, key))
+        if not head_holds(I, c, a):
             out.append(a)
-    out.sort(key=lambda a: tuple(value_key(a[v]) for v in c.body_vars))
     return out
 
 
@@ -427,40 +551,13 @@ def find_homomorphism(source: Instance, target: Instance) -> Optional[Dict[Value
     """A mapping h on dom(source), identity on constants, with
     h(facts(source)) contained in facts(target); None if there is none.
 
-    Backtracking over the source facts grouped by relation. Exponential in
-    the worst case, which is fine at the instance sizes this package is for.
+    Backtracking over the source facts in fact_key order, with the nulls as
+    the bound terms; each fact's candidates come from a positional index of
+    the target. Exponential in the worst case, which is fine at the instance
+    sizes this package is for.
     """
-    by_rel = _facts_by_relation(target)
     facts = sorted(source.facts, key=fact_key)
-
-    def extend(i: int, h: Dict[Value, Value]) -> Optional[Dict[Value, Value]]:
-        if i == len(facts):
-            return dict(h)
-        f = facts[i]
-        for g in by_rel.get(f.relation, ()):
-            if len(g.args) != len(f.args):
-                continue
-            nh = dict(h)
-            ok = True
-            for s, t in zip(f.args, g.args):
-                if isinstance(s, Constant):
-                    if s != t:
-                        ok = False
-                        break
-                else:
-                    bound = nh.get(s)
-                    if bound is None:
-                        nh[s] = t
-                    elif bound != t:
-                        ok = False
-                        break
-            if ok:
-                res = extend(i + 1, nh)
-                if res is not None:
-                    return res
-        return None
-
-    h = extend(0, {})
+    h = next(join(facts, FactIndex(target.facts), {}, LabeledNull), None)
     if h is None:
         return None
     for v in source.domain():

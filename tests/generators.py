@@ -7,7 +7,7 @@ rules, shared variables, existential chains and EGDs.
 """
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from chaseterm.chase import ChaseFailed, chase_step
 from chaseterm.model import (
@@ -25,12 +25,13 @@ def _random_atom(rng: random.Random, vars_pool: List[Variable]) -> Atom:
 
 
 def random_constraint(rng: random.Random, cid: str, max_atoms: int = 2,
-                      max_vars: int = 3, allow_egds: bool = True) -> Constraint:
+                      max_vars: int = 3, allow_egds: bool = True,
+                      egd_rate: float = 0.25) -> Constraint:
     vars_pool = [Variable(f"X{i}") for i in range(1, max_vars + 1)]
     body = [_random_atom(rng, vars_pool)
             for _ in range(rng.randint(0, max_atoms))]
     body_vars = sorted({t for a in body for t in a.args}, key=lambda v: v.name)
-    if allow_egds and len(body_vars) >= 2 and rng.random() < 0.25:
+    if allow_egds and len(body_vars) >= 2 and rng.random() < egd_rate:
         left, right = rng.sample(body_vars, 2)
         return egd(cid, body, left, right)
     # head may reuse body variables or introduce existential ones
@@ -42,16 +43,22 @@ def random_constraint(rng: random.Random, cid: str, max_atoms: int = 2,
 
 def random_constraints(rng: random.Random, max_constraints: int = 3,
                        max_atoms: int = 2, max_vars: int = 3,
-                       allow_egds: bool = True) -> List[Constraint]:
+                       allow_egds: bool = True,
+                       egd_rate: float = 0.25) -> List[Constraint]:
     n = rng.randint(1, max_constraints)
-    return [random_constraint(rng, f"d{i}", max_atoms, max_vars, allow_egds)
+    return [random_constraint(rng, f"d{i}", max_atoms, max_vars, allow_egds,
+                              egd_rate)
             for i in range(1, n + 1)]
 
 
 def random_instance(rng: random.Random, max_facts: int = 10,
-                    n_constants: int = 1, n_nulls: int = 3) -> Instance:
+                    n_constants: int = 1, n_nulls: int = 3,
+                    null_names: Optional[Sequence[str]] = None) -> Instance:
+    """Null i (from 1) has creation index i and is named u<i>, or the i-th
+    of null_names when given."""
+    names = null_names or [f"u{i}" for i in range(1, n_nulls + 1)]
     values = ([Constant(f"c{i}") for i in range(1, n_constants + 1)]
-              + [LabeledNull(f"u{i}", i) for i in range(1, n_nulls + 1)])
+              + [LabeledNull(name, i) for i, name in enumerate(names, 1)])
     facts = set()
     for _ in range(rng.randint(1, max_facts)):
         rel, arity = rng.choice(SCHEMA)

@@ -3,13 +3,21 @@
 Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
-freezes the agreed values.
+freezes the agreed values. The last section is different in kind: it keeps
+the chase engine the package had before its run-scoped index, for
+differential tests of the indexed chase and the iterative matcher.
 """
 
+import random
 from itertools import product
 
+from chaseterm.chase import (
+    ABORTED, FAILED, K_CYCLIC, STEP_LIMIT, TERMINATED, ChaseFailed,
+    ChasePolicy, ChaseResult, ChaseStepRecord,
+)
 from chaseterm.model import (
-    EGD, TGD, Constant, Position, Variable, conjunction_vars, instantiate,
+    EGD, TGD, Constant, Instance, LabeledNull, Position, Variable,
+    conjunction_vars, fact_key, instantiate, replace_value, value_key,
 )
 
 
@@ -112,3 +120,207 @@ def affected_oracle(constraints):
         if _closed_under_affectedness(S, constraints):
             best = S if best is None else best & S
     return frozenset(best if best is not None else set())
+
+
+# ---------------------------------------------------------------------------
+# The chase engine as it was before the run-scoped index: every pass rescans
+# every constraint with a fresh per-relation grouping of the whole instance,
+# and every step rebuilds the instance. Matching and the homomorphism search
+# recurse once per atom.
+# ---------------------------------------------------------------------------
+
+
+def _facts_by_relation(I):
+    by_rel = {}
+    for f in I.facts:
+        by_rel.setdefault(f.relation, []).append(f)
+    for fs in by_rel.values():
+        fs.sort(key=fact_key)
+    return by_rel
+
+
+def ref_match_conjunction(atoms, I, binding=None):
+    """Recursive backtracking join over the facts, grouped by relation."""
+    by_rel = _facts_by_relation(I)
+
+    def extend(i, b):
+        if i == len(atoms):
+            yield dict(b)
+            return
+        at = atoms[i]
+        for f in by_rel.get(at.relation, ()):
+            if len(f.args) != len(at.args):
+                continue
+            nb = dict(b)
+            ok = True
+            for pat, val in zip(at.args, f.args):
+                if isinstance(pat, Variable):
+                    bound = nb.get(pat)
+                    if bound is None:
+                        nb[pat] = val
+                    elif bound != val:
+                        ok = False
+                        break
+                elif pat != val:
+                    ok = False
+                    break
+            if ok:
+                yield from extend(i + 1, nb)
+
+    yield from extend(0, binding or {})
+
+
+def ref_satisfies(I, c, a):
+    body = instantiate(c.body, a)
+    if not body <= I.facts:
+        return True
+    if c.kind == EGD:
+        left, right = c.equated
+        return a[left] == a[right]
+    base = {v: a[v] for v in c.body_vars if v in a}
+    for _ in ref_match_conjunction(c.head, I, base):
+        return True
+    return False
+
+
+def ref_find_violations(I, c):
+    seen = set()
+    out = []
+    candidates = ref_match_conjunction(c.body, I) if c.body else iter([{}])
+    for a in candidates:
+        key = tuple(a[v] for v in c.body_vars)
+        if key in seen:
+            continue
+        seen.add(key)
+        if not ref_satisfies(I, c, a):
+            out.append(a)
+    out.sort(key=lambda a: tuple(value_key(a[v]) for v in c.body_vars))
+    return out
+
+
+def ref_chase_step(I, c, a):
+    recorded = tuple((v.name, a[v]) for v in c.body_vars)
+    if c.kind == TGD:
+        used = {t.name for f in I.facts for t in f.args
+                if isinstance(t, LabeledNull)}
+        counter = I.null_counter
+        ext = dict(a)
+        fresh = []
+        for v in c.existential_vars:
+            while f"n{counter}" in used:
+                counter += 1
+            n = LabeledNull(f"n{counter}", counter)
+            used.add(n.name)
+            counter += 1
+            ext[v] = n
+            fresh.append(n)
+        added = instantiate(c.head, ext)
+        fresh_with_pos = tuple(
+            (n, frozenset(Position(f.relation, i + 1)
+                          for f in added for i, t in enumerate(f.args) if t == n))
+            for n in fresh)
+        return (Instance(I.facts | added, counter),
+                ChaseStepRecord(0, c.id, recorded, added, None, fresh_with_pos))
+    left, right = c.equated
+    u, v = a[left], a[right]
+    if u == v:
+        raise ValueError("chase_step called on a satisfied equality")
+    if isinstance(u, Constant) and isinstance(v, Constant):
+        raise ChaseFailed(u, v)
+    survivor, loser = sorted((u, v), key=value_key)
+    return (Instance(replace_value(I.facts, loser, survivor), I.null_counter),
+            ChaseStepRecord(0, c.id, recorded, frozenset(), (survivor, loser), ()))
+
+
+def ref_chase(I, sigma, policy=ChasePolicy()):
+    """Full rescan per step: det takes the least violation of the first
+    constraint (round-robin) that has one, rand draws from every violation."""
+    monitor = None
+    if policy.monitor_k is not None:
+        from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
+        monitor = MonitorGraph.empty()
+    rng = random.Random(policy.seed) if policy.order == "rand" else None
+    sigma = list(sigma)
+    current = I
+    steps = []
+    pointer = 0
+    while True:
+        if rng is None:
+            pick = None
+            for off in range(len(sigma)):
+                idx = (pointer + off) % len(sigma)
+                vs = ref_find_violations(current, sigma[idx])
+                if vs:
+                    pick = idx, vs[0]
+                    break
+        else:
+            pool = [(idx, a) for idx, c in enumerate(sigma)
+                    for a in ref_find_violations(current, c)]
+            pick = pool[rng.randrange(len(pool))] if pool else None
+        if pick is None:
+            return ChaseResult(TERMINATED, current, tuple(steps))
+        if policy.max_steps is not None and len(steps) >= policy.max_steps:
+            return ChaseResult(ABORTED, current, tuple(steps),
+                               abort_reason=STEP_LIMIT)
+        idx, a = pick
+        c = sigma[idx]
+        try:
+            nxt, rec = ref_chase_step(current, c, a)
+        except ChaseFailed as f:
+            return ChaseResult(FAILED, current, tuple(steps),
+                               failed_step=len(steps), clash=f.clash)
+        rec = ChaseStepRecord(len(steps), rec.constraint_id, rec.assignment,
+                              rec.added_facts, rec.merged_pair, rec.fresh_nulls)
+        steps.append(rec)
+        if monitor is not None:
+            monitor = monitor_update(monitor, rec, instantiate(c.body, a))
+            cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
+            if cyc:
+                return ChaseResult(ABORTED, nxt, tuple(steps),
+                                   abort_reason=K_CYCLIC, abort_k=policy.monitor_k,
+                                   kcyclic_chain=chain)
+        current = nxt
+        pointer = (idx + 1) % len(sigma)
+
+
+def ref_find_homomorphism(source, target):
+    """Recursive backtracking over the source facts in fact order."""
+    by_rel = _facts_by_relation(target)
+    facts = sorted(source.facts, key=fact_key)
+
+    def extend(i, h):
+        if i == len(facts):
+            return dict(h)
+        f = facts[i]
+        for g in by_rel.get(f.relation, ()):
+            if len(g.args) != len(f.args):
+                continue
+            nh = dict(h)
+            ok = True
+            for s, t in zip(f.args, g.args):
+                if isinstance(s, Constant):
+                    if s != t:
+                        ok = False
+                        break
+                else:
+                    bound = nh.get(s)
+                    if bound is None:
+                        nh[s] = t
+                    elif bound != t:
+                        ok = False
+                        break
+            if ok:
+                res = extend(i + 1, nh)
+                if res is not None:
+                    return res
+        return None
+
+    h = extend(0, {})
+    if h is None:
+        return None
+    for v in source.domain():
+        if isinstance(v, Constant):
+            h[v] = v
+        else:
+            h.setdefault(v, v)
+    return h

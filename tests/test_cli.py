@@ -1,6 +1,9 @@
 """End-to-end command behavior: outputs, files, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,14 @@ a1: S(X), E(X,Y) -> E(Y,X).
 a2: S(X), E(X,Y) -> E(Y,Z), E(Z,X).
 a3: true -> S(X), E(X,Y).
 """
+# transitive closure, an existential rule and an EGD that merges its nulls
+TC_RULES = """\
+t1: e(X, Y) -> t(X, Y).
+t2: t(X, Y), e(Y, Z) -> t(X, Z).
+m1: e(X, Y) -> m(X, Z), m(Y, Z).
+q1: m(X, Z1), m(X, Z2) -> Z1 = Z2.
+"""
+TC_PATH = "e(v3, v4). e(v0, v1). e(v5, v6). e(v2, v3). e(v1, v2). e(v4, v5).\n"
 ONEWAY_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2).\n"
 ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).\n"
 
@@ -25,7 +36,8 @@ ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).
 def files(tmp_path):
     paths = {}
     for name, text in [("travel.rules", TRAVEL_RULES), ("seeded.rules", SEEDED_RULES),
-                       ("oneway.inst", ONEWAY_QUERY), ("roundtrip.inst", ROUNDTRIP_QUERY)]:
+                       ("oneway.inst", ONEWAY_QUERY), ("roundtrip.inst", ROUNDTRIP_QUERY),
+                       ("tc.rules", TC_RULES), ("tc.inst", TC_PATH)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -200,3 +212,28 @@ class TestInputErrors:
         inst.write_text("T(c1,c2).\n")
         assert main(["chase", str(rules), str(inst)]) == 4
         assert "arity mismatch" in capsys.readouterr().err
+
+
+class TestHashSeed:
+    """The JSON of a chase must not depend on string hashing, which Python
+    salts per process unless PYTHONHASHSEED fixes it."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def run(self, argv, hash_seed):
+        path = [self.SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(path))
+        return subprocess.run([sys.executable, "-m", "chaseterm.cli"] + argv,
+                              capture_output=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("order", [[], ["--order", "rand", "--seed", "3"]])
+    @pytest.mark.parametrize("rules,inst,flags", [
+        ("travel.rules", "oneway.inst", ["--as-query", "--max-steps", "60"]),
+        ("tc.rules", "tc.inst", []),
+    ])
+    def test_chase_json_is_byte_identical(self, files, rules, inst, flags, order):
+        argv = ["chase", files[rules], files[inst], "--json"] + flags + order
+        first, second = (self.run(argv, seed) for seed in ("0", "1"))
+        assert first.returncode in (0, 3), first.stderr
+        assert first.stdout
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout)

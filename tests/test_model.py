@@ -192,3 +192,27 @@ class TestHomomorphism:
             (oracles.bf_homomorphism(oneway_instance, roundtrip_instance) is None)
         assert (find_homomorphism(roundtrip_instance, oneway_instance) is None) == \
             (oracles.bf_homomorphism(roundtrip_instance, oneway_instance) is None)
+
+    def test_long_null_chain_is_searched_without_recursion(self):
+        nulls = [N(f"n{i}", i) for i in range(1, 1202)]
+        I = instance([A("e", u, v) for u, v in zip(nulls, nulls[1:])])
+        assert len(I.facts) == 1200
+        assert hom_equivalent(I, I)
+
+    def test_same_mapping_as_recursive_search(self, oneway_instance, roundtrip_instance):
+        E = instance([A("E", N("n1"), N("n2"))])
+        cases = [
+            (roundtrip_instance, roundtrip_instance),
+            (oneway_instance, roundtrip_instance),
+            (roundtrip_instance, oneway_instance),
+            (E, instance([A("E", C("a"), C("a"))])),
+            (instance([A("E", C("a"), N("n1"))]), instance([A("E", C("b"), C("c"))])),
+            (E, instance([A("E", N("m1"), N("m1"))])),
+        ]
+        for src, tgt in cases:
+            got = find_homomorphism(src, tgt)
+            want = oracles.ref_find_homomorphism(src, tgt)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert [(value_key(k), value_key(v)) for k, v in got.items()] == \
+                    [(value_key(k), value_key(v)) for k, v in want.items()]
