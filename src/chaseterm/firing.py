@@ -19,6 +19,26 @@ step's added facts; matching into added facts uses placeholder nulls that
 are resolved against the real fresh nulls once the step has run. For an EGD
 alpha the extra atoms range over the pre-images of b's body image under the
 merge, which is where a merge can complete a previously absent body.
+
+Three prunes skip whole subtrees of the enumeration in which every
+candidate fails a check of the validator. They never skip a candidate the
+validator would accept, and they keep the order of the rest, so the first
+witness found is the one the unpruned enumeration finds.
+
+  guard     Under PRECEDES_P, a variable with a body position outside P never
+            takes a null, in alpha's enumeration or in beta's. Every such
+            null would sit outside P in the candidate instance I: alpha's
+            body image is in I; a beta variable the added facts leave
+            unbound occurs only in beta-body atoms that go into I; and a
+            merge pre-image keeps a null in every slot where b's body
+            image has one, since a null survivor means a null loser.
+  satisfied For a TGD alpha, an assignment a whose body image already
+            satisfies alpha's head is skipped: each I contains that image,
+            so alpha is satisfied in I and a is no violation.
+  never     A pair whose alpha or beta is a TGD with a head that maps into
+            its own body, body variables fixed, has no witness: the map
+            satisfies that head wherever the body image lies, so alpha
+            never fires and beta is satisfied in every J.
 """
 
 from __future__ import annotations
@@ -31,7 +51,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from chaseterm.chase import ChaseFailed, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
-    Position, Value, Variable, fact_key, instantiate, satisfies, value_key,
+    Position, Value, Variable, fact_key, head_holds, instantiate, satisfies,
+    value_key,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -72,26 +93,51 @@ def _new_symbols(index: int, taken: frozenset) -> Tuple[Constant, LabeledNull]:
 
 def _extensions(vars_seq: Sequence[Variable], bound: Assignment,
                 pool: Tuple[Value, ...], named: Tuple[Constant, ...],
-                fresh_count: int) -> Iterator[Tuple[Assignment, Tuple[Value, ...], int]]:
+                fresh_count: int, no_null: frozenset,
+                ) -> Iterator[Tuple[Assignment, Tuple[Value, ...], int]]:
     """Canonical completions of bound over vars_seq. Each unbound variable
-    reuses an available value or introduces the next pool symbol."""
+    reuses an available value or introduces the next pool symbol; a variable
+    in no_null skips every null, so its subtrees holding one are never built."""
     if not vars_seq:
         yield bound, pool, fresh_count
         return
     v, rest = vars_seq[0], vars_seq[1:]
     if v in bound:
-        yield from _extensions(rest, bound, pool, named, fresh_count)
+        yield from _extensions(rest, bound, pool, named, fresh_count, no_null)
         return
+    nulls_ok = v not in no_null
     options: List[Value] = []
     for val in pool + named:
-        if val not in options:
+        if val not in options and (nulls_ok or isinstance(val, Constant)):
             options.append(val)
     for val in options:
-        yield from _extensions(rest, {**bound, v: val}, pool, named, fresh_count)
-    taken = frozenset(c.name for c in named)
-    for val in _new_symbols(fresh_count, taken):
+        yield from _extensions(rest, {**bound, v: val}, pool, named, fresh_count,
+                               no_null)
+    const, null = _new_symbols(fresh_count, frozenset(c.name for c in named))
+    for val in (const, null) if nulls_ok else (const,):
         yield from _extensions(rest, {**bound, v: val}, pool + (val,), named,
-                               fresh_count + 1)
+                               fresh_count + 1, no_null)
+
+
+def _no_null_vars(c: Constraint, P: frozenset, mode: str) -> frozenset:
+    """Under PRECEDES_P, the variables of c with a body position outside P.
+    Every candidate instance holds c's body image at such a position (see
+    the module docstring), so a null there fails the position guard."""
+    if mode != PRECEDES_P:
+        return frozenset()
+    return frozenset(t for f in c.body for i, t in enumerate(f.args)
+                     if isinstance(t, Variable)
+                     and Position(f.relation, i + 1) not in P)
+
+
+def _never_violated(c: Constraint) -> bool:
+    """Is c a TGD whose head maps into its own body, body variables fixed?
+    Then every assignment's body image satisfies the head: c never fires
+    and is never violated."""
+    if c.kind != TGD:
+        return False
+    frozen = {v: LabeledNull(v.name) for v in c.body_vars}
+    return head_holds(Instance(instantiate(c.body, frozen)), c, frozen)
 
 
 def _is_placeholder(v: Value) -> bool:
@@ -191,13 +237,15 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
 
 def _tgd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
                     pool: Tuple[Value, ...], named: Tuple[Constant, ...],
-                    fresh_count: int) -> Iterator[Tuple[Assignment, frozenset]]:
+                    fresh_count: int, no_null: frozenset,
+                    ) -> Iterator[Tuple[Assignment, frozenset]]:
     """(b, B) pairs for a TGD alpha: b matches part of beta's body into the
     step's added facts, B holds the rest, to be planted in I."""
     pattern = _added_pattern(alpha, a)
     for b0, deferred in _subset_matches(list(beta.body), pattern):
-        remaining = [v for v in beta.universal_vars if v not in b0]
-        for b, _, _ in _extensions(remaining, b0, pool, named, fresh_count):
+        remaining = [v for v in beta.body_vars if v not in b0]
+        for b, _, _ in _extensions(remaining, b0, pool, named, fresh_count,
+                                   no_null):
             B = set()
             ok = True
             for at in deferred:
@@ -212,7 +260,8 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
 
 def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
                     pool: Tuple[Value, ...], named: Tuple[Constant, ...],
-                    fresh_count: int) -> Iterator[Tuple[Assignment, frozenset]]:
+                    fresh_count: int, no_null: frozenset,
+                    ) -> Iterator[Tuple[Assignment, frozenset]]:
     """(b, B) pairs for an EGD alpha: B ranges over the pre-images of b's
     body under the merge, so the merge itself can complete beta's body."""
     left, right = alpha.equated  # type: ignore[misc]
@@ -220,7 +269,8 @@ def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
     if u == v or (isinstance(u, Constant) and isinstance(v, Constant)):
         return
     survivor, loser = sorted((u, v), key=value_key)
-    for b, _, _ in _extensions(list(beta.universal_vars), {}, pool, named, fresh_count):
+    for b, _, _ in _extensions(list(beta.body_vars), {}, pool, named,
+                               fresh_count, no_null):
         if loser in b.values():
             continue
         image = sorted(instantiate(beta.body, b), key=fact_key)
@@ -248,13 +298,19 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
         added = {f.relation for f in alpha.head}
         if not any(f.relation in added for f in beta.body):
             return None
+    if _never_violated(alpha) or _never_violated(beta):
+        return None
     named = _named_constants(alpha, beta)
-    for a, pool, fc in _extensions(list(alpha.universal_vars), {}, (), named, 0):
+    no_null_b = _no_null_vars(beta, P, mode)
+    for a, pool, fc in _extensions(list(alpha.body_vars), {}, (), named, 0,
+                                   _no_null_vars(alpha, P, mode)):
         base = instantiate(alpha.body, a)
         if alpha.kind == TGD:
-            candidates = _tgd_candidates(alpha, a, beta, pool, named, fc)
+            if head_holds(Instance(base), alpha, a):
+                continue  # alpha is satisfied in every I containing base
+            candidates = _tgd_candidates(alpha, a, beta, pool, named, fc, no_null_b)
         else:
-            candidates = _egd_candidates(alpha, a, beta, pool, named, fc)
+            candidates = _egd_candidates(alpha, a, beta, pool, named, fc, no_null_b)
         for b, B in candidates:
             I = _mk_instance(base | B)
             got = _holds(I, alpha, a, beta, b, P, mode)
@@ -263,8 +319,8 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
             rb, J = got
             return Witness(
                 alpha.id, beta.id, I,
-                tuple((v.name, a[v]) for v in alpha.universal_vars),
-                tuple((v.name, rb[v]) for v in beta.universal_vars),
+                tuple((v.name, a[v]) for v in alpha.body_vars),
+                tuple((v.name, rb[v]) for v in beta.body_vars),
                 J)
     return None
 

@@ -191,10 +191,6 @@ class Constraint:
         return tuple(conjunction_vars(self.body))
 
     @cached_property
-    def universal_vars(self) -> Tuple[Variable, ...]:
-        return self.body_vars
-
-    @cached_property
     def existential_vars(self) -> Tuple[Variable, ...]:
         if self.kind != TGD:
             return ()
@@ -568,5 +564,38 @@ def find_homomorphism(source: Instance, target: Instance) -> Optional[Dict[Value
     return h
 
 
+def _connected_order(facts: Iterable[Atom]) -> List[Atom]:
+    """The facts in breadth-first order over shared nulls. Each connected
+    part starts at its first fact in fact_key order, so every other fact
+    shares a null with one placed before it."""
+    ordered = sorted(facts, key=fact_key)
+    holders: Dict[Value, List[Atom]] = {}
+    for f in ordered:
+        for t in f.args:
+            if isinstance(t, LabeledNull):
+                holders.setdefault(t, []).append(f)
+    out: List[Atom] = []
+    seen = set()
+    for start in ordered:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for f in queue:
+            out.append(f)
+            for t in f.args:
+                for g in holders.pop(t, ()):
+                    if g not in seen:
+                        seen.add(g)
+                        queue.append(g)
+    return out
+
+
 def hom_equivalent(I: Instance, J: Instance) -> bool:
-    return find_homomorphism(I, J) is not None and find_homomorphism(J, I) is not None
+    """Homomorphisms both ways. Only their existence counts, so the search
+    binds the source facts in _connected_order: each fact then meets an
+    already bound null where it can, which keeps a null chain linear
+    whatever order its nulls' names sort in."""
+    return all(next(join(_connected_order(src.facts), FactIndex(tgt.facts), {},
+                         LabeledNull), None) is not None
+               for src, tgt in ((I, J), (J, I)))

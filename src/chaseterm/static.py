@@ -60,7 +60,7 @@ def affected_positions(sigma: Sequence[Constraint]) -> frozenset:
     while changed:
         changed = False
         for c in tgds:
-            for v in c.universal_vars:
+            for v in c.body_vars:
                 if _var_positions(c.body, v) <= aff:
                     for p in _var_positions(c.head, v):
                         if p not in aff:
@@ -125,7 +125,7 @@ def _position_graph(tgds: Sequence[Constraint], nodes,
         ex = set(c.existential_vars)
         for v in ex:
             ex_positions |= _var_positions(c.head, v)
-        for v in c.universal_vars:
+        for v in c.body_vars:
             occ = _var_positions(c.body, v)
             if restrict is not None and not occ <= restrict:
                 continue

@@ -51,6 +51,18 @@ def random_constraints(rng: random.Random, max_constraints: int = 3,
             for i in range(1, n + 1)]
 
 
+def width_family(n: int) -> List[Constraint]:
+    """The width family of the analyze-batch benchmark: an n-variable
+    cycle of E atoms that starts a new E edge, and a feedback rule that
+    reverses every edge. The cycle's E(X1, X2) already satisfies the head
+    E(X1, Y), so the wide rule never fires."""
+    xs = [Variable(f"X{i}") for i in range(1, n + 1)]
+    body = [Atom("E", (xs[i], xs[(i + 1) % n])) for i in range(n)]
+    x, y = Variable("X"), Variable("Y")
+    return [tgd(f"w{n}", body, [Atom("E", (xs[0], y))]),
+            tgd("fb", [Atom("E", (x, y))], [Atom("E", (y, x))])]
+
+
 def random_instance(rng: random.Random, max_facts: int = 10,
                     n_constants: int = 1, n_nulls: int = 3,
                     null_names: Optional[Sequence[str]] = None) -> Instance:

@@ -3,11 +3,13 @@
 Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
-freezes the agreed values. The last section is different in kind: it keeps
-the chase engine the package had before its run-scoped index, for
-differential tests of the indexed chase and the iterative matcher.
+freezes the agreed values. The last two sections are different in kind: they
+keep the chase engine the package had before its run-scoped index, and the
+firing-witness search as it was before it pruned, for differential tests
+that compare results with strict().
 """
 
+import dataclasses
 import random
 from itertools import product
 
@@ -15,10 +17,34 @@ from chaseterm.chase import (
     ABORTED, FAILED, K_CYCLIC, STEP_LIMIT, TERMINATED, ChaseFailed,
     ChasePolicy, ChaseResult, ChaseStepRecord,
 )
+from chaseterm.firing import (
+    Witness, _added_pattern, _ground, _holds, _is_placeholder, _mk_instance,
+    _named_constants, _new_symbols, _subset_matches,
+)
 from chaseterm.model import (
-    EGD, TGD, Constant, Instance, LabeledNull, Position, Variable,
+    EGD, TGD, Atom, Constant, Instance, LabeledNull, Position, Variable,
     conjunction_vars, fact_key, instantiate, replace_value, value_key,
 )
+
+
+def strict(x):
+    """x as plain tuples, keeping what equality drops: a null's creation
+    index. Sets become sorted tuples, so the form is order-free."""
+    if isinstance(x, LabeledNull):
+        return ("null", x.name, x.creation_index)
+    if isinstance(x, Constant):
+        return ("const", x.name)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            strict(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (set, frozenset)):
+        return ("set",) + tuple(sorted((strict(v) for v in x), key=repr))
+    if isinstance(x, dict):
+        return ("dict",) + tuple(sorted(((strict(k), strict(v)) for k, v in x.items()),
+                                        key=repr))
+    if isinstance(x, (tuple, list)):
+        return tuple(strict(v) for v in x)
+    return x
 
 
 def bf_satisfies(I, c, a):
@@ -324,3 +350,99 @@ def ref_find_homomorphism(source, target):
         else:
             h.setdefault(v, v)
     return h
+
+
+# ---------------------------------------------------------------------------
+# The firing-witness search as it was before it pruned: every restricted-
+# growth assignment of alpha, then of beta, reaches firing._holds, which
+# stays the judge. The pruned search must find the same first witness.
+# ---------------------------------------------------------------------------
+
+
+def _ref_extensions(vars_seq, bound, pool, named, fresh_count):
+    if not vars_seq:
+        yield bound, pool, fresh_count
+        return
+    v, rest = vars_seq[0], vars_seq[1:]
+    if v in bound:
+        yield from _ref_extensions(rest, bound, pool, named, fresh_count)
+        return
+    options = []
+    for val in pool + named:
+        if val not in options:
+            options.append(val)
+    for val in options:
+        yield from _ref_extensions(rest, {**bound, v: val}, pool, named, fresh_count)
+    taken = frozenset(c.name for c in named)
+    for val in _new_symbols(fresh_count, taken):
+        yield from _ref_extensions(rest, {**bound, v: val}, pool + (val,), named,
+                                   fresh_count + 1)
+
+
+def _ref_tgd_candidates(alpha, a, beta, pool, named, fresh_count):
+    pattern = _added_pattern(alpha, a)
+    for b0, deferred in _subset_matches(list(beta.body), pattern):
+        remaining = [v for v in beta.body_vars if v not in b0]
+        for b, _, _ in _ref_extensions(remaining, b0, pool, named, fresh_count):
+            B = set()
+            ok = True
+            for at in deferred:
+                f = _ground(at, b)
+                if any(_is_placeholder(t) for t in f.args):
+                    ok = False
+                    break
+                B.add(f)
+            if ok:
+                yield b, frozenset(B)
+
+
+def _ref_egd_candidates(alpha, a, beta, pool, named, fresh_count):
+    left, right = alpha.equated
+    u, v = a[left], a[right]
+    if u == v or (isinstance(u, Constant) and isinstance(v, Constant)):
+        return
+    survivor, loser = sorted((u, v), key=value_key)
+    for b, _, _ in _ref_extensions(list(beta.body_vars), {}, pool, named, fresh_count):
+        if loser in b.values():
+            continue
+        image = sorted(instantiate(beta.body, b), key=fact_key)
+        per_atom = []
+        for f in image:
+            slots = [i for i, t in enumerate(f.args) if t == survivor]
+            choices = []
+            for picks in product((survivor, loser), repeat=len(slots)):
+                args = list(f.args)
+                for slot, val in zip(slots, picks):
+                    args[slot] = val
+                choices.append(Atom(f.relation, tuple(args)))
+            per_atom.append(choices)
+        for combo in product(*per_atom):
+            yield b, frozenset(combo)
+
+
+def ref_search(alpha, beta, P, mode):
+    """The first witness of the unpruned enumeration, or None; P is used
+    as given, so callers pass frozenset() under PRECEDES."""
+    if alpha.kind == TGD:
+        added = {f.relation for f in alpha.head}
+        if not any(f.relation in added for f in beta.body):
+            return None
+    named = _named_constants(alpha, beta)
+    for a, pool, fc in _ref_extensions(list(alpha.body_vars), {}, (), named, 0):
+        base = instantiate(alpha.body, a)
+        if alpha.kind == TGD:
+            candidates = _ref_tgd_candidates(alpha, a, beta, pool, named, fc)
+        else:
+            candidates = _ref_egd_candidates(alpha, a, beta, pool, named, fc)
+        for b, B in candidates:
+            I = _mk_instance(base | B)
+            got = _holds(I, alpha, a, beta, b, P, mode)
+            if got is None:
+                continue
+            rb, J = got
+            return Witness(
+                alpha.id, beta.id, I,
+                tuple((v.name, a[v]) for v in alpha.body_vars),
+                tuple((v.name, rb[v]) for v in beta.body_vars),
+                J)
+    return None

@@ -7,7 +7,6 @@ nulls compared by name and creation index: the same step records, outcome,
 abort data and final instance.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -15,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from chaseterm.chase import ChasePolicy, chase
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import Constant, LabeledNull, egd, instance, tgd
+from chaseterm.model import egd, instance, tgd
 
 from .conftest import A, C, N, V
 from . import generators, oracles
+from .oracles import strict
 
 
 def policies(max_steps):
@@ -27,26 +27,6 @@ def policies(max_steps):
              ChasePolicy(max_steps=max_steps, monitor_k=3)]
             + [ChasePolicy(order="rand", seed=s, max_steps=max_steps)
                for s in range(5)])
-
-
-def strict(x):
-    """x as plain tuples, keeping what equality drops: a null's creation
-    index. Sets become sorted tuples, so the form is order-free."""
-    if isinstance(x, LabeledNull):
-        return ("null", x.name, x.creation_index)
-    if isinstance(x, Constant):
-        return ("const", x.name)
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__,) + tuple(
-            strict(getattr(x, f.name)) for f in dataclasses.fields(x))
-    if isinstance(x, (set, frozenset)):
-        return ("set",) + tuple(sorted((strict(v) for v in x), key=repr))
-    if isinstance(x, dict):
-        return ("dict",) + tuple(sorted(((strict(k), strict(v)) for k, v in x.items()),
-                                        key=repr))
-    if isinstance(x, (tuple, list)):
-        return tuple(strict(v) for v in x)
-    return x
 
 
 def assert_same_runs(I, sigma, max_steps=40):

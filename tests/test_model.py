@@ -199,6 +199,14 @@ class TestHomomorphism:
         assert len(I.facts) == 1200
         assert hom_equivalent(I, I)
 
+    def test_null_chain_in_name_order_stays_linear(self):
+        # the nulls share one creation index, so fact_key sorts them by
+        # name (n0, n1, n10, n100, ...), far from chain order
+        nulls = [N(f"n{i}", 0) for i in range(1001)]
+        I = instance([A("e", u, v) for u, v in zip(nulls, nulls[1:])])
+        assert len(I.facts) == 1000
+        assert hom_equivalent(I, I)
+
     def test_same_mapping_as_recursive_search(self, oneway_instance, roundtrip_instance):
         E = instance([A("E", N("n1"), N("n2"))])
         cases = [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chaseterm import firing, static
 from chaseterm.firing import verify_witness
 from chaseterm.model import ModelError, Position, egd, tgd
 from chaseterm.static import (
@@ -11,8 +12,9 @@ from chaseterm.static import (
     propagation_graph, safety, weak_acyclicity,
 )
 
-from . import oracles
+from . import generators, oracles
 from .conftest import A, V
+from .oracles import strict
 
 
 def P(*pairs):
@@ -246,3 +248,28 @@ class TestComponentOrdering:
         s = minimal_restriction_system([t1, t2])
         comps = nontrivial_sccs([t1, t2], s.edges)
         assert [[c.id for c in comp] for comp in comps] == [["a"], ["b"]]
+
+
+class TestWidthFamily:
+    # The body cycle holds E(X1, X2), which satisfies the head E(X1, Y), so
+    # the wide rule never fires: there is no firing edge, and every rung
+    # from stratification up accepts.
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_verdicts(self, n):
+        r = analyze(generators.width_family(n))
+        assert not r.weakly_acyclic and not r.safe
+        assert r.stratified and r.safely_restricted and r.inductively_restricted
+        assert r.chase_graph.edges == () and r.restriction_system.edges == ()
+
+    # the unpruned search takes seconds from width 5 on
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_report_matches_unpruned_search(self, n, monkeypatch):
+        sigma = generators.width_family(n)
+        got = strict(analyze(sigma))
+        static._minimal_system.cache_clear()
+        monkeypatch.setattr(firing, "_search", oracles.ref_search)
+        try:
+            want = strict(analyze(sigma))
+        finally:
+            static._minimal_system.cache_clear()
+        assert got == want
