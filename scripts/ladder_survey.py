@@ -1,48 +1,21 @@
 #!/usr/bin/env python3
 """Survey how far random constraint sets climb the termination ladder.
 
-Draws seeded random sets over a tiny schema, runs the full analysis, and
-tabulates the first check that accepts each set (the ladder is ordered by
+Draws seeded random sets over a tiny schema with the test suite's
+generator, runs the full analysis, and tabulates the first check that accepts each set (the ladder is ordered by
 strength, so the first acceptance is the cheapest sufficient argument).
 Implication violations would indicate a bug and are counted separately.
+Run it from the repository root, with the package and the tests on the path:
+
+    PYTHONPATH=src:. python3 scripts/ladder_survey.py
 """
 
 import argparse
 import collections
 import random
 
-from chaseterm.model import Atom, Variable, egd, tgd
-from chaseterm.static import analyze
-
-SCHEMA = (("S", 1), ("R", 2), ("T", 2))
-
-RUNGS = (
-    ("weakly acyclic", lambda r: r.weakly_acyclic),
-    ("safe", lambda r: r.safe),
-    ("stratified", lambda r: r.stratified),
-    ("safely restricted", lambda r: r.safely_restricted),
-    ("inductively restricted", lambda r: r.inductively_restricted),
-)
-
-
-def random_set(rng: random.Random, max_constraints: int, max_atoms: int):
-    def atom(pool):
-        rel, arity = rng.choice(SCHEMA)
-        return Atom(rel, tuple(rng.choice(pool) for _ in range(arity)))
-
-    out = []
-    for i in range(1, rng.randint(1, max_constraints) + 1):
-        xs = [Variable(f"X{j}") for j in range(1, 4)]
-        body = [atom(xs) for _ in range(rng.randint(0, max_atoms))]
-        body_vars = sorted({t for a in body for t in a.args}, key=lambda v: v.name)
-        if len(body_vars) >= 2 and rng.random() < 0.25:
-            left, right = rng.sample(body_vars, 2)
-            out.append(egd(f"d{i}", body, left, right))
-            continue
-        pool = xs + [Variable("Y1"), Variable("Y2")]
-        head = [atom(pool) for _ in range(rng.randint(1, max_atoms))]
-        out.append(tgd(f"d{i}", body, head))
-    return out
+from chaseterm.static import RUNGS, analyze
+from tests.generators import random_constraints
 
 
 def main():
@@ -57,9 +30,10 @@ def main():
     first = collections.Counter()
     violations = 0
     for _ in range(args.sets):
-        rep = analyze(random_set(rng, args.max_constraints, args.max_atoms))
-        accepted = [name for name, check in RUNGS if check(rep)]
-        first[accepted[0] if accepted else "none"] += 1
+        rep = analyze(random_constraints(rng, args.max_constraints,
+                                         args.max_atoms))
+        accepted = rep.accepted_by
+        first[accepted[0].label if accepted else "none"] += 1
         if rep.weakly_acyclic and not rep.stratified:
             violations += 1
         if rep.safe and not rep.safely_restricted:
@@ -67,12 +41,12 @@ def main():
         if rep.safely_restricted and not rep.inductively_restricted:
             violations += 1
 
-    width = max(len(name) for name, _ in RUNGS) + 2
+    width = max(len(rung.label) for rung in RUNGS) + 2
     print(f"{args.sets} sets, seed {args.seed}, "
           f"<= {args.max_constraints} constraints, <= {args.max_atoms} atoms")
     print(f"{'first accepting check':<{width}} sets")
-    for name, _ in RUNGS:
-        print(f"{name:<{width}} {first[name]:>4}")
+    for rung in RUNGS:
+        print(f"{rung.label:<{width}} {first[rung.label]:>4}")
     print(f"{'none':<{width}} {first['none']:>4}")
     print(f"implication violations: {violations}")
 

@@ -30,7 +30,7 @@ def main():
     for k in range(2, args.kmax + 1):
         I, sigma = rotation_family(k)
         res = chase(I, sigma)
-        G = build_monitor(I, res.steps, sigma)
+        G = build_monitor(res.steps, sigma)
         depths = [d for d in range(1, k + 2) if is_k_cyclic(G, d)[0]]
         cyclic = f"<= {max(depths)}" if depths else "none"
         finished = monitored_chase(I, sigma, k).outcome

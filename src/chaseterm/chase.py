@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from chaseterm.model import (
     TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
-    Position, Value, body_matches, fact_key, head_holds,
-    instantiate, replace_value, value_key,
+    Value, body_matches, fact_key, head_holds, instantiate, replace_value,
+    term_positions, value_key,
 )
 
 TERMINATED = "terminated"
@@ -96,8 +96,8 @@ class ChaseResult:
 
 
 def _tgd_step(c: Constraint, a: Assignment, counter: int,
-              taken) -> Tuple[frozenset, ChaseStepRecord, int]:
-    """The facts a TGD step adds, its record and the next null counter.
+              taken) -> Tuple[ChaseStepRecord, int]:
+    """The record of a TGD step and the next null counter.
 
     Each existential variable gets null n<counter> with creation index
     counter; names in taken (those of the nulls in the current instance) are
@@ -112,13 +112,10 @@ def _tgd_step(c: Constraint, a: Assignment, counter: int,
         ext[v] = n
         fresh.append(n)
     added = instantiate(c.head, ext)
-    fresh_with_pos = tuple(
-        (n, frozenset(Position(f.relation, i + 1)
-                      for f in added for i, t in enumerate(f.args) if t == n))
-        for n in fresh)
     rec = ChaseStepRecord(0, c.id, tuple((v.name, a[v]) for v in c.body_vars),
-                          added, None, fresh_with_pos)
-    return added, rec, counter
+                          added, None,
+                          tuple((n, term_positions(added, n)) for n in fresh))
+    return rec, counter
 
 
 def _egd_step(c: Constraint, a: Assignment) -> ChaseStepRecord:
@@ -140,11 +137,10 @@ def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, Cha
     """Apply one chase step for a violated (c, a). Raises ChaseFailed when an
     EGD would equate two distinct constants."""
     if c.kind == TGD:
-        added, rec, counter = _tgd_step(c, a, I.null_counter, I.null_names())
-        return Instance(I.facts | added, counter), rec
-    rec = _egd_step(c, a)
-    survivor, loser = rec.merged_pair
-    return Instance(replace_value(I.facts, loser, survivor), I.null_counter), rec
+        rec, _ = _tgd_step(c, a, I.null_counter, I.null_names())
+    else:
+        rec = _egd_step(c, a)
+    return apply_record(I, rec), rec
 
 
 def apply_record(I: Instance, rec: ChaseStepRecord) -> Instance:
@@ -253,8 +249,8 @@ class _Run:
         rewrote to every pending set. Raises ChaseFailed, leaving the run
         unchanged, on a constant clash."""
         if c.kind == TGD:
-            added, rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls)
-            new = self.index.add(sorted(added, key=fact_key))
+            rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls)
+            new = self.index.add(sorted(rec.added_facts, key=fact_key))
         else:
             rec = _egd_step(c, a)
             survivor, loser = rec.merged_pair

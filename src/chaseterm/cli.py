@@ -23,7 +23,7 @@ from chaseterm.reports import (
     analysis_report, chase_report, export_dot, guarantee_report,
     monitor_report, to_json,
 )
-from chaseterm.static import analyze
+from chaseterm.static import RUNGS, analyze
 from chaseterm.syntax import (
     ConstraintDocument, parse_constraints, parse_instance, print_constraints,
     print_instance,
@@ -34,22 +34,7 @@ EXIT_FAILED = 2
 EXIT_ABORTED = 3
 EXIT_INPUT = 4
 
-_CHECK_KEYS = {
-    "wa": "weakly_acyclic",
-    "safe": "safe",
-    "strat": "stratified",
-    "sr": "safely_restricted",
-    "ir": "inductively_restricted",
-}
-
-# evidence fields of the report, per single-check selection
-_CHECK_EVIDENCE = {
-    "wa": ("dependency_graph", "dependency_cycle"),
-    "safe": ("propagation_graph", "propagation_cycle"),
-    "strat": ("chase_graph", "stratification_failures"),
-    "sr": ("restriction_system", "restriction_failures"),
-    "ir": ("parts", "part_failures"),
-}
+_RUNG_BY_KEY = {r.key: r for r in RUNGS}
 
 
 class CliError(Exception):
@@ -60,6 +45,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; route everything to exit code 4 instead
     def error(self, message):
         raise CliError(message)
+
+
+def _depth(text: str) -> int:
+    """A monitor depth k, which must be at least 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
 
 
 def _read(path: str) -> str:
@@ -117,11 +113,11 @@ def cmd_analyze(args) -> int:
     report = analyze(sigma)
     payload = analysis_report(report)
     if args.check != "all":
-        key = _CHECK_KEYS[args.check]
-        keep = ("constraints", key) + _CHECK_EVIDENCE[args.check]
+        rung = _RUNG_BY_KEY[args.check]
+        keep = ("constraints", rung.field) + rung.evidence
         payload = {k: v for k, v in payload.items() if k in keep}
         payload["check"] = args.check
-        payload["verdict"] = getattr(report, key)
+        payload["verdict"] = getattr(report, rung.field)
     if args.dot:
         _write_dot(args.dot, "dependency", report.dependency_graph)
         _write_dot(args.dot, "propagation", report.propagation_graph)
@@ -133,11 +129,8 @@ def cmd_analyze(args) -> int:
     if args.check != "all":
         print(f"{args.check}: {'yes' if payload['verdict'] else 'no'}")
         return EXIT_OK
-    for flag, key in (("weakly acyclic", "weakly_acyclic"), ("safe", "safe"),
-                      ("stratified", "stratified"),
-                      ("safely restricted", "safely_restricted"),
-                      ("inductively restricted", "inductively_restricted")):
-        print(f"{flag}: {'yes' if getattr(report, key) else 'no'}")
+    for rung in RUNGS:
+        print(f"{rung.label}: {'yes' if getattr(report, rung.field) else 'no'}")
     print(f"terminating on all instances: {'yes' if report.terminating else 'no'}")
     return EXIT_OK
 
@@ -158,7 +151,7 @@ def cmd_monitor(args) -> int:
     sigma, I = _load(args)
     res = monitored_chase(I, sigma, args.k,
                           ChasePolicy(order=args.order, seed=args.seed))
-    graph = build_monitor(I, res.steps, sigma)
+    graph = build_monitor(res.steps, sigma)
     payload = {"chase": chase_report(res, include_trace=False),
                "monitor": monitor_report(graph, args.k)}
     if args.dot:
@@ -194,12 +187,7 @@ def cmd_termcheck(args) -> int:
     sigma, I = _load(args)
     report = analyze(sigma)
     if report.terminating:
-        rungs = [name for name, key in
-                 (("weak acyclicity", "weakly_acyclic"), ("safety", "safe"),
-                  ("stratification", "stratified"),
-                  ("safe restriction", "safely_restricted"),
-                  ("inductive restriction", "inductively_restricted"))
-                 if getattr(report, key)]
+        rungs = [rung.name for rung in report.accepted_by]
         payload = {"level": "AllInstances", "by": rungs,
                    "relevant": [c.id for c in sigma], "irrelevant": []}
         if args.json:
@@ -259,7 +247,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the static termination ladder")
     p.add_argument("constraints", help="rules file")
-    p.add_argument("--check", choices=sorted(_CHECK_KEYS) + ["all"],
+    p.add_argument("--check", choices=sorted(_RUNG_BY_KEY) + ["all"],
                    default="all")
     p.add_argument("--dot", metavar="DIR", help="write graph DOT files here")
     p.add_argument("--json", action="store_true")
@@ -277,7 +265,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("monitor", help="chase under the k-cycle monitor")
     p.add_argument("constraints")
     common_instance_flags(p)
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_depth, default=5)
     p.add_argument("--order", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dot", metavar="DIR")
@@ -295,7 +283,7 @@ def _build_parser() -> _ArgumentParser:
                        help="ladder, then pruning, then monitored chase")
     p.add_argument("constraints")
     common_instance_flags(p)
-    p.add_argument("-k", type=int, default=5)
+    p.add_argument("-k", type=_depth, default=5)
     p.add_argument("--order", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

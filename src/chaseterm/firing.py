@@ -51,8 +51,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from chaseterm.chase import ChaseFailed, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
-    Position, Value, Variable, fact_key, head_holds, instantiate, satisfies,
-    value_key,
+    Position, Value, Variable, _bind, fact_key, head_holds, instance,
+    instantiate, satisfies, term_positions, value_key,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -125,9 +125,8 @@ def _no_null_vars(c: Constraint, P: frozenset, mode: str) -> frozenset:
     the module docstring), so a null there fails the position guard."""
     if mode != PRECEDES_P:
         return frozenset()
-    return frozenset(t for f in c.body for i, t in enumerate(f.args)
-                     if isinstance(t, Variable)
-                     and Position(f.relation, i + 1) not in P)
+    return frozenset(v for v in c.body_vars
+                     if not term_positions(c.body, v) <= P)
 
 
 def _never_violated(c: Constraint) -> bool:
@@ -152,22 +151,6 @@ def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
     return sorted(instantiate(alpha.head, ext), key=fact_key)
 
 
-def _unify(pattern: Atom, fact: Atom, bound: Assignment) -> Optional[Assignment]:
-    if pattern.relation != fact.relation or len(pattern.args) != len(fact.args):
-        return None
-    b = dict(bound)
-    for t, val in zip(pattern.args, fact.args):
-        if isinstance(t, Variable):
-            if t in b:
-                if b[t] != val:
-                    return None
-            else:
-                b[t] = val
-        elif t != val:
-            return None
-    return b
-
-
 def _subset_matches(atoms: Sequence[Atom], facts: Sequence[Atom],
                     ) -> Iterator[Tuple[Assignment, List[Atom]]]:
     """Every way to match a non-empty subset of atoms into facts; yields the
@@ -182,25 +165,13 @@ def _subset_matches(atoms: Sequence[Atom], facts: Sequence[Atom],
         at = atoms[i]
         yield from go(i + 1, bound, deferred + [at], matched)
         for f in facts:
-            b2 = _unify(at, f, bound)
-            if b2 is not None:
+            if f.relation != at.relation or len(f.args) != len(at.args):
+                continue
+            b2 = dict(bound)
+            if _bind(at.args, f.args, b2, Variable) is not None:
                 yield from go(i + 1, b2, deferred, True)
 
     yield from go(0, {}, [], False)
-
-
-def _mk_instance(facts: frozenset) -> Instance:
-    counter = 1
-    for f in facts:
-        for t in f.args:
-            if isinstance(t, LabeledNull):
-                counter = max(counter, t.creation_index + 1)
-    return Instance(facts, counter)
-
-
-def _ground(atom: Atom, b: Assignment) -> Atom:
-    args = tuple(b[t] if isinstance(t, Variable) else t for t in atom.args)
-    return Atom(atom.relation, args)
 
 
 def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
@@ -246,16 +217,9 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
         remaining = [v for v in beta.body_vars if v not in b0]
         for b, _, _ in _extensions(remaining, b0, pool, named, fresh_count,
                                    no_null):
-            B = set()
-            ok = True
-            for at in deferred:
-                f = _ground(at, b)
-                if any(_is_placeholder(t) for t in f.args):
-                    ok = False
-                    break
-                B.add(f)
-            if ok:
-                yield b, frozenset(B)
+            B = instantiate(deferred, b)
+            if not any(_is_placeholder(t) for f in B for t in f.args):
+                yield b, B
 
 
 def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
@@ -312,7 +276,7 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
         else:
             candidates = _egd_candidates(alpha, a, beta, pool, named, fc, no_null_b)
         for b, B in candidates:
-            I = _mk_instance(base | B)
+            I = instance(base | B)
             got = _holds(I, alpha, a, beta, b, P, mode)
             if got is None:
                 continue

@@ -108,20 +108,6 @@ def nontrivial_components(nodes: Sequence[Node],
     return out
 
 
-def has_cycle(nodes: Sequence[Node], edges: Iterable[Edge]) -> bool:
-    return bool(nontrivial_components(nodes, edges))
-
-
-def cycle_through_any(edges: Iterable[Edge], marked: Iterable[Edge]) -> bool:
-    """Is some cycle of the graph passing through a marked edge? True exactly
-    when some marked edge (u, v) has u reachable from v."""
-    all_edges = list(edges)
-    for u, v in marked:
-        if u in reachable_from([v], all_edges):
-            return True
-    return False
-
-
 def shortest_path(start: Node, goal: Node, edges: Iterable[Edge]):
     """A shortest path from start to goal as a node list, or None. Ties break
     by the order edges are given in."""

@@ -120,12 +120,15 @@ class Atom:
     def positions(self) -> Tuple[Position, ...]:
         return tuple(Position(self.relation, i + 1) for i in range(len(self.args)))
 
-    def is_ground(self) -> bool:
-        return all(not isinstance(t, Variable) for t in self.args)
-
 
 def atom(relation: str, *args: Term) -> Atom:
     return Atom(relation, tuple(args))
+
+
+def term_positions(atoms: Iterable[Atom], t: Term) -> frozenset:
+    """The positions at which the term t occurs in atoms."""
+    return frozenset(Position(a.relation, i + 1)
+                     for a in atoms for i, u in enumerate(a.args) if u == t)
 
 
 def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None) -> Dict[str, int]:
@@ -282,16 +285,19 @@ def fact_key(a: Atom) -> Tuple:
 
 
 def instance(facts: Iterable[Atom], null_counter: Optional[int] = None) -> Instance:
-    """Build an instance, checking groundness and arity consistency."""
+    """Build an instance, checking groundness and arity consistency. The
+    null counter defaults to one past the largest null creation index."""
     fs = frozenset(facts)
+    top = 0
     for a in fs:
-        if not a.is_ground():
-            raise ModelError(f"instance atoms must be ground, got {a!r}")
+        for t in a.args:
+            if isinstance(t, LabeledNull):
+                if t.creation_index > top:
+                    top = t.creation_index
+            elif isinstance(t, Variable):
+                raise ModelError(f"instance atoms must be ground, got {a!r}")
     check_arities(fs)
-    if null_counter is None:
-        indices = [t.creation_index for a in fs for t in a.args if isinstance(t, LabeledNull)]
-        null_counter = max(indices, default=0) + 1
-    return Instance(facts=fs, null_counter=null_counter)
+    return Instance(fs, top + 1 if null_counter is None else null_counter)
 
 
 def _substitute(a: Atom, old: Value, new: Value) -> Atom:

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
-from chaseterm.chase import (
-    ChasePolicy, ChaseResult, ChaseStepRecord, apply_record, chase,
+from chaseterm.chase import ChasePolicy, ChaseResult, ChaseStepRecord, chase
+from chaseterm.model import (
+    Constraint, Instance, LabeledNull, Variable, instantiate, term_positions,
 )
-from chaseterm.model import Constraint, Instance, LabeledNull, Position, Variable, instantiate
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -
     new_nodes = [MonitorNode(n, ps) for n, ps in step.fresh_nulls]
     sources = []
     for null, node in G.live.items():
-        occ = frozenset(
-            Position(f.relation, i + 1)
-            for f in body_instantiation for i, t in enumerate(f.args) if t == null)
+        occ = term_positions(body_instantiation, null)
         if occ:
             sources.append((node, occ))
 
@@ -131,24 +129,22 @@ def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
     return chase(I, sigma, replace(policy, monitor_k=k))
 
 
-def monitor_trace(initial: Instance, steps: Sequence[ChaseStepRecord],
+def monitor_trace(steps: Sequence[ChaseStepRecord],
                   sigma: Sequence[Constraint]) -> Iterator[MonitorGraph]:
-    """Replay recorded steps, yielding the monitor graph after each one."""
+    """Fold recorded steps in, yielding the monitor graph after each one."""
     by_id = {c.id: c for c in sigma}
     G = MonitorGraph.empty()
-    current = initial
     for rec in steps:
         c = by_id[rec.constraint_id]
         a = {Variable(name): val for name, val in rec.assignment}
         G = monitor_update(G, rec, instantiate(c.body, a))
-        current = apply_record(current, rec)
         yield G
 
 
-def build_monitor(initial: Instance, steps: Sequence[ChaseStepRecord],
+def build_monitor(steps: Sequence[ChaseStepRecord],
                   sigma: Sequence[Constraint]) -> MonitorGraph:
     """The monitor graph of a completed run."""
     G = MonitorGraph.empty()
-    for G in monitor_trace(initial, steps, sigma):
+    for G in monitor_trace(steps, sigma):
         pass
     return G

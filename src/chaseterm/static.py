@@ -1,21 +1,9 @@
 """Static termination analysis of a constraint set.
 
-The ladder, from most to least syntactic:
-
-  weak acyclicity   no special-edge cycle in the dependency graph over all
-                    positions
-  safety            the same check on the propagation graph, which keeps
-                    only edges whose source variable is confined to affected
-                    positions
-  stratification    every nontrivial SCC of the pairwise firing graph is
-                    weakly acyclic
-  safe restriction  every nontrivial SCC of the minimal restriction system
-                    is safe
-  inductive         every element of the part decomposition (recursive SCC
-  restriction       refinement of the restriction system) is safe
-
-A positive verdict anywhere guarantees all chase sequences terminate for all
-instances. Negative verdicts carry concrete cycle witnesses.
+The ladder runs from most to least syntactic; RUNGS below lists its rungs,
+each with what its check asks. A positive verdict anywhere guarantees all
+chase sequences terminate for all instances. Negative verdicts carry
+concrete cycle witnesses.
 
 Position bookkeeping follows two conventions worth naming: the position set
 of a single constraint, as used in the restriction-system propagation rule,
@@ -27,20 +15,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.firing import PRECEDES_P, Witness, can_cause
 from chaseterm.graphs import cycle_through, nontrivial_components
 from chaseterm.model import (
-    TGD, Constraint, Position, Variable, check_arities, position_key,
+    TGD, Constraint, Position, check_arities, position_key, term_positions,
 )
 
 Cycle = Tuple[Position, ...]
 
 
-def _var_positions(atoms, v: Variable) -> frozenset:
-    return frozenset(Position(f.relation, i + 1)
-                     for f in atoms for i, t in enumerate(f.args) if t == v)
+class Rung(NamedTuple):
+    """One rung of the ladder: its `analyze --check` key, its verdict field
+    of AnalysisReport, the report fields holding its evidence, its verdict
+    as an adjective and the name of its condition."""
+
+    key: str
+    field: str
+    evidence: Tuple[str, str]
+    label: str
+    name: str
+
+
+RUNGS = (
+    # no special-edge cycle in the dependency graph over all positions
+    Rung("wa", "weakly_acyclic", ("dependency_graph", "dependency_cycle"),
+         "weakly acyclic", "weak acyclicity"),
+    # the same check on the propagation graph, which keeps only edges whose
+    # source variable is confined to affected positions
+    Rung("safe", "safe", ("propagation_graph", "propagation_cycle"),
+         "safe", "safety"),
+    # every nontrivial SCC of the pairwise firing graph is weakly acyclic
+    Rung("strat", "stratified", ("chase_graph", "stratification_failures"),
+         "stratified", "stratification"),
+    # every nontrivial SCC of the minimal restriction system is safe
+    Rung("sr", "safely_restricted", ("restriction_system", "restriction_failures"),
+         "safely restricted", "safe restriction"),
+    # every element of the part decomposition (recursive SCC refinement of
+    # the restriction system) is safe
+    Rung("ir", "inductively_restricted", ("parts", "part_failures"),
+         "inductively restricted", "inductive restriction"),
+)
 
 
 def affected_positions(sigma: Sequence[Constraint]) -> frozenset:
@@ -51,21 +67,18 @@ def affected_positions(sigma: Sequence[Constraint]) -> frozenset:
     tgds = [c for c in sigma if c.kind == TGD]
     aff = set()
     for c in tgds:
-        ex = set(c.existential_vars)
-        for f in c.head:
-            for i, t in enumerate(f.args):
-                if t in ex:
-                    aff.add(Position(f.relation, i + 1))
+        for v in c.existential_vars:
+            aff |= term_positions(c.head, v)
     changed = True
     while changed:
         changed = False
         for c in tgds:
             for v in c.body_vars:
-                if _var_positions(c.body, v) <= aff:
-                    for p in _var_positions(c.head, v):
-                        if p not in aff:
-                            aff.add(p)
-                            changed = True
+                if term_positions(c.body, v) <= aff:
+                    head_occ = term_positions(c.head, v)
+                    if not head_occ <= aff:
+                        aff |= head_occ
+                        changed = True
     return frozenset(aff)
 
 
@@ -77,21 +90,12 @@ def aff_cl(alpha: Constraint, P) -> frozenset:
     if alpha.kind != TGD:
         raise ValueError("aff_cl is defined for TGDs only")
     P = frozenset(P)
-    ex = set(alpha.existential_vars)
-    univ_at: Dict[Position, set] = {}
-    holds_ex = set()
-    for f in alpha.head:
-        for i, t in enumerate(f.args):
-            pos = Position(f.relation, i + 1)
-            univ_at.setdefault(pos, set())
-            if t in ex:
-                holds_ex.add(pos)
-            elif isinstance(t, Variable):
-                univ_at[pos].add(t)
-    out = set()
-    for pos, uvs in univ_at.items():
-        if pos in holds_ex or all(_var_positions(alpha.body, v) <= P for v in uvs):
-            out.add(pos)
+    out = {p for f in alpha.head for p in f.positions}
+    for v in alpha.body_vars:
+        if not term_positions(alpha.body, v) <= P:
+            out -= term_positions(alpha.head, v)
+    for v in alpha.existential_vars:
+        out |= term_positions(alpha.head, v)
     return frozenset(out)
 
 
@@ -122,14 +126,13 @@ def _position_graph(tgds: Sequence[Constraint], nodes,
     regular, special = set(), set()
     for c in tgds:
         ex_positions = set()
-        ex = set(c.existential_vars)
-        for v in ex:
-            ex_positions |= _var_positions(c.head, v)
+        for v in c.existential_vars:
+            ex_positions |= term_positions(c.head, v)
         for v in c.body_vars:
-            occ = _var_positions(c.body, v)
+            occ = term_positions(c.body, v)
             if restrict is not None and not occ <= restrict:
                 continue
-            head_occ = _var_positions(c.head, v)
+            head_occ = term_positions(c.head, v)
             for p in occ:
                 for q in head_occ:
                     regular.add((p, q))
@@ -310,10 +313,14 @@ class AnalysisReport:
     part_failures: Tuple[Tuple[Tuple[str, ...], Cycle], ...]
 
     @property
+    def accepted_by(self) -> Tuple[Rung, ...]:
+        """The rungs whose check accepts the set, in ladder order."""
+        return tuple(r for r in RUNGS if getattr(self, r.field))
+
+    @property
     def terminating(self) -> bool:
         """Any rung of the ladder suffices."""
-        return (self.weakly_acyclic or self.safe or self.stratified
-                or self.safely_restricted or self.inductively_restricted)
+        return bool(self.accepted_by)
 
 
 def _component_failures(comps, check) -> Tuple:

@@ -18,8 +18,8 @@ from chaseterm.chase import (
     ChasePolicy, ChaseResult, ChaseStepRecord,
 )
 from chaseterm.firing import (
-    Witness, _added_pattern, _ground, _holds, _is_placeholder, _mk_instance,
-    _named_constants, _new_symbols, _subset_matches,
+    Witness, _added_pattern, _holds, _is_placeholder, _named_constants,
+    _new_symbols,
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Instance, LabeledNull, Position, Variable,
@@ -355,8 +355,59 @@ def ref_find_homomorphism(source, target):
 # ---------------------------------------------------------------------------
 # The firing-witness search as it was before it pruned: every restricted-
 # growth assignment of alpha, then of beta, reaches firing._holds, which
-# stays the judge. The pruned search must find the same first witness.
+# stays the judge. The pruned search must find the same first witness. It
+# keeps the search's own unifier and instance builder, which the package
+# replaced with model._bind and model.instance.
 # ---------------------------------------------------------------------------
+
+
+def _unify(pattern, fact, bound):
+    if pattern.relation != fact.relation or len(pattern.args) != len(fact.args):
+        return None
+    b = dict(bound)
+    for t, val in zip(pattern.args, fact.args):
+        if isinstance(t, Variable):
+            if t in b:
+                if b[t] != val:
+                    return None
+            else:
+                b[t] = val
+        elif t != val:
+            return None
+    return b
+
+
+def _subset_matches(atoms, facts):
+    """Every way to match a non-empty subset of atoms into facts; yields the
+    bindings and the unmatched remainder."""
+
+    def go(i, bound, deferred, matched):
+        if i == len(atoms):
+            if matched:
+                yield bound, deferred
+            return
+        at = atoms[i]
+        yield from go(i + 1, bound, deferred + [at], matched)
+        for f in facts:
+            b2 = _unify(at, f, bound)
+            if b2 is not None:
+                yield from go(i + 1, b2, deferred, True)
+
+    yield from go(0, {}, [], False)
+
+
+def _mk_instance(facts):
+    counter = 1
+    for f in facts:
+        for t in f.args:
+            if isinstance(t, LabeledNull):
+                counter = max(counter, t.creation_index + 1)
+    return Instance(facts, counter)
+
+
+def _ground(atom, b):
+    args = tuple(b[t] if isinstance(t, Variable) else t for t in atom.args)
+    return Atom(atom.relation, args)
 
 
 def _ref_extensions(vars_seq, bound, pool, named, fresh_count):

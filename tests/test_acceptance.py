@@ -140,7 +140,7 @@ def test_c05_rotation_family_sweep():
         assert res.outcome == TERMINATED
         assert len(res.steps) == k
 
-        G = build_monitor(I, res.steps, sigma)
+        G = build_monitor(res.steps, sigma)
         assert is_k_cyclic(G, k - 1)[0]
         assert not is_k_cyclic(G, k)[0]
 
@@ -216,7 +216,7 @@ def test_c10_monitor_graph_invariants(travel_sigma, oneway_instance):
         runs.append((I, sigma, monitored_chase(I, sigma, k)))
         runs.append((I, sigma, monitored_chase(I, sigma, k - 1)))
     for I, sigma, res in runs:
-        for G in monitor_trace(I, res.steps, sigma):
+        for G in monitor_trace(res.steps, sigma):
             assert_acyclic(G)
             for e in G.edges:
                 assert e.source.null.creation_index < e.target.null.creation_index

@@ -31,6 +31,13 @@ TC_PATH = "e(v3, v4). e(v0, v1). e(v5, v6). e(v2, v3). e(v1, v2). e(v4, v5).\n"
 ONEWAY_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2).\n"
 ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).\n"
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -70,6 +77,30 @@ class TestAnalyze:
         a = capsys.readouterr().out
         main(["analyze", files["travel.rules"], "--json"])
         assert capsys.readouterr().out == a
+
+    @pytest.mark.parametrize("rules,verdicts", [
+        ("seeded.rules", "no no no no yes yes"),
+        ("travel.rules", "no no no no no no"),
+        ("tc.rules", "yes yes yes yes yes yes"),
+    ])
+    def test_full_ladder_text_exact(self, files, capsys, rules, verdicts):
+        assert main(["analyze", files[rules]]) == 0
+        labels = ("weakly acyclic", "safe", "stratified", "safely restricted",
+                  "inductively restricted", "terminating on all instances")
+        want = "".join(f"{label}: {v}\n"
+                       for label, v in zip(labels, verdicts.split()))
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("key", ["wa", "safe", "strat", "sr", "ir"])
+    def test_single_check_exact(self, files, capsys, key):
+        assert main(["analyze", files["seeded.rules"], "--check", key]) == 0
+        verdict = "yes" if key == "ir" else "no"
+        assert capsys.readouterr().out == f"{key}: {verdict}\n"
+        assert main(["analyze", files["tc.rules"], "--check", key]) == 0
+        assert capsys.readouterr().out == f"{key}: yes\n"
+        assert main(["analyze", files["seeded.rules"], "--check", key,
+                     "--json"]) == 0
+        assert capsys.readouterr().out == golden(f"analyze_seeded_{key}.json")
 
     def test_dot_directory(self, files, capsys, tmp_path):
         out = tmp_path / "dots"
@@ -159,6 +190,12 @@ class TestIrrelevantAndTermcheck:
         assert "guarantee: None" in out
         assert "k_cyclic" in out
 
+    @pytest.mark.parametrize("rules", ["seeded", "tc"])
+    def test_termcheck_static_pass_json_exact(self, files, capsys, rules):
+        assert main(["termcheck", files[f"{rules}.rules"], files["oneway.inst"],
+                     "--as-query", "--json"]) == 0
+        assert capsys.readouterr().out == golden(f"termcheck_{rules}.json")
+
     def test_termcheck_json_levels(self, files, capsys):
         main(["termcheck", files["travel.rules"], files["roundtrip.inst"],
               "--as-query", "--json"])
@@ -204,6 +241,15 @@ class TestInputErrors:
     def test_query_vars_need_flag(self, files, capsys):
         assert main(["chase", files["travel.rules"], files["oneway.inst"]]) == 4
         assert "as a query" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["monitor", "termcheck"])
+    @pytest.mark.parametrize("k", ["0", "-2", "x"])
+    def test_monitor_depth_below_one(self, files, capsys, command, k):
+        # travel on the one-way trip passes no rung, so termcheck would
+        # reach the monitored chase
+        assert main([command, files["travel.rules"], files["oneway.inst"],
+                     "--as-query", "-k", k]) == 4
+        assert "argument -k" in capsys.readouterr().err
 
     def test_cross_file_arity_clash(self, tmp_path, capsys):
         rules = tmp_path / "a.rules"

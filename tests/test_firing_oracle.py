@@ -1,7 +1,9 @@
 """The pruned firing search against the unpruned enumerator it replaced.
 
 tests.oracles.ref_search hands every candidate of the old restricted-growth
-enumeration to firing._holds. can_cause skips only candidates that _holds
+enumeration to firing._holds, built with the search's old unifier, grounding
+and instance builder, which the package replaced with model._bind,
+model.instantiate and model.instance. can_cause skips only candidates that _holds
 must reject, so it has to return the same first witness, compared strictly:
 nulls by name and creation index, so a witness that merely looks the same
 does not pass.

@@ -4,8 +4,7 @@ import itertools
 import random
 
 from chaseterm.graphs import (
-    cycle_through_any, has_cycle, nontrivial_components,
-    reachable_from, strongly_connected_components,
+    nontrivial_components, reachable_from, strongly_connected_components,
 )
 
 
@@ -53,16 +52,3 @@ class TestSccs:
             if comp_of[u] != comp_of[v]:
                 assert pos[comp_of[u]] > pos[comp_of[v]]
 
-
-class TestCycles:
-    def test_acyclic_graph(self):
-        assert not has_cycle([0, 1, 2], [(0, 1), (1, 2)])
-
-    def test_marked_edge_outside_all_cycles(self):
-        edges = [(0, 1), (1, 0), (1, 2)]
-        assert has_cycle([0, 1, 2], edges)
-        assert not cycle_through_any(edges, [(1, 2)])
-        assert cycle_through_any(edges, [(1, 0)])
-
-    def test_marked_self_loop(self):
-        assert cycle_through_any([(0, 0)], [(0, 0)])

@@ -18,14 +18,14 @@ from .conftest import A, C, N, V
 class TestGraphConstruction:
     def test_initial_nulls_are_not_monitored(self, travel_sigma, roundtrip_instance):
         res = chase(roundtrip_instance, travel_sigma)
-        G = build_monitor(roundtrip_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         assert G.nodes == frozenset()
         assert G.edges == frozenset()
         assert G.live == {}
 
     def test_nodes_carry_creation_positions(self, travel_sigma, oneway_instance):
         res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=3))
-        G = build_monitor(oneway_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         by_name = {node.null.name: node for node in G.nodes}
         assert set(by_name) == {"n1", "n2"}
         assert by_name["n1"].created_at == frozenset({Position("fly", 2)})
@@ -34,7 +34,7 @@ class TestGraphConstruction:
 
     def test_edges_appear_once_monitored_nulls_feed_a_step(self, travel_sigma, oneway_instance):
         res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=5))
-        G = build_monitor(oneway_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         assert len(G.nodes) == 4
         assert len(G.edges) == 4
         assert {e.constraint_id for e in G.edges} == {"a3"}
@@ -44,14 +44,14 @@ class TestGraphConstruction:
 
     def test_edges_point_from_older_to_newer(self, travel_sigma, oneway_instance):
         res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=11))
-        G = build_monitor(oneway_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         for e in G.edges:
             assert e.source.null.creation_index < e.target.null.creation_index
 
     def test_one_node_per_created_null(self, travel_sigma, oneway_instance):
         res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=11))
         created = [n for rec in res.steps for n, _ in rec.fresh_nulls]
-        G = build_monitor(oneway_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         assert sorted(node.null.name for node in G.nodes) == sorted(n.name for n in created)
         assert set(G.live) == set(created)
 
@@ -67,7 +67,7 @@ class TestMergeHandling:
         res = chase(I, [t, t2, e])
         assert res.outcome == TERMINATED
         assert any(rec.merged_pair for rec in res.steps)
-        G = build_monitor(I, res.steps, [t, t2, e])
+        G = build_monitor(res.steps, [t, t2, e])
         assert len(G.nodes) == 1
         assert G.live == {}
 
@@ -80,7 +80,7 @@ class TestMergeHandling:
         I = instance([A("P", C("a")), A("R", C("a"), u)])
         res = chase(I, [t, e])
         assert res.outcome == TERMINATED
-        G = build_monitor(I, res.steps, [t, e])
+        G = build_monitor(res.steps, [t, e])
         node, = G.nodes
         assert node.null == LabeledNull("n1", 1)
         assert G.live == {u: node}
@@ -97,7 +97,7 @@ class TestMergeHandling:
         assert res.outcome == TERMINATED
         merges = [rec.merged_pair for rec in res.steps if rec.merged_pair]
         assert merges == [(LabeledNull("n1", 1), LabeledNull("n2", 2))]
-        G = build_monitor(I, res.steps, [t, t2, e])
+        G = build_monitor(res.steps, [t, t2, e])
         assert len(G.nodes) == 2
         assert set(G.live) == {LabeledNull("n1", 1)}
         assert G.live[LabeledNull("n1", 1)].null == LabeledNull("n1", 1)
@@ -138,7 +138,7 @@ class TestKCyclicity:
 
     def test_graph_is_cyclic_only_at_the_last_step(self, travel_sigma, oneway_instance):
         res = monitored_chase(oneway_instance, travel_sigma, 3)
-        graphs = list(monitor_trace(oneway_instance, res.steps, travel_sigma))
+        graphs = list(monitor_trace(res.steps, travel_sigma))
         assert is_k_cyclic(graphs[-1], 3)[0]
         for G in graphs[:-1]:
             cyc, chain = is_k_cyclic(G, 3)
@@ -157,7 +157,7 @@ class TestStructuralInvariants:
         initial = set(oneway_instance.null_names())
         res = monitored_chase(oneway_instance, travel_sigma, 4)
         current = oneway_instance
-        for rec, G in zip(res.steps, monitor_trace(oneway_instance, res.steps, travel_sigma)):
+        for rec, G in zip(res.steps, monitor_trace(res.steps, travel_sigma)):
             current = apply_record(current, rec)
             created_live = {v for v in current.domain()
                             if isinstance(v, LabeledNull) and v.name not in initial}
@@ -165,7 +165,7 @@ class TestStructuralInvariants:
 
     def test_chains_are_paths_of_one_class(self, travel_sigma, oneway_instance):
         res = monitored_chase(oneway_instance, travel_sigma, 4)
-        G = build_monitor(oneway_instance, res.steps, travel_sigma)
+        G = build_monitor(res.steps, travel_sigma)
         for (node, key), chain in G.chains.items():
             assert chain[-1].target == node
             assert {edge_class(e) for e in chain} == {key}

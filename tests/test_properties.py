@@ -112,7 +112,7 @@ def test_monitor_edges_point_forward(seed):
     sigma = generators.random_constraints(rng, allow_egds=False)
     I = generators.random_instance(rng)
     res = monitored_chase(I, sigma, 3, ChasePolicy(max_steps=25))
-    for G in monitor_trace(I, res.steps, sigma):
+    for G in monitor_trace(res.steps, sigma):
         for e in G.edges:
             assert e.source.null.creation_index < e.target.null.creation_index
 
@@ -125,7 +125,7 @@ def test_monitor_chains_are_consecutive_same_class_paths(seed):
     I = generators.random_instance(rng)
     res = monitored_chase(I, sigma, 3, ChasePolicy(max_steps=25))
     G = None
-    for G in monitor_trace(I, res.steps, sigma):
+    for G in monitor_trace(res.steps, sigma):
         pass
     if G is None:
         return
@@ -145,7 +145,7 @@ def test_cyclicity_is_monotone_along_a_run(seed):
     I = generators.random_instance(rng)
     res = chase(I, sigma, ChasePolicy(max_steps=25))
     seen = False
-    for G in monitor_trace(I, res.steps, sigma):
+    for G in monitor_trace(res.steps, sigma):
         hit, chain = is_k_cyclic(G, 2)
         assert not (seen and not hit)  # once 2-cyclic, stays 2-cyclic
         seen = hit

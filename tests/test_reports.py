@@ -41,7 +41,7 @@ class TestDot:
 
     def test_monitor_graph(self, travel_sigma, oneway_instance):
         res = monitored_chase(oneway_instance, travel_sigma, 3)
-        g = build_monitor(oneway_instance, res.steps, travel_sigma)
+        g = build_monitor(res.steps, travel_sigma)
         dot = export_dot(g)
         assert dot.startswith("digraph g {")
         assert "[label=" in dot
@@ -126,7 +126,7 @@ class TestGuaranteeAndMonitorReports:
 
     def test_monitor_payload(self, travel_sigma, oneway_instance):
         res = monitored_chase(oneway_instance, travel_sigma, 3)
-        g = build_monitor(oneway_instance, res.steps, travel_sigma)
+        g = build_monitor(res.steps, travel_sigma)
         payload = monitor_report(g, 3)
         assert payload["k_cyclic"] is True
         assert len(payload["chain"]) == 3

@@ -1,0 +1,44 @@
+"""The experiment scripts, run as a user runs them, print the recorded tables."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+LADDER_SURVEY_30 = """\
+30 sets, seed 13, <= 3 constraints, <= 3 atoms
+first accepting check    sets
+weakly acyclic             11
+safe                        2
+stratified                  9
+safely restricted           3
+inductively restricted      0
+none                        5
+implication violations: 0
+"""
+
+MONITOR_DEPTHS_4 = """\
+ k steps chain       cyclic   watch k watch k-1    guarantee
+ 2     2     1         <= 1 terminated   aborted         None
+ 3     3     2         <= 2 terminated   aborted         None
+ 4     4     3         <= 3 terminated   aborted         None
+"""
+
+
+def run_script(name, *args):
+    path = [os.path.join(ROOT, "src"), ROOT]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name)]
+                          + list(args), capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_ladder_survey():
+    assert run_script("ladder_survey.py", "--sets", "30") == LADDER_SURVEY_30
+
+
+def test_monitor_depths():
+    assert run_script("monitor_depths.py", "--kmax", "4") == MONITOR_DEPTHS_4
