@@ -20,7 +20,7 @@ are resolved against the real fresh nulls once the step has run. For an EGD
 alpha the extra atoms range over the pre-images of b's body image under the
 merge, which is where a merge can complete a previously absent body.
 
-Three prunes skip whole subtrees of the enumeration in which every
+Four prunes skip whole subtrees of the enumeration in which every
 candidate fails a check of the validator. They never skip a candidate the
 validator would accept, and they keep the order of the rest, so the first
 witness found is the one the unpruned enumeration finds.
@@ -39,6 +39,12 @@ witness found is the one the unpruned enumeration finds.
             its own body, body variables fixed, has no witness: the map
             satisfies that head wherever the body image lies, so alpha
             never fires and beta is satisfied in every J.
+  body-less A pair whose beta has no body has no witness, whatever alpha
+            is. A step maps I into J by a homomorphism: a TGD only adds
+            facts, and an EGD renames a null to its survivor (a constant
+            always survives; two constants fail the step). So beta's head
+            image in I, composed with the step, lies in J, and a beta that
+            holds in I holds in J.
 """
 
 from __future__ import annotations
@@ -177,12 +183,22 @@ def _subset_matches(atoms: Sequence[Atom], facts: Sequence[Atom],
 def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
            b: Assignment, P: frozenset, mode: str):
     """Check all conditions concretely. b may still contain placeholders for
-    alpha's fresh nulls; returns the resolved (b, J) on success."""
+    alpha's fresh nulls; returns the resolved (b, J) on success.
+
+    The checks are pure and all must pass, so they run cheapest first. A
+    placeholder is a null that resolves to a null, so b answers the
+    null-copying test as the resolved b does, and equals it without one."""
     if mode == PRECEDES_P:
         for f in I.facts:
             for i, t in enumerate(f.args):
                 if isinstance(t, LabeledNull) and Position(f.relation, i + 1) not in P:
                     return None
+        if not any(isinstance(b[v], LabeledNull)
+                   for v in beta.head_vars() if v in b):
+            return None
+    settled = not any(_is_placeholder(val) for val in b.values())
+    if settled and not satisfies(I, beta, b):
+        return None
     if satisfies(I, alpha, a):
         return None
     try:
@@ -195,14 +211,10 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
         if _is_placeholder(val):
             val = fresh[val.creation_index - _PLACEHOLDER_BASE]
         rb[var] = val
-    if not satisfies(I, beta, rb):
+    if not settled and not satisfies(I, beta, rb):
         return None
     if satisfies(J, beta, rb):
         return None
-    if mode == PRECEDES_P:
-        if not any(isinstance(rb[v], LabeledNull)
-                   for v in beta.head_vars() if v in rb):
-            return None
     return rb, J
 
 
@@ -255,10 +267,12 @@ def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
 @lru_cache(maxsize=None)
 def _search(alpha: Constraint, beta: Constraint, P: frozenset,
             mode: str) -> Optional[Witness]:
+    if not beta.body:
+        return None  # see "body-less" in the module docstring
     if alpha.kind == TGD:
         # a TGD step only adds facts, so an assignment that newly violates
         # beta must match part of beta's body into them; no shared relation,
-        # no edge (in particular a body-less beta has none)
+        # no edge
         added = {f.relation for f in alpha.head}
         if not any(f.relation in added for f in beta.body):
             return None
@@ -310,6 +324,9 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
     """Recheck a witness from scratch against the defining conditions."""
     if w.alpha_id != alpha.id or w.beta_id != beta.id:
         return False
+    for c, pairs in ((alpha, w.assignment_a), (beta, w.assignment_b)):
+        if sorted(name for name, _ in pairs) != sorted(v.name for v in c.body_vars):
+            return False
     a = {Variable(name): val for name, val in w.assignment_a}
     b = {Variable(name): val for name, val in w.assignment_b}
     if mode == PRECEDES:

@@ -15,15 +15,16 @@ from itertools import product
 
 from chaseterm.chase import (
     ABORTED, FAILED, K_CYCLIC, STEP_LIMIT, TERMINATED, ChaseFailed,
-    ChasePolicy, ChaseResult, ChaseStepRecord,
+    ChasePolicy, ChaseResult, ChaseStepRecord, chase_step,
 )
 from chaseterm.firing import (
-    Witness, _added_pattern, _holds, _is_placeholder, _named_constants,
-    _new_symbols,
+    _PLACEHOLDER_BASE, PRECEDES_P, Witness, _added_pattern, _is_placeholder,
+    _named_constants, _new_symbols,
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Instance, LabeledNull, Position, Variable,
-    conjunction_vars, fact_key, instantiate, replace_value, value_key,
+    conjunction_vars, fact_key, instantiate, replace_value, satisfies,
+    value_key,
 )
 
 
@@ -354,11 +355,43 @@ def ref_find_homomorphism(source, target):
 
 # ---------------------------------------------------------------------------
 # The firing-witness search as it was before it pruned: every restricted-
-# growth assignment of alpha, then of beta, reaches firing._holds, which
-# stays the judge. The pruned search must find the same first witness. It
-# keeps the search's own unifier and instance builder, which the package
-# replaced with model._bind and model.instance.
+# growth assignment of alpha, then of beta, reaches ref_holds, the judge as
+# it was before it ran its checks cheapest first. The pruned search must
+# find the same first witness. It keeps the search's own unifier and
+# instance builder, which the package replaced with model._bind and
+# model.instance.
 # ---------------------------------------------------------------------------
+
+
+def ref_holds(I, alpha, a, beta, b, P, mode):
+    """Check all conditions concretely. b may still contain placeholders for
+    alpha's fresh nulls; returns the resolved (b, J) on success."""
+    if mode == PRECEDES_P:
+        for f in I.facts:
+            for i, t in enumerate(f.args):
+                if isinstance(t, LabeledNull) and Position(f.relation, i + 1) not in P:
+                    return None
+    if satisfies(I, alpha, a):
+        return None
+    try:
+        J, rec = chase_step(I, alpha, a)
+    except (ChaseFailed, ValueError):
+        return None
+    fresh = [n for n, _ in rec.fresh_nulls]
+    rb = {}
+    for var, val in b.items():
+        if _is_placeholder(val):
+            val = fresh[val.creation_index - _PLACEHOLDER_BASE]
+        rb[var] = val
+    if not satisfies(I, beta, rb):
+        return None
+    if satisfies(J, beta, rb):
+        return None
+    if mode == PRECEDES_P:
+        if not any(isinstance(rb[v], LabeledNull)
+                   for v in beta.head_vars() if v in rb):
+            return None
+    return rb, J
 
 
 def _unify(pattern, fact, bound):
@@ -487,7 +520,7 @@ def ref_search(alpha, beta, P, mode):
             candidates = _ref_egd_candidates(alpha, a, beta, pool, named, fc)
         for b, B in candidates:
             I = _mk_instance(base | B)
-            got = _holds(I, alpha, a, beta, b, P, mode)
+            got = ref_holds(I, alpha, a, beta, b, P, mode)
             if got is None:
                 continue
             rb, J = got

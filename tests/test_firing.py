@@ -4,12 +4,17 @@ The S/E pair and the travel set have fully hand-checked firing relations;
 the EGD scenarios exercise the merge pre-image search.
 """
 
+import dataclasses
+
 import pytest
 
+from chaseterm import firing
+from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
-from chaseterm.model import Position, egd, tgd
+from chaseterm.model import Position, egd, instance, tgd
 
-from .conftest import A, C, V
+from . import oracles
+from .conftest import A, C, N, V
 
 
 def P(*pairs):
@@ -105,15 +110,55 @@ class TestEgdSource:
         assert body_atoms <= w.successor.facts
 
 
+class TestBodylessTarget:
+    def test_merge_into_the_instance_rule_is_settled_unsearched(
+            self, travel_sigma, monkeypatch):
+        # the README's e1 on an instance where it merges: no step can newly
+        # violate alpha_I, so the pair needs no candidate at all
+        x, y, z = V("X"), V("Y"), V("Z")
+        e1 = egd("e1", [A("hasAirport", x), A("airportOf", x, y),
+                        A("airportOf", x, z)], y, z)
+        I = instance([A("rail", C("c1"), C("c2"), N("r0", 1)),
+                      A("hasAirport", C("c0")),
+                      A("airportOf", C("c0"), N("p0", 2)),
+                      A("airportOf", C("c0"), N("p1", 3)),
+                      A("fly", C("c0"), N("x2", 4), N("y2", 5))])
+        alpha_I = constraint_from_instance(I)
+        holds, judged = firing._holds, []
+
+        def counting_holds(*args):
+            judged.append(args)
+            return holds(*args)
+
+        monkeypatch.setattr(firing, "_holds", counting_holds)
+        firing._search.cache_clear()
+        for alpha in travel_sigma + [e1]:
+            assert can_cause(alpha, alpha_I, mode=PRECEDES) is None
+        assert judged == []
+        assert oracles.ref_search(e1, alpha_I, frozenset(), PRECEDES) is None
+
+
 class TestWitnessIntegrity:
     def test_tampered_witness_is_rejected(self, feedback_sigma):
-        from dataclasses import replace
         a1, a2 = feedback_sigma
         w = can_cause(a2, a1, frozenset(), PRECEDES_P)
-        bad = replace(w, successor=w.instance)
+        bad = dataclasses.replace(w, successor=w.instance)
         assert not verify_witness(a2, a1, bad, frozenset(), PRECEDES_P)
-        swapped = replace(w, alpha_id="nope")
+        swapped = dataclasses.replace(w, alpha_id="nope")
         assert not verify_witness(a2, a1, swapped, frozenset(), PRECEDES_P)
+
+    @pytest.mark.parametrize("field", ["assignment_a", "assignment_b"])
+    def test_witness_missing_a_body_variable_is_rejected(self, field):
+        x, y, z = V("X"), V("Y"), V("Z")
+        t1 = tgd("t1", [A("e", x, y)], [A("t", x, y)])
+        t2 = tgd("t2", [A("t", x, y), A("e", y, z)], [A("t", x, z)])
+        w = can_cause(t1, t2, mode=PRECEDES)
+        assert verify_witness(t1, t2, w, mode=PRECEDES)
+        bad = dataclasses.replace(w, **{field: getattr(w, field)[:-1]})
+        assert not verify_witness(t1, t2, bad, mode=PRECEDES)
+        extra = dataclasses.replace(
+            w, **{field: getattr(w, field) + (("W", C("c")),)})
+        assert not verify_witness(t1, t2, extra, mode=PRECEDES)
 
     def test_witness_step_is_replayable(self, travel_sigma):
         from chaseterm.chase import chase_step

@@ -1,18 +1,22 @@
 """The pruned firing search against the unpruned enumerator it replaced.
 
 tests.oracles.ref_search hands every candidate of the old restricted-growth
-enumeration to firing._holds, built with the search's old unifier, grounding
-and instance builder, which the package replaced with model._bind,
-model.instantiate and model.instance. can_cause skips only candidates that _holds
-must reject, so it has to return the same first witness, compared strictly:
-nulls by name and creation index, so a witness that merely looks the same
-does not pass.
+enumeration to oracles.ref_holds, the judge as it was before it ran its
+checks cheapest first, built with the search's old unifier, grounding and
+instance builder, which the package replaced with model._bind,
+model.instantiate and model.instance. can_cause skips only candidates that
+the judge must reject, so it has to return the same first witness, compared
+strictly: nulls by name and creation index, so a witness that merely looks
+the same does not pass. The sets with an instance's alpha_I appended hold
+the pairs that dynamic.irrelevant_constraints searches, body-less targets
+among them.
 """
 
 import random
 
 import pytest
 
+from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import position_key
@@ -54,6 +58,22 @@ def test_feedback_fixtures(feedback_sigma, seeded_feedback_sigma):
 
 def test_travel_fixture(travel_sigma):
     assert_same_witnesses(travel_sigma, random.Random("travel"))
+
+
+def test_travel_fixture_with_its_instances(travel_sigma, oneway_instance,
+                                           roundtrip_instance):
+    for I in (oneway_instance, roundtrip_instance):
+        sigma = travel_sigma + [constraint_from_instance(I)]
+        assert_same_witnesses(sigma, random.Random("travel/alpha_I"))
+
+
+@pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+def test_random_sets_with_an_instance(egd_rate):
+    for seed in range(25):
+        rng = random.Random(f"firing-oracle/alpha_I/{egd_rate}/{seed}")
+        sigma = generators.random_constraints(rng, egd_rate=egd_rate)
+        I = generators.random_instance(rng, max_facts=6, n_constants=2)
+        assert_same_witnesses(sigma + [constraint_from_instance(I)], rng)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

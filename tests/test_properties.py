@@ -9,9 +9,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from chaseterm.chase import ChasePolicy, apply_record, chase
+from chaseterm.chase import (
+    ChaseFailed, ChasePolicy, apply_record, chase, chase_step,
+)
+from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
-from chaseterm.model import TGD, LabeledNull
+from chaseterm.model import (
+    TGD, LabeledNull, fact_key, find_violations, instance, satisfies,
+)
 from chaseterm.monitor import (
     edge_class, is_k_cyclic, monitor_trace, monitored_chase,
 )
@@ -94,6 +99,30 @@ def test_found_witnesses_verify(seed):
                 w = can_cause(alpha, beta, mode=mode)
                 if w is not None:
                     assert verify_witness(alpha, beta, w, mode=mode)
+
+
+@FAST
+@given(seeds)
+def test_a_step_keeps_bodyless_constraints_satisfied(seed):
+    # why firing settles a body-less target at once: a step maps I into J
+    # by a homomorphism, so a body-less constraint that holds in I holds in J
+    rng = random.Random(seed)
+    I = generators.random_instance(rng, n_constants=2)
+    facts = sorted(I.facts, key=fact_key)
+    betas = [constraint_from_instance(
+        instance(rng.sample(facts, rng.randint(1, len(facts)))))]
+    for _ in range(3):
+        other = generators.random_instance(rng, max_facts=3, n_constants=2)
+        betas.append(constraint_from_instance(other))
+    betas = [beta for beta in betas if satisfies(I, beta, {})]
+    for alpha in generators.random_constraints(rng, egd_rate=0.5):
+        for a in find_violations(I, alpha):
+            try:
+                J, _ = chase_step(I, alpha, a)
+            except ChaseFailed:
+                continue
+            for beta in betas:
+                assert satisfies(J, beta, {}), (alpha, a, beta)
 
 
 @FAST

@@ -9,7 +9,7 @@ from chaseterm.chase import chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
-from chaseterm.model import instance
+from chaseterm.model import instance, tgd
 from chaseterm.monitor import build_monitor, monitored_chase
 from chaseterm.reports import (
     ReportIntegrityError, analysis_report, chase_report, export_dot,
@@ -89,6 +89,21 @@ class TestAnalysisReport:
         swapped = {k: g.witnesses[("a3", "a3")] for k in g.witnesses}
         bad = dataclasses.replace(
             r, chase_graph=dataclasses.replace(g, witnesses=swapped))
+        with pytest.raises(ReportIntegrityError, match="witness"):
+            analysis_report(bad)
+
+    def test_witness_missing_a_body_variable_refused(self):
+        x, y, z = V("X"), V("Y"), V("Z")
+        t1 = tgd("t1", [A("e", x, y)], [A("t", x, y)])
+        t2 = tgd("t2", [A("t", x, y), A("e", y, z)], [A("t", x, z)])
+        r = analyze([t1, t2])
+        g = r.chase_graph
+        w = g.witnesses[("t1", "t2")]
+        short = {**g.witnesses,
+                 ("t1", "t2"): dataclasses.replace(
+                     w, assignment_b=w.assignment_b[:-1])}
+        bad = dataclasses.replace(
+            r, chase_graph=dataclasses.replace(g, witnesses=short))
         with pytest.raises(ReportIntegrityError, match="witness"):
             analysis_report(bad)
 
