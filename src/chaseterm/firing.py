@@ -20,7 +20,7 @@ are resolved against the real fresh nulls once the step has run. For an EGD
 alpha the extra atoms range over the pre-images of b's body image under the
 merge, which is where a merge can complete a previously absent body.
 
-Four prunes skip whole subtrees of the enumeration in which every
+Five prunes skip whole subtrees of the enumeration in which every
 candidate fails a check of the validator. They never skip a candidate the
 validator would accept, and they keep the order of the rest, so the first
 witness found is the one the unpruned enumeration finds.
@@ -45,6 +45,19 @@ witness found is the one the unpruned enumeration finds.
             always survives; two constants fail the step). So beta's head
             image in I, composed with the step, lies in J, and a beta that
             holds in I holds in J.
+  new       A candidate (b, B) whose beta-body image under b already lies in
+            I = base | B is skipped: b is not new, whatever the step does.
+            If b violates beta in I, the validator rejects it. Otherwise
+            it stays satisfied in J, since the step maps I into J by a
+            homomorphism that fixes b's values: the identity for a TGD
+            alpha, and for an EGD alpha a renaming of the loser, which b
+            never holds. For a TGD alpha the images of the beta atoms
+            matched into the added facts are fixed before B is chosen: if
+            one holds a placeholder, nothing is skipped; otherwise, with
+            old the images outside base, a subtree with no old image is
+            skipped whole, and else each B that contains them all. For an
+            EGD alpha, each pre-image B that contains the part of b's
+            body image outside base is skipped.
 """
 
 from __future__ import annotations
@@ -158,26 +171,26 @@ def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
 
 
 def _subset_matches(atoms: Sequence[Atom], facts: Sequence[Atom],
-                    ) -> Iterator[Tuple[Assignment, List[Atom]]]:
+                    ) -> Iterator[Tuple[Assignment, List[Atom], List[Atom]]]:
     """Every way to match a non-empty subset of atoms into facts; yields the
-    bindings and the unmatched remainder."""
+    bindings, the unmatched remainder and the facts matched into."""
 
-    def go(i: int, bound: Assignment, deferred: List[Atom],
-           matched: bool) -> Iterator[Tuple[Assignment, List[Atom]]]:
+    def go(i: int, bound: Assignment, deferred: List[Atom], hit: List[Atom],
+           ) -> Iterator[Tuple[Assignment, List[Atom], List[Atom]]]:
         if i == len(atoms):
-            if matched:
-                yield bound, deferred
+            if hit:
+                yield bound, deferred, hit
             return
         at = atoms[i]
-        yield from go(i + 1, bound, deferred + [at], matched)
+        yield from go(i + 1, bound, deferred + [at], hit)
         for f in facts:
             if f.relation != at.relation or len(f.args) != len(at.args):
                 continue
             b2 = dict(bound)
             if _bind(at.args, f.args, b2, Variable) is not None:
-                yield from go(i + 1, b2, deferred, True)
+                yield from go(i + 1, b2, deferred, hit + [f])
 
-    yield from go(0, {}, [], False)
+    yield from go(0, {}, [], [])
 
 
 def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
@@ -187,7 +200,10 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
 
     The checks are pure and all must pass, so they run cheapest first. A
     placeholder is a null that resolves to a null, so b answers the
-    null-copying test as the resolved b does, and equals it without one."""
+    null-copying test as the resolved b does, and equals it without one.
+    A b holding a placeholder needs no "not violated in I" check: the
+    placeholder resolves to a fresh null of the step, which is not in I,
+    so b's body image is not in I and beta holds there vacuously."""
     if mode == PRECEDES_P:
         for f in I.facts:
             for i, t in enumerate(f.args):
@@ -196,8 +212,8 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
         if not any(isinstance(b[v], LabeledNull)
                    for v in beta.head_vars() if v in b):
             return None
-    settled = not any(_is_placeholder(val) for val in b.values())
-    if settled and not satisfies(I, beta, b):
+    if (not any(_is_placeholder(val) for val in b.values())
+            and not satisfies(I, beta, b)):
         return None
     if satisfies(I, alpha, a):
         return None
@@ -211,35 +227,46 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
         if _is_placeholder(val):
             val = fresh[val.creation_index - _PLACEHOLDER_BASE]
         rb[var] = val
-    if not settled and not satisfies(I, beta, rb):
-        return None
     if satisfies(J, beta, rb):
         return None
     return rb, J
 
 
-def _tgd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
-                    pool: Tuple[Value, ...], named: Tuple[Constant, ...],
-                    fresh_count: int, no_null: frozenset,
-                    ) -> Iterator[Tuple[Assignment, frozenset]]:
+def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
+                    beta: Constraint, pool: Tuple[Value, ...],
+                    named: Tuple[Constant, ...], fresh_count: int,
+                    no_null: frozenset) -> Iterator[Tuple[Assignment, frozenset]]:
     """(b, B) pairs for a TGD alpha: b matches part of beta's body into the
-    step's added facts, B holds the rest, to be planted in I."""
+    step's added facts, B holds the rest, to be planted in I = base | B.
+    A b whose body image lies in I is skipped (see "new")."""
     pattern = _added_pattern(alpha, a)
-    for b0, deferred in _subset_matches(list(beta.body), pattern):
+    fresh = {f for f in pattern if any(_is_placeholder(t) for t in f.args)}
+    for b0, deferred, hit in _subset_matches(list(beta.body), pattern):
+        # hit is the body image of the matched atoms, fixed by b0
+        if fresh.intersection(hit):
+            old = None  # a fact with a placeholder is never in I
+        else:
+            old = frozenset(hit) - base
+            if not old:
+                continue  # every b of this subtree has its body image in I
         remaining = [v for v in beta.body_vars if v not in b0]
         for b, _, _ in _extensions(remaining, b0, pool, named, fresh_count,
                                    no_null):
             B = instantiate(deferred, b)
-            if not any(_is_placeholder(t) for f in B for t in f.args):
-                yield b, B
+            if any(_is_placeholder(t) for f in B for t in f.args):
+                continue
+            if old is not None and old <= B:
+                continue
+            yield b, B
 
 
-def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
-                    pool: Tuple[Value, ...], named: Tuple[Constant, ...],
-                    fresh_count: int, no_null: frozenset,
-                    ) -> Iterator[Tuple[Assignment, frozenset]]:
+def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
+                    beta: Constraint, pool: Tuple[Value, ...],
+                    named: Tuple[Constant, ...], fresh_count: int,
+                    no_null: frozenset) -> Iterator[Tuple[Assignment, frozenset]]:
     """(b, B) pairs for an EGD alpha: B ranges over the pre-images of b's
-    body under the merge, so the merge itself can complete beta's body."""
+    body under the merge, so the merge itself can complete beta's body.
+    A b whose body image lies in I = base | B is skipped (see "new")."""
     left, right = alpha.equated  # type: ignore[misc]
     u, v = a[left], a[right]
     if u == v or (isinstance(u, Constant) and isinstance(v, Constant)):
@@ -249,9 +276,10 @@ def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
                                fresh_count, no_null):
         if loser in b.values():
             continue
-        image = sorted(instantiate(beta.body, b), key=fact_key)
+        image = instantiate(beta.body, b)
+        old = image - base
         per_atom: List[List[Atom]] = []
-        for f in image:
+        for f in sorted(image, key=fact_key):
             slots = [i for i, t in enumerate(f.args) if t == survivor]
             choices = []
             for picks in itertools.product((survivor, loser), repeat=len(slots)):
@@ -261,7 +289,9 @@ def _egd_candidates(alpha: Constraint, a: Assignment, beta: Constraint,
                 choices.append(Atom(f.relation, tuple(args)))
             per_atom.append(choices)
         for combo in itertools.product(*per_atom):
-            yield b, frozenset(combo)
+            B = frozenset(combo)
+            if not old <= B:
+                yield b, B
 
 
 @lru_cache(maxsize=None)
@@ -286,9 +316,11 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
         if alpha.kind == TGD:
             if head_holds(Instance(base), alpha, a):
                 continue  # alpha is satisfied in every I containing base
-            candidates = _tgd_candidates(alpha, a, beta, pool, named, fc, no_null_b)
+            candidates = _tgd_candidates(alpha, a, base, beta, pool, named, fc,
+                                         no_null_b)
         else:
-            candidates = _egd_candidates(alpha, a, beta, pool, named, fc, no_null_b)
+            candidates = _egd_candidates(alpha, a, base, beta, pool, named, fc,
+                                         no_null_b)
         for b, B in candidates:
             I = instance(base | B)
             got = _holds(I, alpha, a, beta, b, P, mode)

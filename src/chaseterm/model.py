@@ -8,7 +8,11 @@ of atoms over variables and constants. A constraint is either a TGD
 EGD (body -> x = y).
 
 Terms, atoms, constraints and instances are immutable values, so the rest of
-the package can memoize and share them freely. The one mutable structure is
+the package can memoize and share them freely. Terms, positions and atoms
+are built and hashed by the million, in the chase and in the firing search,
+so they are __slots__ classes that compute their hash once, on
+construction, and code on the hot paths tells their kinds apart by class
+identity rather than isinstance. The one mutable structure is
 FactIndex, the run-scoped index a chase keeps for its whole run: facts by
 relation and by (relation, position, value), plus the null names in use. A
 TGD step adds facts to it and an EGD step rewrites only the facts holding the
@@ -30,7 +34,7 @@ nulls with the same name are the same null regardless of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -43,30 +47,67 @@ class ModelError(ValueError):
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable terms, positions and atoms: __slots__, and a
+    hash computed once, in __init__. A subclass that defines __eq__ must
+    name __hash__ again, or Python drops it."""
+
+    __slots__ = ("_hash",)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _Named(_Frozen):
+    """A term: its kind and its name decide equality and the hash."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((self.__class__, name)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
+
+
+class Constant(_Named):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class LabeledNull:
+class LabeledNull(_Named):
     """A labeled null. creation_index is 0 for nulls present in the initial
     instance and increases for chase-created ones; it does not take part in
     equality or hashing."""
 
-    name: str
-    creation_index: int = field(default=0, compare=False)
+    __slots__ = ("creation_index",)
+
+    def __init__(self, name: str, creation_index: int = 0):
+        _Named.__init__(self, name)
+        _set(self, "creation_index", creation_index)
 
     def __repr__(self) -> str:
         return "?" + self.name
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Named):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return self.name
@@ -93,12 +134,22 @@ def value_key(v: Value) -> Tuple:
 # Positions and atoms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Position:
+class Position(_Frozen):
     """Argument slot index (1-based) of a relation symbol, e.g. E^2."""
 
-    relation: str
-    index: int
+    __slots__ = ("relation", "index")
+
+    def __init__(self, relation: str, index: int):
+        _set(self, "relation", relation)
+        _set(self, "index", index)
+        _set(self, "_hash", hash((relation, index)))
+
+    def __eq__(self, other):
+        if other.__class__ is Position:
+            return self.index == other.index and self.relation == other.relation
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
 
     def __repr__(self) -> str:
         return f"{self.relation}^{self.index}"
@@ -108,10 +159,21 @@ def position_key(p: Position) -> Tuple[str, int]:
     return (p.relation, p.index)
 
 
-@dataclass(frozen=True)
-class Atom:
-    relation: str
-    args: Tuple[Term, ...]
+class Atom(_Frozen):
+    __slots__ = ("relation", "args")
+
+    def __init__(self, relation: str, args: Tuple[Term, ...]):
+        _set(self, "relation", relation)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((relation, args)))
+
+    def __eq__(self, other):
+        if other.__class__ is Atom:
+            return (self._hash == other._hash and self.relation == other.relation
+                    and self.args == other.args)
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
 
     def __repr__(self) -> str:
         return f"{self.relation}({', '.join(map(repr, self.args))})"
@@ -394,15 +456,12 @@ def instantiate(conjunction: Sequence[Atom], a: Assignment) -> frozenset:
     Constants pass through unchanged; every variable must be covered."""
     out = set()
     for at in conjunction:
-        args = []
-        for t in at.args:
-            if isinstance(t, Variable):
-                if t not in a:
-                    raise ModelError(f"unbound variable {t.name} in {at!r}")
-                args.append(a[t])
-            else:
-                args.append(t)
-        out.add(Atom(at.relation, tuple(args)))
+        try:
+            args = tuple([a[t] if t.__class__ is Variable else t for t in at.args])
+        except KeyError as unbound:
+            raise ModelError(
+                f"unbound variable {unbound.args[0].name} in {at!r}") from None
+        out.add(Atom(at.relation, args))
     return frozenset(out)
 
 
@@ -412,7 +471,7 @@ def _bind(pattern: Sequence[Term], values: Sequence[Value], b: Dict,
     bound terms, or None (with b unchanged) when they do not unify."""
     new = []
     for t, v in zip(pattern, values):
-        if isinstance(t, var_type):
+        if t.__class__ is var_type:
             bound = b.get(t)
             if bound is None:
                 b[t] = v

@@ -30,11 +30,18 @@ from chaseterm.model import (
 
 def strict(x):
     """x as plain tuples, keeping what equality drops: a null's creation
-    index. Sets become sorted tuples, so the form is order-free."""
+    index. Sets become sorted tuples, so the form is order-free. Terms,
+    positions and atoms are not dataclasses, so each is named here."""
     if isinstance(x, LabeledNull):
         return ("null", x.name, x.creation_index)
     if isinstance(x, Constant):
         return ("const", x.name)
+    if isinstance(x, Variable):
+        return ("var", x.name)
+    if isinstance(x, Position):
+        return ("pos", x.relation, x.index)
+    if isinstance(x, Atom):
+        return ("atom", x.relation, strict(x.args))
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,) + tuple(
             strict(getattr(x, f.name)) for f in dataclasses.fields(x))
@@ -361,6 +368,13 @@ def ref_find_homomorphism(source, target):
 # instance builder, which the package replaced with model._bind and
 # model.instance.
 # ---------------------------------------------------------------------------
+
+
+def old_trigger(I, beta, b):
+    """Does b hold no placeholder and map beta's body into I? The search's
+    "new" prune must keep every such b from the judge."""
+    return (not any(_is_placeholder(v) for v in b.values())
+            and instantiate(beta.body, b) <= I.facts)
 
 
 def ref_holds(I, alpha, a, beta, b, P, mode):

@@ -36,6 +36,15 @@ def assert_same_runs(I, sigma, max_steps=40):
         assert strict(got) == strict(want), policy
 
 
+def test_strict_sees_creation_indices_inside_atoms():
+    # equality drops a null's creation index, inside an atom too
+    f1, f2 = A("R", N("n", 1), C("c")), A("R", N("n", 2), C("c"))
+    assert f1 == f2
+    assert strict(f1) != strict(f2)
+    assert strict(instance([f1])) != strict(instance([f2]))
+    assert strict(A("R", V("n"))) != strict(A("R", C("n")))
+
+
 def test_travel_fixtures(travel_sigma, oneway_instance, roundtrip_instance):
     assert_same_runs(oneway_instance, travel_sigma)
     assert_same_runs(roundtrip_instance, travel_sigma)

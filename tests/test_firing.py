@@ -5,15 +5,16 @@ the EGD scenarios exercise the merge pre-image search.
 """
 
 import dataclasses
+import random
 
 import pytest
 
 from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
-from chaseterm.model import Position, egd, instance, tgd
+from chaseterm.model import Position, egd, instance, position_key, tgd
 
-from . import oracles
+from . import generators, oracles
 from .conftest import A, C, N, V
 
 
@@ -136,6 +137,33 @@ class TestBodylessTarget:
             assert can_cause(alpha, alpha_I, mode=PRECEDES) is None
         assert judged == []
         assert oracles.ref_search(e1, alpha_I, frozenset(), PRECEDES) is None
+
+
+class TestNewPrune:
+    def test_no_judged_trigger_lies_in_the_instance(self, monkeypatch):
+        # a settled b whose body image lies in I is no new violation, so
+        # the search must not hand it to the judge
+        holds, judged = firing._holds, []
+
+        def recording_holds(I, alpha, a, beta, b, P, mode):
+            judged.append(oracles.old_trigger(I, beta, b))
+            return holds(I, alpha, a, beta, b, P, mode)
+
+        monkeypatch.setattr(firing, "_holds", recording_holds)
+        firing._search.cache_clear()
+        for seed in range(40):
+            rng = random.Random(f"new-prune/{seed}")
+            sigma = generators.random_constraints(rng, egd_rate=0.5)
+            body = sorted({p for c in sigma for p in c.body_positions},
+                          key=position_key)
+            guards = [frozenset(), frozenset(body),
+                      frozenset(p for p in body if rng.random() < 0.5)]
+            for alpha in sigma:
+                for beta in sigma:
+                    can_cause(alpha, beta, mode=PRECEDES)
+                    for guard in guards:
+                        can_cause(alpha, beta, guard, PRECEDES_P)
+        assert judged and not any(judged)
 
 
 class TestWitnessIntegrity:

@@ -7,15 +7,19 @@ instance builder, which the package replaced with model._bind,
 model.instantiate and model.instance. can_cause skips only candidates that
 the judge must reject, so it has to return the same first witness, compared
 strictly: nulls by name and creation index, so a witness that merely looks
-the same does not pass. The sets with an instance's alpha_I appended hold
-the pairs that dynamic.irrelevant_constraints searches, body-less targets
-among them.
+the same does not pass. The search must also skip every candidate that
+its "new" prune names: no assignment without placeholders whose body
+image lies in the candidate instance may reach the judge. A weaker prune
+would still find the same witnesses. The sets with an instance's alpha_I
+appended hold the pairs that dynamic.irrelevant_constraints searches,
+body-less targets among them.
 """
 
 import random
 
 import pytest
 
+from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause
 from chaseterm.fixtures import rotation_family
@@ -23,6 +27,18 @@ from chaseterm.model import position_key
 
 from . import generators, oracles
 from .oracles import strict
+
+
+@pytest.fixture(autouse=True)
+def judge_sees_only_new_triggers(monkeypatch):
+    holds = firing._holds
+
+    def checked_holds(I, alpha, a, beta, b, P, mode):
+        assert not oracles.old_trigger(I, beta, b), (alpha, a, beta, b, I)
+        return holds(I, alpha, a, beta, b, P, mode)
+
+    monkeypatch.setattr(firing, "_holds", checked_holds)
+    firing._search.cache_clear()
 
 
 def guards(sigma, rng):

@@ -3,7 +3,7 @@
 import pytest
 
 from chaseterm.model import (
-    Atom, Constant, LabeledNull, ModelError, Variable,
+    Atom, Constant, LabeledNull, ModelError, Position, Variable,
     egd, find_homomorphism, find_violations, hom_equivalent, instance,
     instantiate, satisfies, tgd, value_key,
 )
@@ -21,6 +21,33 @@ class TestTerms:
         assert LabeledNull("n1", 0) == LabeledNull("n1", 7)
         assert hash(LabeledNull("n1", 0)) == hash(LabeledNull("n1", 7))
         assert LabeledNull("n1") != LabeledNull("n2")
+
+    def test_kind_takes_part_in_equality_inside_atoms(self):
+        assert A("R", C("a")) != A("R", N("a"))
+        assert A("R", C("a")) != A("R", V("a"))
+        assert A("R", N("a", 1)) == A("R", N("a", 2))
+        assert len({A("R", C("a")), A("R", N("a")), A("R", V("a"))}) == 3
+
+    @pytest.mark.parametrize("value, field", [
+        (Constant("a"), "name"), (LabeledNull("n", 1), "name"),
+        (LabeledNull("n", 1), "creation_index"), (Variable("X"), "name"),
+        (Position("R", 1), "index"), (Atom("R", (Constant("a"),)), "args"),
+        (Atom("R", (Constant("a"),)), "relation"),
+    ])
+    def test_fields_cannot_be_set(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) == before
+
+    def test_reprs(self):
+        assert repr(C("a")) == "a"
+        assert repr(N("n1", 3)) == "?n1"
+        assert repr(V("X")) == "X"
+        assert repr(Position("E", 2)) == "E^2"
+        assert repr(A("E", C("a"), N("n1"), V("X"))) == "E(a, ?n1, X)"
 
     def test_value_order_constants_before_nulls(self):
         vals = [N("b", 2), C("z"), N("a", 1), C("a")]

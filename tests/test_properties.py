@@ -15,7 +15,8 @@ from chaseterm.chase import (
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
 from chaseterm.model import (
-    TGD, LabeledNull, fact_key, find_violations, instance, satisfies,
+    TGD, LabeledNull, fact_key, find_violations, instance, match_conjunction,
+    satisfies,
 )
 from chaseterm.monitor import (
     edge_class, is_k_cyclic, monitor_trace, monitored_chase,
@@ -123,6 +124,28 @@ def test_a_step_keeps_bodyless_constraints_satisfied(seed):
                 continue
             for beta in betas:
                 assert satisfies(J, beta, {}), (alpha, a, beta)
+
+
+@FAST
+@given(seeds)
+def test_a_step_keeps_old_satisfied_triggers_satisfied(seed):
+    # why firing skips a trigger whose body image lies in I: the step maps
+    # I into J by a homomorphism that fixes every value but the loser
+    rng = random.Random(seed)
+    I = generators.random_instance(rng, n_constants=2)
+    betas = generators.random_constraints(rng, egd_rate=0.5)
+    for alpha in generators.random_constraints(rng, egd_rate=0.5):
+        for a in find_violations(I, alpha):
+            try:
+                J, rec = chase_step(I, alpha, a)
+            except ChaseFailed:
+                continue
+            loser = rec.merged_pair[1] if rec.merged_pair else None
+            for beta in betas:
+                for b in match_conjunction(beta.body, I):
+                    if loser in b.values() or not satisfies(I, beta, b):
+                        continue
+                    assert satisfies(J, beta, b), (alpha, a, beta, b)
 
 
 @FAST
