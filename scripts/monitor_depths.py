@@ -10,14 +10,9 @@ and instance pruning say about the member.
 
 import argparse
 
-from chaseterm.chase import chase
 from chaseterm.dynamic import data_dependent_guarantee
 from chaseterm.fixtures import rotation_family
-from chaseterm.monitor import build_monitor, is_k_cyclic, monitored_chase
-
-
-def max_chain(G) -> int:
-    return max((len(chain) for chain in G.chains.values()), default=0)
+from chaseterm.monitor import is_k_cyclic, monitored_chase
 
 
 def main():
@@ -29,15 +24,15 @@ def main():
           f"{'watch k':>9} {'watch k-1':>9} {'guarantee':>12}")
     for k in range(2, args.kmax + 1):
         I, sigma = rotation_family(k)
-        res = chase(I, sigma)
-        G = build_monitor(res.steps, sigma)
+        # the run watched at depth k finishes, so its graph is the whole run's
+        res = monitored_chase(I, sigma, k)
+        G = res.monitor
         depths = [d for d in range(1, k + 2) if is_k_cyclic(G, d)[0]]
         cyclic = f"<= {max(depths)}" if depths else "none"
-        finished = monitored_chase(I, sigma, k).outcome
         tripped = monitored_chase(I, sigma, k - 1).outcome
         level = data_dependent_guarantee(I, sigma).level
-        print(f"{k:>2} {len(res.steps):>5} {max_chain(G):>5} {cyclic:>12} "
-              f"{finished:>9} {tripped:>9} {level:>12}")
+        print(f"{k:>2} {len(res.steps):>5} {G.longest:>5} {cyclic:>12} "
+              f"{res.outcome:>9} {tripped:>9} {level:>12}")
 
 
 if __name__ == "__main__":

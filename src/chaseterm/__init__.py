@@ -18,9 +18,7 @@ from chaseterm.model import (
     Variable, egd, find_homomorphism, find_violations, hom_equivalent,
     instance, instantiate, satisfies, tgd,
 )
-from chaseterm.monitor import (
-    MonitorGraph, build_monitor, is_k_cyclic, monitored_chase,
-)
+from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitored_chase
 from chaseterm.static import (
     AnalysisReport, analyze, is_inductively_restricted, is_safe,
     is_safely_restricted, is_stratified, is_weakly_acyclic, part,
@@ -36,7 +34,7 @@ __all__ = [
     "ChaseStepRecord", "Constant", "Constraint", "Instance", "LabeledNull",
     "ModelError", "MonitorGraph", "ParseError", "Position", "PRECEDES",
     "PRECEDES_P", "TerminationGuarantee", "Variable", "Witness",
-    "analyze", "apply_record", "build_monitor", "can_cause", "chase",
+    "analyze", "apply_record", "can_cause", "chase",
     "chase_graph", "chase_step", "constraint_from_instance",
     "data_dependent_guarantee",
     "egd", "find_homomorphism", "find_violations", "hom_equivalent",

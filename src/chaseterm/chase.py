@@ -37,15 +37,18 @@ the same ordered pool a rescan builds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from chaseterm.model import (
     TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
     Value, body_matches, fact_key, head_holds, instantiate, replace_value,
     term_positions, value_key,
 )
+
+if TYPE_CHECKING:
+    from chaseterm.monitor import MonitorGraph
 
 TERMINATED = "terminated"
 FAILED = "failed"
@@ -93,11 +96,13 @@ class ChaseResult:
     abort_reason: Optional[str] = None  # step_limit / k_cyclic
     abort_k: Optional[int] = None
     kcyclic_chain: Optional[tuple] = None
+    monitor: Optional[MonitorGraph] = None  # the graph of a monitored run
 
 
-def _tgd_step(c: Constraint, a: Assignment, counter: int,
-              taken) -> Tuple[ChaseStepRecord, int]:
-    """The record of a TGD step and the next null counter.
+def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
+              index: int) -> Tuple[ChaseStepRecord, int]:
+    """The record of step number index, a TGD step, and the next null
+    counter.
 
     Each existential variable gets null n<counter> with creation index
     counter; names in taken (those of the nulls in the current instance) are
@@ -112,14 +117,15 @@ def _tgd_step(c: Constraint, a: Assignment, counter: int,
         ext[v] = n
         fresh.append(n)
     added = instantiate(c.head, ext)
-    rec = ChaseStepRecord(0, c.id, tuple((v.name, a[v]) for v in c.body_vars),
+    rec = ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
                           added, None,
                           tuple((n, term_positions(added, n)) for n in fresh))
     return rec, counter
 
 
-def _egd_step(c: Constraint, a: Assignment) -> ChaseStepRecord:
-    """The record of an EGD step, whose merged_pair is (survivor, loser):
+def _egd_step(c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
+    """The record of step number index, an EGD step, whose merged_pair is
+    (survivor, loser):
     the constant survives if there is one, otherwise the null with the
     smaller creation index."""
     left, right = c.equated  # type: ignore[misc]
@@ -129,7 +135,7 @@ def _egd_step(c: Constraint, a: Assignment) -> ChaseStepRecord:
     if isinstance(u, Constant) and isinstance(v, Constant):
         raise ChaseFailed(u, v)
     survivor, loser = sorted((u, v), key=value_key)
-    return ChaseStepRecord(0, c.id, tuple((v.name, a[v]) for v in c.body_vars),
+    return ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
                            frozenset(), (survivor, loser), ())
 
 
@@ -137,9 +143,9 @@ def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, Cha
     """Apply one chase step for a violated (c, a). Raises ChaseFailed when an
     EGD would equate two distinct constants."""
     if c.kind == TGD:
-        rec, _ = _tgd_step(c, a, I.null_counter, I.null_names())
+        rec, _ = _tgd_step(c, a, I.null_counter, I.null_names(), 0)
     else:
-        rec = _egd_step(c, a)
+        rec = _egd_step(c, a, 0)
     return apply_record(I, rec), rec
 
 
@@ -244,15 +250,15 @@ class _Run:
         idx, key = pool[rng.randrange(len(pool))]
         return idx, dict(zip(self.sigma[idx].body_vars, key))
 
-    def apply(self, c: Constraint, a: Assignment) -> ChaseStepRecord:
-        """Apply one step to the index and feed the facts it added or
-        rewrote to every pending set. Raises ChaseFailed, leaving the run
-        unchanged, on a constant clash."""
+    def apply(self, c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
+        """Apply step number index to the fact index and feed the facts it
+        added or rewrote to every pending set. Raises ChaseFailed, leaving
+        the run unchanged, on a constant clash."""
         if c.kind == TGD:
-            rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls)
+            rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls, index)
             new = self.index.add(sorted(rec.added_facts, key=fact_key))
         else:
-            rec = _egd_step(c, a)
+            rec = _egd_step(c, a, index)
             survivor, loser = rec.merged_pair
             new = self.index.rename(loser, survivor)
             for p in self.pending:
@@ -268,38 +274,40 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
     """Run the chase to completion under the given policy.
 
     Returns Terminated with the final instance, Failed on a constant clash,
-    or Aborted when the step limit or the cycle monitor trips.
+    or Aborted when the step limit or the cycle monitor trips. A run with
+    policy.monitor_k set also returns its monitor graph.
     """
     monitor = None
     if policy.monitor_k is not None:
         from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
-        monitor = MonitorGraph.empty()
+        monitor = MonitorGraph()
     rng = random.Random(policy.seed) if policy.order == "rand" else None
     sigma = list(sigma)
     run = _Run(I, sigma)
     steps: List[ChaseStepRecord] = []
+
+    def result(outcome: str, **detail) -> ChaseResult:
+        return ChaseResult(outcome, run.instance(), tuple(steps),
+                           monitor=monitor, **detail)
+
     pointer = 0
     while True:
         pick = run.next_det(pointer) if rng is None else run.next_rand(rng)
         if pick is None:
-            return ChaseResult(TERMINATED, run.instance(), tuple(steps))
+            return result(TERMINATED)
         if policy.max_steps is not None and len(steps) >= policy.max_steps:
-            return ChaseResult(ABORTED, run.instance(), tuple(steps),
-                               abort_reason=STEP_LIMIT)
+            return result(ABORTED, abort_reason=STEP_LIMIT)
         idx, a = pick
         c = sigma[idx]
         try:
-            rec = run.apply(c, a)
+            rec = run.apply(c, a, len(steps))
         except ChaseFailed as f:
-            return ChaseResult(FAILED, run.instance(), tuple(steps),
-                               failed_step=len(steps), clash=f.clash)
-        rec = replace(rec, index=len(steps))
+            return result(FAILED, failed_step=len(steps), clash=f.clash)
         steps.append(rec)
         if monitor is not None:
-            monitor = monitor_update(monitor, rec, instantiate(c.body, a))
+            monitor_update(monitor, rec, instantiate(c.body, a))
             cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
             if cyc:
-                return ChaseResult(ABORTED, run.instance(), tuple(steps),
-                                   abort_reason=K_CYCLIC, abort_k=policy.monitor_k,
-                                   kcyclic_chain=chain)
+                return result(ABORTED, abort_reason=K_CYCLIC,
+                              abort_k=policy.monitor_k, kcyclic_chain=chain)
         pointer = (idx + 1) % len(sigma)

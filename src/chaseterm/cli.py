@@ -18,7 +18,7 @@ from chaseterm.dynamic import (
 )
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import Constraint, Instance, ModelError, check_arities
-from chaseterm.monitor import build_monitor, monitored_chase
+from chaseterm.monitor import monitored_chase
 from chaseterm.reports import (
     analysis_report, chase_report, export_dot, guarantee_report,
     monitor_report, to_json,
@@ -151,11 +151,10 @@ def cmd_monitor(args) -> int:
     sigma, I = _load(args)
     res = monitored_chase(I, sigma, args.k,
                           ChasePolicy(order=args.order, seed=args.seed))
-    graph = build_monitor(res.steps, sigma)
     payload = {"chase": chase_report(res, include_trace=False),
-               "monitor": monitor_report(graph, args.k)}
+               "monitor": monitor_report(res.monitor, args.k)}
     if args.dot:
-        _write_dot(args.dot, "monitor", graph)
+        _write_dot(args.dot, "monitor", res.monitor)
     if args.json:
         sys.stdout.write(to_json(payload))
     else:

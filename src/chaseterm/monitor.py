@@ -11,19 +11,24 @@ node unless it has one of its own or is a constant).
 Repeated structure shows up as chains of edges that share a class key
 (source created-at, constraint, body positions, target created-at). A graph
 is k-cyclic when k pairwise distinct edges of one class form a consecutive
-path. The per-class longest-chain index makes the check incremental, so a
-monitored run pays O(new edges) per step.
+path. The per-class longest-chain index makes the check incremental.
+
+A monitored run owns one graph: `chase` creates it, folds every step into
+it in place with `monitor_update` and returns it as `ChaseResult.monitor`.
+A merge moves one entry of `live`. A TGD step reads the source nulls off
+its own body instantiation and pays for its new edges, plus one copy of
+each chain it extends, since chains are tuples. `longest` tracks the
+longest chain, so `is_k_cyclic` answers "no" at once until some chain
+reaches k; the scan for the least witness then runs once, at the abort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from chaseterm.chase import ChasePolicy, ChaseResult, ChaseStepRecord, chase
-from chaseterm.model import (
-    Constraint, Instance, LabeledNull, Variable, instantiate, term_positions,
-)
+from chaseterm.model import Constraint, Instance, LabeledNull, term_positions
 
 
 @dataclass(frozen=True)
@@ -54,56 +59,50 @@ def edge_key(e: MonitorEdge) -> Tuple:
             e.target.null.creation_index, e.target.null.name)
 
 
-@dataclass(frozen=True)
+@dataclass
 class MonitorGraph:
-    nodes: frozenset
-    edges: frozenset
-    live: Dict[LabeledNull, MonitorNode]   # current null -> its node
-    chains: Dict[Tuple, Tuple[MonitorEdge, ...]]  # (node, class) -> longest chain ending there
+    """The monitor graph of one run, updated in place by monitor_update."""
 
-    @classmethod
-    def empty(cls) -> "MonitorGraph":
-        return cls(frozenset(), frozenset(), {}, {})
+    nodes: Set[MonitorNode] = field(default_factory=set)
+    edges: Set[MonitorEdge] = field(default_factory=set)
+    # current null -> its node
+    live: Dict[LabeledNull, MonitorNode] = field(default_factory=dict)
+    # (node, class) -> longest chain ending there
+    chains: Dict[Tuple, Tuple[MonitorEdge, ...]] = field(default_factory=dict)
+    longest: int = 0  # length of the longest chain
 
 
 def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -> MonitorGraph:
-    """Fold one chase step into the monitor graph."""
+    """Fold one chase step into G in place, and return G."""
+    live = G.live
     if step.merged_pair is not None:
         survivor, loser = step.merged_pair
-        node = G.live.get(loser) if isinstance(loser, LabeledNull) else None
-        if node is None:
-            return G
-        live = dict(G.live)
-        del live[loser]
-        if isinstance(survivor, LabeledNull) and survivor not in live:
-            live[survivor] = node
-        return replace(G, live=live)
+        node = live.pop(loser, None)
+        if node is not None and isinstance(survivor, LabeledNull):
+            live.setdefault(survivor, node)
+        return G
     if not step.fresh_nulls:
         return G
 
     new_nodes = [MonitorNode(n, ps) for n, ps in step.fresh_nulls]
-    sources = []
-    for null, node in G.live.items():
-        occ = term_positions(body_instantiation, null)
-        if occ:
-            sources.append((node, occ))
+    sources = {v for atom in body_instantiation for v in atom.args if v in live}
+    new_edges = sorted(
+        (MonitorEdge(live[v], step.constraint_id,
+                     term_positions(body_instantiation, v), tgt)
+         for v in sources for tgt in new_nodes), key=edge_key)
 
-    new_edges = [
-        MonitorEdge(src, step.constraint_id, occ, tgt)
-        for src, occ in sources for tgt in new_nodes]
-
-    live = dict(G.live)
     for node in new_nodes:
         live[node.null] = node
-    chains = dict(G.chains)
-    for e in sorted(new_edges, key=edge_key):
+    G.nodes.update(new_nodes)
+    G.edges.update(new_edges)
+    chains = G.chains
+    for e in new_edges:
         key = edge_class(e)
-        prefix = chains.get((e.source, key), ())
-        chain = prefix + (e,)
+        chain = chains.get((e.source, key), ()) + (e,)
         if len(chain) > len(chains.get((e.target, key), ())):
             chains[(e.target, key)] = chain
-    return MonitorGraph(G.nodes | frozenset(new_nodes),
-                        G.edges | frozenset(new_edges), live, chains)
+            G.longest = max(G.longest, len(chain))
+    return G
 
 
 def is_k_cyclic(G: MonitorGraph, k: int) -> Tuple[bool, Optional[Tuple[MonitorEdge, ...]]]:
@@ -111,6 +110,8 @@ def is_k_cyclic(G: MonitorGraph, k: int) -> Tuple[bool, Optional[Tuple[MonitorEd
     the offending chain when so."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if G.longest < k:
+        return False, None
     best = None
     for chain in G.chains.values():
         if len(chain) >= k:
@@ -123,28 +124,8 @@ def is_k_cyclic(G: MonitorGraph, k: int) -> Tuple[bool, Optional[Tuple[MonitorEd
 def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
                     policy: ChasePolicy = ChasePolicy()) -> ChaseResult:
     """Chase with the cycle monitor armed: aborts with reason k_cyclic the
-    first time the monitor graph becomes k-cyclic."""
+    first time the monitor graph becomes k-cyclic. The result's `monitor`
+    is the graph of the steps run."""
     if k < 1:
         raise ValueError("k must be at least 1")
     return chase(I, sigma, replace(policy, monitor_k=k))
-
-
-def monitor_trace(steps: Sequence[ChaseStepRecord],
-                  sigma: Sequence[Constraint]) -> Iterator[MonitorGraph]:
-    """Fold recorded steps in, yielding the monitor graph after each one."""
-    by_id = {c.id: c for c in sigma}
-    G = MonitorGraph.empty()
-    for rec in steps:
-        c = by_id[rec.constraint_id]
-        a = {Variable(name): val for name, val in rec.assignment}
-        G = monitor_update(G, rec, instantiate(c.body, a))
-        yield G
-
-
-def build_monitor(steps: Sequence[ChaseStepRecord],
-                  sigma: Sequence[Constraint]) -> MonitorGraph:
-    """The monitor graph of a completed run."""
-    G = MonitorGraph.empty()
-    for G in monitor_trace(steps, sigma):
-        pass
-    return G

@@ -249,15 +249,9 @@ def nontrivial_sccs(constraints: Sequence[Constraint],
 def part(sigma: Sequence[Constraint]) -> List[Tuple[Constraint, ...]]:
     """Recursive SCC refinement of the minimal restriction system. A set
     returns itself once it is its own single component; otherwise the
-    refinement descends into each component."""
-    out: List[Tuple[Constraint, ...]] = []
-    seen = set()
-    for piece in _part(tuple(sigma)):
-        key = frozenset(c.id for c in piece)
-        if key not in seen:
-            seen.add(key)
-            out.append(piece)
-    return out
+    refinement descends into each component. Components are disjoint and
+    each descent stays inside one, so the pieces are pairwise disjoint."""
+    return _part(tuple(sigma))
 
 
 def _part(sigma: Tuple[Constraint, ...]) -> List[Tuple[Constraint, ...]]:

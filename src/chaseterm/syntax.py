@@ -228,12 +228,13 @@ def parse_instance(text: str, as_query: bool = False) -> Instance:
         return Constant(t.text)
 
     facts: List[Atom] = []
+    arities: Dict[str, int] = {}
     while p.cur.kind != EOF:
         start = p.cur
         facts.append(p.atom(term))
         p.expect(DOT, "'.'")
         try:
-            check_arities(facts)
+            arities = check_arities(facts[-1:], arities)
         except ModelError as exc:
             raise ParseError(str(exc), start.line, start.col) from exc
     return instance(facts)

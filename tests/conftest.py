@@ -8,8 +8,9 @@ parser tests can cross-check the surface syntax against them.
 import pytest
 
 from chaseterm.model import (
-    Atom, Constant, LabeledNull, Variable, egd, instance, tgd,
+    Atom, Constant, LabeledNull, Variable, egd, instance, instantiate, tgd,
 )
+from chaseterm.monitor import MonitorGraph, monitor_update
 
 
 def V(name):
@@ -26,6 +27,17 @@ def N(name, idx=0):
 
 def A(rel, *args):
     return Atom(rel, tuple(args))
+
+
+def monitor_steps(steps, sigma):
+    """Fold recorded steps into one fresh monitor graph with the package's
+    monitor_update, yielding the graph after each step. It is one graph,
+    updated in place: read it before the next step is folded in."""
+    by_id = {c.id: c for c in sigma}
+    G = MonitorGraph()
+    for rec in steps:
+        a = {Variable(name): val for name, val in rec.assignment}
+        yield monitor_update(G, rec, instantiate(by_id[rec.constraint_id].body, a))
 
 
 @pytest.fixture

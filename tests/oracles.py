@@ -3,15 +3,17 @@
 Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
-freezes the agreed values. The last two sections are different in kind: they
-keep the chase engine the package had before its run-scoped index, and the
-firing-witness search as it was before it pruned, for differential tests
-that compare results with strict().
+freezes the agreed values. The last three sections are different in kind:
+they keep the chase engine the package had before its run-scoped index, the
+firing-witness search as it was before it pruned, and the monitor graph as
+it was before each run owned one graph, for differential tests that compare
+results with strict().
 """
 
 import dataclasses
 import random
 from itertools import product
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from chaseterm.chase import (
     ABORTED, FAILED, K_CYCLIC, STEP_LIMIT, TERMINATED, ChaseFailed,
@@ -22,9 +24,12 @@ from chaseterm.firing import (
     _named_constants, _new_symbols,
 )
 from chaseterm.model import (
-    EGD, TGD, Atom, Constant, Instance, LabeledNull, Position, Variable,
-    conjunction_vars, fact_key, instantiate, replace_value, satisfies,
-    value_key,
+    EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, Position,
+    Variable, conjunction_vars, fact_key, instantiate, replace_value,
+    satisfies, term_positions, value_key,
+)
+from chaseterm.monitor import (
+    MonitorEdge, MonitorGraph, MonitorNode, edge_class, edge_key,
 )
 
 
@@ -268,11 +273,19 @@ def ref_chase_step(I, c, a):
 
 def ref_chase(I, sigma, policy=ChasePolicy()):
     """Full rescan per step: det takes the least violation of the first
-    constraint (round-robin) that has one, rand draws from every violation."""
+    constraint (round-robin) that has one, rand draws from every violation.
+    A monitored run carries the graph that replaying its steps builds."""
+    res = _ref_chase_run(I, sigma, policy)
+    if policy.monitor_k is None:
+        return res
+    return dataclasses.replace(
+        res, monitor=library_graph(ref_build_monitor(res.steps, sigma)))
+
+
+def _ref_chase_run(I, sigma, policy):
     monitor = None
     if policy.monitor_k is not None:
-        from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
-        monitor = MonitorGraph.empty()
+        monitor = RefMonitorGraph.empty()
     rng = random.Random(policy.seed) if policy.order == "rand" else None
     sigma = list(sigma)
     current = I
@@ -307,8 +320,8 @@ def ref_chase(I, sigma, policy=ChasePolicy()):
                               rec.added_facts, rec.merged_pair, rec.fresh_nulls)
         steps.append(rec)
         if monitor is not None:
-            monitor = monitor_update(monitor, rec, instantiate(c.body, a))
-            cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
+            monitor = ref_monitor_update(monitor, rec, instantiate(c.body, a))
+            cyc, chain = ref_is_k_cyclic(monitor, policy.monitor_k)
             if cyc:
                 return ChaseResult(ABORTED, nxt, tuple(steps),
                                    abort_reason=K_CYCLIC, abort_k=policy.monitor_k,
@@ -544,3 +557,107 @@ def ref_search(alpha, beta, P, mode):
                 tuple((v.name, rb[v]) for v in beta.body_vars),
                 J)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The monitor as it was before each run owned one graph. The graph was
+# persistent and every step copied it. A step found its source nulls by
+# scanning every live null. The command built the graph a second time after
+# the run, by replaying its steps. The node and edge classes and their keys
+# are the package's own.
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class RefMonitorGraph:
+    nodes: frozenset
+    edges: frozenset
+    live: Dict[LabeledNull, MonitorNode]   # current null -> its node
+    chains: Dict[Tuple, Tuple[MonitorEdge, ...]]  # (node, class) -> longest chain ending there
+
+    @classmethod
+    def empty(cls) -> "RefMonitorGraph":
+        return cls(frozenset(), frozenset(), {}, {})
+
+
+def ref_monitor_update(G: RefMonitorGraph, step: ChaseStepRecord,
+                       body_instantiation) -> RefMonitorGraph:
+    """Fold one chase step into the monitor graph."""
+    if step.merged_pair is not None:
+        survivor, loser = step.merged_pair
+        node = G.live.get(loser) if isinstance(loser, LabeledNull) else None
+        if node is None:
+            return G
+        live = dict(G.live)
+        del live[loser]
+        if isinstance(survivor, LabeledNull) and survivor not in live:
+            live[survivor] = node
+        return dataclasses.replace(G, live=live)
+    if not step.fresh_nulls:
+        return G
+
+    new_nodes = [MonitorNode(n, ps) for n, ps in step.fresh_nulls]
+    sources = []
+    for null, node in G.live.items():
+        occ = term_positions(body_instantiation, null)
+        if occ:
+            sources.append((node, occ))
+
+    new_edges = [
+        MonitorEdge(src, step.constraint_id, occ, tgt)
+        for src, occ in sources for tgt in new_nodes]
+
+    live = dict(G.live)
+    for node in new_nodes:
+        live[node.null] = node
+    chains = dict(G.chains)
+    for e in sorted(new_edges, key=edge_key):
+        key = edge_class(e)
+        prefix = chains.get((e.source, key), ())
+        chain = prefix + (e,)
+        if len(chain) > len(chains.get((e.target, key), ())):
+            chains[(e.target, key)] = chain
+    return RefMonitorGraph(G.nodes | frozenset(new_nodes),
+                           G.edges | frozenset(new_edges), live, chains)
+
+
+def ref_is_k_cyclic(G, k: int) -> Tuple[bool, Optional[Tuple[MonitorEdge, ...]]]:
+    """Is there a consecutive chain of k distinct same-class edges? Returns
+    the offending chain when so."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    best = None
+    for chain in G.chains.values():
+        if len(chain) >= k:
+            witness = chain[-k:]
+            if best is None or tuple(map(edge_key, witness)) < tuple(map(edge_key, best)):
+                best = witness
+    return (best is not None), best
+
+
+def ref_monitor_trace(steps: Sequence[ChaseStepRecord],
+                      sigma: Sequence[Constraint]) -> Iterator[RefMonitorGraph]:
+    """Fold recorded steps in, yielding the monitor graph after each one."""
+    by_id = {c.id: c for c in sigma}
+    G = RefMonitorGraph.empty()
+    for rec in steps:
+        c = by_id[rec.constraint_id]
+        a = {Variable(name): val for name, val in rec.assignment}
+        G = ref_monitor_update(G, rec, instantiate(c.body, a))
+        yield G
+
+
+def ref_build_monitor(steps: Sequence[ChaseStepRecord],
+                      sigma: Sequence[Constraint]) -> RefMonitorGraph:
+    """The monitor graph of a completed run."""
+    G = RefMonitorGraph.empty()
+    for G in ref_monitor_trace(steps, sigma):
+        pass
+    return G
+
+
+def library_graph(G: RefMonitorGraph) -> MonitorGraph:
+    """G as the package's graph type, with `longest` read off its chains,
+    so that strict() compares it with a run's own graph."""
+    return MonitorGraph(set(G.nodes), set(G.edges), dict(G.live), dict(G.chains),
+                        max((len(c) for c in G.chains.values()), default=0))

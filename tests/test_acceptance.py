@@ -21,14 +21,13 @@ from chaseterm.dynamic import (
 )
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import Atom, LabeledNull, Position, hom_equivalent
-from chaseterm.monitor import (
-    build_monitor, is_k_cyclic, monitor_trace, monitored_chase,
-)
+from chaseterm.monitor import is_k_cyclic, monitored_chase
 from chaseterm.static import (
     analyze, is_inductively_restricted, propagation_graph,
 )
 
 from . import generators
+from .conftest import monitor_steps
 
 
 def P(*pairs):
@@ -140,11 +139,12 @@ def test_c05_rotation_family_sweep():
         assert res.outcome == TERMINATED
         assert len(res.steps) == k
 
-        G = build_monitor(res.steps, sigma)
-        assert is_k_cyclic(G, k - 1)[0]
-        assert not is_k_cyclic(G, k)[0]
+        watched = monitored_chase(I, sigma, k)
+        assert watched.outcome == TERMINATED
+        assert watched.steps == res.steps
+        assert is_k_cyclic(watched.monitor, k - 1)[0]
+        assert not is_k_cyclic(watched.monitor, k)[0]
 
-        assert monitored_chase(I, sigma, k).outcome == TERMINATED
         aborted = monitored_chase(I, sigma, k - 1)
         assert aborted.outcome == ABORTED
         assert aborted.abort_reason == K_CYCLIC
@@ -216,7 +216,7 @@ def test_c10_monitor_graph_invariants(travel_sigma, oneway_instance):
         runs.append((I, sigma, monitored_chase(I, sigma, k)))
         runs.append((I, sigma, monitored_chase(I, sigma, k - 1)))
     for I, sigma, res in runs:
-        for G in monitor_trace(res.steps, sigma):
+        for G in monitor_steps(res.steps, sigma):
             assert_acyclic(G)
             for e in G.edges:
                 assert e.source.null.creation_index < e.target.null.creation_index

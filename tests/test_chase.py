@@ -199,6 +199,20 @@ class TestReplay:
         assert any(rec.merged_pair for rec in res.steps)
         assert strict(replay(I, res.steps)) == strict(res.final)
 
+    def test_records_are_numbered_in_run_order(self, travel_sigma, oneway_instance):
+        t = tgd("t", [A("P", V("X"))],
+                [A("R", V("X"), V("Y")), A("T", V("Y"))])
+        e = egd("e", [A("R", V("X"), V("Y1")), A("R", V("X"), V("Y2"))],
+                V("Y1"), V("Y2"))
+        runs = [chase(instance([A("P", C("a")), A("R", C("a"), N("u"))]), [t, e]),
+                chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=7))]
+        for res in runs:
+            assert [rec.index for rec in res.steps] == list(range(len(res.steps)))
+        # a lone step is not part of a run
+        _, rec = chase_step(oneway_instance, travel_sigma[2],
+                            find_violations(oneway_instance, travel_sigma[2])[0])
+        assert rec.index == 0
+
 
 class TestFreshness:
     def test_created_nulls_are_globally_fresh(self, travel_sigma, oneway_instance):

@@ -29,6 +29,9 @@ q1: m(X, Z1), m(X, Z2) -> Z1 = Z2.
 """
 TC_PATH = "e(v3, v4). e(v0, v1). e(v5, v6). e(v2, v3). e(v1, v2). e(v4, v5).\n"
 ONEWAY_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2).\n"
+# a one-rule generator: every step starts a new flight from the last one
+FLY_RULES = "g: fly(X1, X2, Y1) -> fly(X2, X3, Y2).\n"
+FLY_FACT = "fly(c1, c2, c3).\n"
 ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).\n"
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -44,7 +47,8 @@ def files(tmp_path):
     paths = {}
     for name, text in [("travel.rules", TRAVEL_RULES), ("seeded.rules", SEEDED_RULES),
                        ("oneway.inst", ONEWAY_QUERY), ("roundtrip.inst", ROUNDTRIP_QUERY),
-                       ("tc.rules", TC_RULES), ("tc.inst", TC_PATH)]:
+                       ("tc.rules", TC_RULES), ("tc.inst", TC_PATH),
+                       ("fly.rules", FLY_RULES), ("fly.inst", FLY_FACT)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -159,6 +163,22 @@ class TestMonitor:
         assert payload["chase"]["outcome"] == "aborted"
         assert payload["monitor"]["k_cyclic"] is True
         assert (out / "monitor.dot").exists()
+
+    def test_json_exact(self, files, capsys):
+        assert main(["monitor", files["travel.rules"], files["oneway.inst"],
+                     "--as-query", "-k", "3", "--json"]) == 3
+        assert capsys.readouterr().out == golden("monitor_travel_k3.json")
+
+    def test_dot_exact(self, files, capsys, tmp_path):
+        out = tmp_path / "m"
+        assert main(["monitor", files["travel.rules"], files["oneway.inst"],
+                     "--as-query", "-k", "3", "--dot", str(out)]) == 3
+        assert (out / "monitor.dot").read_text() == golden("monitor_travel_k3.dot")
+
+    def test_generator_json_exact(self, files, capsys):
+        assert main(["monitor", files["fly.rules"], files["fly.inst"],
+                     "-k", "5", "--json"]) == 3
+        assert capsys.readouterr().out == golden("monitor_fly_k5.json")
 
 
 class TestIrrelevantAndTermcheck:

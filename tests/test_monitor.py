@@ -7,25 +7,32 @@ from chaseterm.chase import (
 )
 from chaseterm.model import LabeledNull, Position, instance
 from chaseterm.monitor import (
-    MonitorGraph, build_monitor, edge_class, is_k_cyclic,
-    monitor_trace, monitored_chase,
+    MonitorGraph, edge_class, is_k_cyclic, monitor_update, monitored_chase,
 )
-from chaseterm.model import egd, tgd
+from chaseterm.model import egd, instantiate, tgd
 
-from .conftest import A, C, N, V
+from .conftest import A, C, N, V, monitor_steps
+from .oracles import strict
+
+DEEP = 100  # deeper than any chain these runs build: the monitor never trips
+
+
+def graph(I, sigma, max_steps=None):
+    """The monitor graph of a run that the monitor does not stop."""
+    res = monitored_chase(I, sigma, DEEP, ChasePolicy(max_steps=max_steps))
+    assert res.abort_reason != K_CYCLIC
+    return res.monitor
 
 
 class TestGraphConstruction:
     def test_initial_nulls_are_not_monitored(self, travel_sigma, roundtrip_instance):
-        res = chase(roundtrip_instance, travel_sigma)
-        G = build_monitor(res.steps, travel_sigma)
+        G = graph(roundtrip_instance, travel_sigma)
         assert G.nodes == frozenset()
         assert G.edges == frozenset()
         assert G.live == {}
 
     def test_nodes_carry_creation_positions(self, travel_sigma, oneway_instance):
-        res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=3))
-        G = build_monitor(res.steps, travel_sigma)
+        G = graph(oneway_instance, travel_sigma, max_steps=3)
         by_name = {node.null.name: node for node in G.nodes}
         assert set(by_name) == {"n1", "n2"}
         assert by_name["n1"].created_at == frozenset({Position("fly", 2)})
@@ -33,8 +40,7 @@ class TestGraphConstruction:
         assert G.edges == frozenset()
 
     def test_edges_appear_once_monitored_nulls_feed_a_step(self, travel_sigma, oneway_instance):
-        res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=5))
-        G = build_monitor(res.steps, travel_sigma)
+        G = graph(oneway_instance, travel_sigma, max_steps=5)
         assert len(G.nodes) == 4
         assert len(G.edges) == 4
         assert {e.constraint_id for e in G.edges} == {"a3"}
@@ -43,17 +49,36 @@ class TestGraphConstruction:
         assert srcs == {("n1", (2,)), ("n2", (3,))}
 
     def test_edges_point_from_older_to_newer(self, travel_sigma, oneway_instance):
-        res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=11))
-        G = build_monitor(res.steps, travel_sigma)
+        G = graph(oneway_instance, travel_sigma, max_steps=11)
         for e in G.edges:
             assert e.source.null.creation_index < e.target.null.creation_index
 
     def test_one_node_per_created_null(self, travel_sigma, oneway_instance):
-        res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=11))
+        res = monitored_chase(oneway_instance, travel_sigma, DEEP,
+                              ChasePolicy(max_steps=11))
         created = [n for rec in res.steps for n, _ in rec.fresh_nulls]
-        G = build_monitor(res.steps, travel_sigma)
+        G = res.monitor
         assert sorted(node.null.name for node in G.nodes) == sorted(n.name for n in created)
         assert set(G.live) == set(created)
+
+
+class TestOneGraphPerRun:
+    def test_unmonitored_run_has_no_graph(self, travel_sigma, oneway_instance):
+        res = chase(oneway_instance, travel_sigma, ChasePolicy(max_steps=5))
+        assert res.monitor is None
+
+    def test_update_folds_in_place(self, travel_sigma, oneway_instance):
+        res = monitored_chase(oneway_instance, travel_sigma, DEEP,
+                              ChasePolicy(max_steps=11))
+        by_id = {c.id: c for c in travel_sigma}
+        G = MonitorGraph()
+        for rec in res.steps:
+            a = {V(name): val for name, val in rec.assignment}
+            body = instantiate(by_id[rec.constraint_id].body, a)
+            assert monitor_update(G, rec, body) is G
+            assert G.longest == max(map(len, G.chains.values()), default=0)
+        assert G.longest == 4
+        assert strict(G) == strict(res.monitor)
 
 
 class TestMergeHandling:
@@ -64,10 +89,10 @@ class TestMergeHandling:
         e = egd("e", [A("R", V("X"), V("Y1")), A("R", V("X"), V("Y2"))],
                 V("Y1"), V("Y2"))
         I = instance([A("P", C("a"))])
-        res = chase(I, [t, t2, e])
+        res = monitored_chase(I, [t, t2, e], DEEP)
         assert res.outcome == TERMINATED
         assert any(rec.merged_pair for rec in res.steps)
-        G = build_monitor(res.steps, [t, t2, e])
+        G = res.monitor
         assert len(G.nodes) == 1
         assert G.live == {}
 
@@ -78,9 +103,9 @@ class TestMergeHandling:
                 V("Y1"), V("Y2"))
         u = N("u")
         I = instance([A("P", C("a")), A("R", C("a"), u)])
-        res = chase(I, [t, e])
+        res = monitored_chase(I, [t, e], DEEP)
         assert res.outcome == TERMINATED
-        G = build_monitor(res.steps, [t, e])
+        G = res.monitor
         node, = G.nodes
         assert node.null == LabeledNull("n1", 1)
         assert G.live == {u: node}
@@ -93,11 +118,11 @@ class TestMergeHandling:
         e = egd("e", [A("R", V("X"), V("Y1")), A("R", V("X"), V("Y2"))],
                 V("Y1"), V("Y2"))
         I = instance([A("P", C("a")), A("Q", C("a"))])
-        res = chase(I, [t, t2, e])
+        res = monitored_chase(I, [t, t2, e], DEEP)
         assert res.outcome == TERMINATED
         merges = [rec.merged_pair for rec in res.steps if rec.merged_pair]
         assert merges == [(LabeledNull("n1", 1), LabeledNull("n2", 2))]
-        G = build_monitor(res.steps, [t, t2, e])
+        G = res.monitor
         assert len(G.nodes) == 2
         assert set(G.live) == {LabeledNull("n1", 1)}
         assert G.live[LabeledNull("n1", 1)].null == LabeledNull("n1", 1)
@@ -138,18 +163,19 @@ class TestKCyclicity:
 
     def test_graph_is_cyclic_only_at_the_last_step(self, travel_sigma, oneway_instance):
         res = monitored_chase(oneway_instance, travel_sigma, 3)
-        graphs = list(monitor_trace(res.steps, travel_sigma))
-        assert is_k_cyclic(graphs[-1], 3)[0]
-        for G in graphs[:-1]:
-            cyc, chain = is_k_cyclic(G, 3)
+        verdicts = [is_k_cyclic(G, 3)
+                    for G in monitor_steps(res.steps, travel_sigma)]
+        assert verdicts[-1] == (True, res.kcyclic_chain)
+        for cyc, chain in verdicts[:-1]:
             assert not cyc
             assert chain is None
+        assert is_k_cyclic(res.monitor, 3) == verdicts[-1]
 
     def test_depth_must_be_positive(self, travel_sigma, oneway_instance):
         with pytest.raises(ValueError):
             monitored_chase(oneway_instance, travel_sigma, 0)
         with pytest.raises(ValueError):
-            is_k_cyclic(MonitorGraph.empty(), 0)
+            is_k_cyclic(MonitorGraph(), 0)
 
 
 class TestStructuralInvariants:
@@ -157,15 +183,14 @@ class TestStructuralInvariants:
         initial = set(oneway_instance.null_names())
         res = monitored_chase(oneway_instance, travel_sigma, 4)
         current = oneway_instance
-        for rec, G in zip(res.steps, monitor_trace(res.steps, travel_sigma)):
+        for rec, G in zip(res.steps, monitor_steps(res.steps, travel_sigma)):
             current = apply_record(current, rec)
             created_live = {v for v in current.domain()
                             if isinstance(v, LabeledNull) and v.name not in initial}
             assert set(G.live) == created_live
 
     def test_chains_are_paths_of_one_class(self, travel_sigma, oneway_instance):
-        res = monitored_chase(oneway_instance, travel_sigma, 4)
-        G = build_monitor(res.steps, travel_sigma)
+        G = monitored_chase(oneway_instance, travel_sigma, 4).monitor
         for (node, key), chain in G.chains.items():
             assert chain[-1].target == node
             assert {edge_class(e) for e in chain} == {key}

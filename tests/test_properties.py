@@ -18,16 +18,15 @@ from chaseterm.model import (
     TGD, LabeledNull, fact_key, find_violations, instance, match_conjunction,
     satisfies,
 )
-from chaseterm.monitor import (
-    edge_class, is_k_cyclic, monitor_trace, monitored_chase,
-)
-from chaseterm.static import affected_positions
+from chaseterm.monitor import edge_class, is_k_cyclic, monitored_chase
+from chaseterm.static import affected_positions, part
 from chaseterm.syntax import (
     ConstraintDocument, parse_constraints, parse_instance, print_constraints,
     print_instance,
 )
 
 from . import generators, oracles
+from .conftest import monitor_steps
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 FAST = settings(max_examples=40, deadline=None)
@@ -150,6 +149,17 @@ def test_a_step_keeps_old_satisfied_triggers_satisfied(seed):
 
 @FAST
 @given(seeds)
+def test_part_pieces_are_disjoint(seed):
+    # SCCs partition a set and each refinement stays inside one component
+    rng = random.Random(seed)
+    sigma = generators.random_constraints(rng, 4, 3)
+    ids = [c.id for piece in part(sigma) for c in piece]
+    assert len(ids) == len(set(ids))
+    assert set(ids) <= {c.id for c in sigma}
+
+
+@FAST
+@given(seeds)
 def test_affected_positions_match_oracle(seed):
     rng = random.Random(seed)
     sigma = generators.random_constraints(rng)
@@ -164,7 +174,7 @@ def test_monitor_edges_point_forward(seed):
     sigma = generators.random_constraints(rng, allow_egds=False)
     I = generators.random_instance(rng)
     res = monitored_chase(I, sigma, 3, ChasePolicy(max_steps=25))
-    for G in monitor_trace(res.steps, sigma):
+    for G in monitor_steps(res.steps, sigma):
         for e in G.edges:
             assert e.source.null.creation_index < e.target.null.creation_index
 
@@ -175,12 +185,7 @@ def test_monitor_chains_are_consecutive_same_class_paths(seed):
     rng = random.Random(seed)
     sigma = generators.random_constraints(rng, allow_egds=False)
     I = generators.random_instance(rng)
-    res = monitored_chase(I, sigma, 3, ChasePolicy(max_steps=25))
-    G = None
-    for G in monitor_trace(res.steps, sigma):
-        pass
-    if G is None:
-        return
+    G = monitored_chase(I, sigma, 3, ChasePolicy(max_steps=25)).monitor
     for (node, cls), chain in G.chains.items():
         assert chain[-1].target == node
         assert {edge_class(e) for e in chain} == {cls}
@@ -197,7 +202,7 @@ def test_cyclicity_is_monotone_along_a_run(seed):
     I = generators.random_instance(rng)
     res = chase(I, sigma, ChasePolicy(max_steps=25))
     seen = False
-    for G in monitor_trace(res.steps, sigma):
+    for G in monitor_steps(res.steps, sigma):
         hit, chain = is_k_cyclic(G, 2)
         assert not (seen and not hit)  # once 2-cyclic, stays 2-cyclic
         seen = hit

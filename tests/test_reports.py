@@ -10,7 +10,7 @@ from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
 from chaseterm.model import instance, tgd
-from chaseterm.monitor import build_monitor, monitored_chase
+from chaseterm.monitor import monitored_chase
 from chaseterm.reports import (
     ReportIntegrityError, analysis_report, chase_report, export_dot,
     guarantee_report, monitor_report, position_str, to_json,
@@ -40,8 +40,7 @@ class TestDot:
         assert '"a1"; /* f = {fly^1, fly^2, fly^3} */' in dot
 
     def test_monitor_graph(self, travel_sigma, oneway_instance):
-        res = monitored_chase(oneway_instance, travel_sigma, 3)
-        g = build_monitor(res.steps, travel_sigma)
+        g = monitored_chase(oneway_instance, travel_sigma, 3).monitor
         dot = export_dot(g)
         assert dot.startswith("digraph g {")
         assert "[label=" in dot
@@ -140,8 +139,7 @@ class TestGuaranteeAndMonitorReports:
         assert payload["chase_graph"]["nodes"] == ["a1", "a2", "a3", "alpha_I"]
 
     def test_monitor_payload(self, travel_sigma, oneway_instance):
-        res = monitored_chase(oneway_instance, travel_sigma, 3)
-        g = build_monitor(res.steps, travel_sigma)
+        g = monitored_chase(oneway_instance, travel_sigma, 3).monitor
         payload = monitor_report(g, 3)
         assert payload["k_cyclic"] is True
         assert len(payload["chain"]) == 3

@@ -107,6 +107,14 @@ class TestInstanceParsing:
         with pytest.raises(ParseError, match="arity mismatch"):
             parse_instance("S(a). S(a,b).")
 
+    def test_arity_mismatch_points_at_its_fact(self):
+        text = "e(a, b).\nS(a).\ne(b, c). e(c,\n  d, f).\nS(b).\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert (info.value.line, info.value.col) == (3, 10)
+        assert str(info.value) == ("line 3, column 10: arity mismatch for e: "
+                                   "saw 2, now 3 in e(c, d, f)")
+
 
 class TestPrinting:
     def test_constraint_forms(self, seeded_feedback_sigma):
