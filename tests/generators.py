@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from chaseterm.chase import ChaseFailed, chase_step
 from chaseterm.model import (
     Atom, Constant, Constraint, Instance, LabeledNull, Variable, egd,
-    find_violations, instance, tgd,
+    find_violations, instance, position_key, tgd,
 )
 from chaseterm.static import is_inductively_restricted
 
@@ -49,6 +49,14 @@ def random_constraints(rng: random.Random, max_constraints: int = 3,
     return [random_constraint(rng, f"d{i}", max_atoms, max_vars, allow_egds,
                               egd_rate)
             for i in range(1, n + 1)]
+
+
+def guards(sigma: Sequence[Constraint], rng: random.Random) -> List[frozenset]:
+    """The empty guard, all body positions of sigma, and three seeded
+    random subsets of them."""
+    body = sorted({p for c in sigma for p in c.body_positions}, key=position_key)
+    return ([frozenset(), frozenset(body)]
+            + [frozenset(p for p in body if rng.random() < 0.5) for _ in range(3)])
 
 
 def width_family(n: int) -> List[Constraint]:

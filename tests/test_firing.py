@@ -9,9 +9,12 @@ import random
 
 import pytest
 
-from chaseterm import firing
+from chaseterm import firing, static
+from chaseterm.chase import chase_step
 from chaseterm.dynamic import constraint_from_instance
-from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
+from chaseterm.firing import (
+    PRECEDES, PRECEDES_P, Witness, can_cause, verify_witness,
+)
 from chaseterm.model import Position, egd, instance, position_key, tgd
 
 from . import generators, oracles
@@ -102,6 +105,16 @@ class TestEgdSource:
     def test_merge_needs_null_room(self):
         assert can_cause(self.key, self.consumer, frozenset(), PRECEDES_P) is None
 
+    def test_verify_rejects_an_unknown_mode(self):
+        # the merge needs a null outside the empty guard, so a misspelt
+        # mode must not pass the witness as if it were PRECEDES
+        w = can_cause(self.key, self.consumer, mode=PRECEDES)
+        assert verify_witness(self.key, self.consumer, w, mode=PRECEDES)
+        assert not verify_witness(self.key, self.consumer, w, frozenset(),
+                                  PRECEDES_P)
+        with pytest.raises(ValueError):
+            verify_witness(self.key, self.consumer, w, frozenset(), "bogus")
+
     def test_merge_witness_contains_a_premerge_body(self):
         guard = P(("R", 2), ("T", 1), ("T", 2))
         w = can_cause(self.key, self.consumer, guard, PRECEDES_P)
@@ -132,7 +145,7 @@ class TestBodylessTarget:
             return holds(*args)
 
         monkeypatch.setattr(firing, "_holds", counting_holds)
-        firing._search.cache_clear()
+        firing._memo.clear()
         for alpha in travel_sigma + [e1]:
             assert can_cause(alpha, alpha_I, mode=PRECEDES) is None
         assert judged == []
@@ -150,7 +163,7 @@ class TestNewPrune:
             return holds(I, alpha, a, beta, b, P, mode)
 
         monkeypatch.setattr(firing, "_holds", recording_holds)
-        firing._search.cache_clear()
+        firing._memo.clear()
         for seed in range(40):
             rng = random.Random(f"new-prune/{seed}")
             sigma = generators.random_constraints(rng, egd_rate=0.5)
@@ -164,6 +177,57 @@ class TestNewPrune:
                     for guard in guards:
                         can_cause(alpha, beta, guard, PRECEDES_P)
         assert judged and not any(judged)
+
+
+class TestUnguardedReuse:
+    def test_no_edge_is_not_searched_again_under_a_guard(self, monkeypatch):
+        # a guarded search only adds checks and drops candidates, so the
+        # unguarded "no" settles it without a judged candidate
+        holds, judged = firing._holds, []
+
+        def counting_holds(*args):
+            judged.append(args)
+            return holds(*args)
+
+        monkeypatch.setattr(firing, "_holds", counting_holds)
+        firing._memo.clear()
+        settled = 0
+        for seed in range(30):
+            rng = random.Random(f"unguarded/{seed}")
+            sigma = generators.random_constraints(rng, egd_rate=0.5)
+            for alpha in sigma:
+                for beta in sigma:
+                    if can_cause(alpha, beta, mode=PRECEDES) is not None:
+                        continue
+                    before = len(judged)
+                    for guard in generators.guards(sigma, rng):
+                        assert can_cause(alpha, beta, guard, PRECEDES_P) is None
+                    assert len(judged) == before, (alpha, beta)
+                    settled += 1
+        assert settled and judged
+
+    def test_restriction_system_searches_no_unguarded_pair(
+            self, feedback_sigma, monkeypatch):
+        # the guarded search only peeks at the unguarded answer; computing
+        # it would make a bare restriction-system call search every pair
+        # twice
+        search, modes = firing._search, []
+
+        def counting_search(alpha, beta, P, mode):
+            modes.append(mode)
+            return search(alpha, beta, P, mode)
+
+        monkeypatch.setattr(firing, "_search", counting_search)
+        rng = random.Random("unguarded/bare")
+        sets = [feedback_sigma] + [generators.random_constraints(rng)
+                                   for _ in range(20)]
+        for sigma in sets:
+            firing._memo.clear()
+            static._minimal_system.cache_clear()
+            static.minimal_restriction_system(sigma)
+            static.is_inductively_restricted(sigma)
+        static._minimal_system.cache_clear()
+        assert PRECEDES_P in modes and PRECEDES not in modes
 
 
 class TestWitnessIntegrity:
@@ -188,8 +252,18 @@ class TestWitnessIntegrity:
             w, **{field: getattr(w, field) + (("W", C("c")),)})
         assert not verify_witness(t1, t2, extra, mode=PRECEDES)
 
+    def test_witness_whose_target_is_violated_before_is_rejected(self):
+        # every other condition holds, but b violates s in I already, so
+        # it is no new violation
+        x, c = V("X"), C("c")
+        r = tgd("r", [A("R", x)], [A("T", x)])
+        s = tgd("s", [A("S", x)], [A("U", x)])
+        I = instance([A("R", c), A("S", c)])
+        J, _ = chase_step(I, r, {x: c})
+        w = Witness("r", "s", I, (("X", c),), (("X", c),), J)
+        assert not verify_witness(r, s, w, mode=PRECEDES)
+
     def test_witness_step_is_replayable(self, travel_sigma):
-        from chaseterm.chase import chase_step
         from chaseterm.model import Variable
         a3 = travel_sigma[2]
         w = can_cause(a3, a3, mode=PRECEDES)

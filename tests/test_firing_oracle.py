@@ -9,10 +9,14 @@ the judge must reject, so it has to return the same first witness, compared
 strictly: nulls by name and creation index, so a witness that merely looks
 the same does not pass. The search must also skip every candidate that
 its "new" prune names: no assignment without placeholders whose body
-image lies in the candidate instance may reach the judge. A weaker prune
-would still find the same witnesses. The sets with an instance's alpha_I
-appended hold the pairs that dynamic.irrelevant_constraints searches,
-body-less targets among them.
+image lies in the candidate instance may reach the judge, and under
+PRECEDES_P no assignment that puts no null on beta's frontier ("copying").
+A weaker prune would still find the same witnesses. Every set is asked
+twice, with PRECEDES first and with it last, since a guarded search that
+finds the pair's unguarded "no" returns at once and would compare nothing
+("unguarded"). The sets with an instance's alpha_I appended hold the
+pairs that dynamic.irrelevant_constraints searches, body-less targets
+among them.
 """
 
 import random
@@ -23,9 +27,11 @@ from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import position_key
+from chaseterm.model import LabeledNull
+from chaseterm.syntax import parse_constraints
 
 from . import generators, oracles
+from .generators import guards
 from .oracles import strict
 
 
@@ -35,28 +41,26 @@ def judge_sees_only_new_triggers(monkeypatch):
 
     def checked_holds(I, alpha, a, beta, b, P, mode):
         assert not oracles.old_trigger(I, beta, b), (alpha, a, beta, b, I)
+        if mode == PRECEDES_P:
+            # the frontier: beta's head variables that b binds
+            assert any(isinstance(b[v], LabeledNull)
+                       for v in beta.head_vars() if v in b), (alpha, a, beta, b)
         return holds(I, alpha, a, beta, b, P, mode)
 
     monkeypatch.setattr(firing, "_holds", checked_holds)
-    firing._search.cache_clear()
-
-
-def guards(sigma, rng):
-    """The empty guard, all body positions of sigma, and three seeded
-    random subsets of them."""
-    body = sorted({p for c in sigma for p in c.body_positions}, key=position_key)
-    return ([frozenset(), frozenset(body)]
-            + [frozenset(p for p in body if rng.random() < 0.5) for _ in range(3)])
+    firing._memo.clear()
 
 
 def assert_same_witnesses(sigma, rng):
     cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P) for P in guards(sigma, rng)]
-    for alpha in sigma:
-        for beta in sigma:
-            for P, mode in cases:
-                got = can_cause(alpha, beta, P, mode)
-                want = oracles.ref_search(alpha, beta, P, mode)
-                assert strict(got) == strict(want), (alpha, beta, P, mode)
+    queries = [(alpha, beta, P, mode)
+               for alpha in sigma for beta in sigma for P, mode in cases]
+    want = {q: strict(oracles.ref_search(*q)) for q in queries}
+    guarded_first = sorted(queries, key=lambda q: q[3] == PRECEDES)
+    for order in (queries, guarded_first):
+        firing._memo.clear()
+        for q in order:
+            assert strict(can_cause(*q)) == want[q], q
 
 
 @pytest.mark.parametrize("egd_rate", [0.25, 0.75])
@@ -101,3 +105,29 @@ def test_rotation_fixtures(k):
 @pytest.mark.parametrize("n", [3, 4])
 def test_width_family(n):
     assert_same_witnesses(generators.width_family(n), random.Random(f"width/{n}"))
+
+
+def test_target_without_frontier_has_no_guarded_edge(monkeypatch):
+    # r3 copies no body value into its head, so no b puts a null there;
+    # r4 has an unguarded edge into r3, so the guarded "no" is the
+    # frontier's alone
+    sigma = parse_constraints("""
+        r1: R(X3, X1), S(X1), R(X2, X3) -> X3 = X1.
+        r2: T(X3, X1), S(X2) -> X1 = X3.
+        r3: T(X2, X3) -> S(Y2), S(Y1).
+        r4: R(X1, X2) -> T(X1, X2).
+    """).constraints
+    beta = sigma[2]
+    holds, judged = firing._holds, []
+
+    def counting_holds(*args):
+        judged.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(firing, "_holds", counting_holds)
+    for alpha in sigma:
+        for P in guards(sigma, random.Random(f"frontier/{alpha.id}")):
+            assert can_cause(alpha, beta, P, PRECEDES_P) is None
+            assert oracles.ref_search(alpha, beta, P, PRECEDES_P) is None
+    assert judged == []
+    assert any(can_cause(alpha, beta, mode=PRECEDES) for alpha in sigma)

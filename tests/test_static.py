@@ -267,6 +267,7 @@ class TestWidthFamily:
         sigma = generators.width_family(n)
         got = strict(analyze(sigma))
         static._minimal_system.cache_clear()
+        monkeypatch.setattr(firing, "_memo", {})
         monkeypatch.setattr(firing, "_search", oracles.ref_search)
         try:
             want = strict(analyze(sigma))
