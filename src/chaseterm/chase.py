@@ -43,8 +43,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from chaseterm.model import (
     TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
-    Value, body_matches, fact_key, head_holds, instantiate, replace_value,
-    term_positions, value_key,
+    Position, Value, body_matches, fact_key, head_holds, instantiate,
+    replace_value, value_key,
 )
 
 if TYPE_CHECKING:
@@ -99,10 +99,10 @@ class ChaseResult:
     monitor: Optional[MonitorGraph] = None  # the graph of a monitored run
 
 
-def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
-              index: int) -> Tuple[ChaseStepRecord, int]:
-    """The record of step number index, a TGD step, and the next null
-    counter.
+def _tgd_added(c: Constraint, a: Assignment, counter: int, taken,
+               ) -> Tuple[frozenset, List[LabeledNull], int]:
+    """The facts a TGD step of c on a adds, its fresh nulls in the order of
+    c's existential variables, and the next null counter.
 
     Each existential variable gets null n<counter> with creation index
     counter; names in taken (those of the nulls in the current instance) are
@@ -116,18 +116,34 @@ def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
         counter += 1
         ext[v] = n
         fresh.append(n)
-    added = instantiate(c.head, ext)
+    return instantiate(c.head, ext), fresh, counter
+
+
+def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
+              index: int) -> Tuple[ChaseStepRecord, int]:
+    """The record of step number index, a TGD step, and the next null
+    counter (see _tgd_added)."""
+    added, fresh, counter = _tgd_added(c, a, counter, taken)
+    nulls: Tuple[Tuple[LabeledNull, frozenset], ...] = ()
+    if fresh:
+        # every fresh null's positions, in one pass over the added facts
+        positions: Dict[LabeledNull, List[Position]] = {n: [] for n in fresh}
+        for f in added:
+            for i, t in enumerate(f.args):
+                held = positions.get(t)
+                if held is not None:
+                    held.append(Position(f.relation, i + 1))
+        nulls = tuple((n, frozenset(held)) for n, held in positions.items())
     rec = ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
-                          added, None,
-                          tuple((n, term_positions(added, n)) for n in fresh))
+                          added, None, nulls)
     return rec, counter
 
 
-def _egd_step(c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
-    """The record of step number index, an EGD step, whose merged_pair is
-    (survivor, loser):
-    the constant survives if there is one, otherwise the null with the
-    smaller creation index."""
+def _merged_pair(c: Constraint, a: Assignment) -> Tuple[Value, Value]:
+    """(survivor, loser) of an EGD step of c on a: the constant survives if
+    there is one, otherwise the null with the smaller creation index.
+    Raises ValueError on a satisfied equality and ChaseFailed on two
+    distinct constants."""
     left, right = c.equated  # type: ignore[misc]
     u, v = a[left], a[right]
     if u == v:
@@ -135,8 +151,14 @@ def _egd_step(c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
     if isinstance(u, Constant) and isinstance(v, Constant):
         raise ChaseFailed(u, v)
     survivor, loser = sorted((u, v), key=value_key)
+    return survivor, loser
+
+
+def _egd_step(c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
+    """The record of step number index, an EGD step, whose merged_pair is
+    _merged_pair's (survivor, loser)."""
     return ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
-                           frozenset(), (survivor, loser), ())
+                           frozenset(), _merged_pair(c, a), ())
 
 
 def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, ChaseStepRecord]:

@@ -47,15 +47,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _depth(text: str) -> int:
-    """A monitor depth k, which must be at least 1."""
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    return k
+def _at_least(low: int):
+    """An argparse type: an int that must be at least low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def _read(path: str) -> str:
@@ -255,7 +257,8 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("chase", help="run the chase")
     p.add_argument("constraints")
     common_instance_flags(p)
-    p.add_argument("--max-steps", type=int, default=10000, dest="max_steps")
+    p.add_argument("--max-steps", type=_at_least(0), default=10000,
+                   dest="max_steps")
     p.add_argument("--order", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -264,7 +267,7 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("monitor", help="chase under the k-cycle monitor")
     p.add_argument("constraints")
     common_instance_flags(p)
-    p.add_argument("-k", type=_depth, default=5)
+    p.add_argument("-k", type=_at_least(1), default=5)
     p.add_argument("--order", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dot", metavar="DIR")
@@ -282,7 +285,7 @@ def _build_parser() -> _ArgumentParser:
                        help="ladder, then pruning, then monitored chase")
     p.add_argument("constraints")
     common_instance_flags(p)
-    p.add_argument("-k", type=_depth, default=5)
+    p.add_argument("-k", type=_at_least(1), default=5)
     p.add_argument("--order", choices=["det", "rand"], default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

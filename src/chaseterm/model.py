@@ -26,6 +26,8 @@ Buckets list their facts in fact_key order, then in the order later added,
 so enumeration never depends on hash order. A frozen Instance offers only
 relation buckets, built once per instance on first use: positional buckets
 do not pay for themselves on the throwaway instances of the firing search.
+A FactSet is a bare fact set for the yes-or-no checks of that search: its
+buckets keep no order, so building them sorts nothing.
 
 A note on equality: nulls compare by name only. The creation index a null
 carries is bookkeeping for the chase (freshness, merge tie-breaking) and two
@@ -256,6 +258,24 @@ class Constraint:
         return tuple(conjunction_vars(self.body))
 
     @cached_property
+    def frontier(self) -> Tuple[Variable, ...]:
+        """The head variables that occur in the body: the ones an assignment
+        binds, and so the ones through which it copies a value into the
+        head. An EGD's frontier is its equated pair."""
+        body = set(self.body_vars)
+        return tuple(v for v in self.head_vars() if v in body)
+
+    @cached_property
+    def never_violated(self) -> bool:
+        """Is this a TGD whose head maps into its own body, body variables
+        fixed? Then every assignment's body image satisfies the head: it
+        never fires and is never violated."""
+        if self.kind != TGD:
+            return False
+        frozen = {v: LabeledNull(v.name) for v in self.body_vars}
+        return head_holds(FactSet(instantiate(self.body, frozen)), self, frozen)
+
+    @cached_property
     def existential_vars(self) -> Tuple[Variable, ...]:
         if self.kind != TGD:
             return ()
@@ -339,6 +359,26 @@ class Instance:
 
     def candidates(self, at: Atom, b: Dict, var_type: type = Variable) -> List[Atom]:
         """The facts of at's relation and arity, in fact_key order."""
+        return self._by_relation.get((at.relation, len(at.args)), [])
+
+
+class FactSet:
+    """A bare fact set for yes-or-no questions: satisfies, head_holds and
+    join read it as they read an Instance. Its relation buckets are built
+    on first use and keep no order, since an existence test needs none."""
+
+    def __init__(self, facts: frozenset):
+        self.facts = facts
+
+    @cached_property
+    def _by_relation(self) -> Dict[Tuple[str, int], List[Atom]]:
+        by_rel: Dict[Tuple[str, int], List[Atom]] = {}
+        for f in self.facts:
+            by_rel.setdefault((f.relation, len(f.args)), []).append(f)
+        return by_rel
+
+    def candidates(self, at: Atom, b: Dict, var_type: type = Variable) -> List[Atom]:
+        """The facts of at's relation and arity, in no fixed order."""
         return self._by_relation.get((at.relation, len(at.args)), [])
 
 
@@ -491,11 +531,12 @@ def join(atoms: Sequence[Atom], facts, b: Dict,
          var_type: type = Variable) -> Iterator[Dict]:
     """Every extension of the binding b that maps all atoms into facts.
 
-    facts is an Instance or a FactIndex; its candidates() picks the facts an
-    atom may map to. Terms of var_type are bound, every other term must match
-    exactly. Backtracking runs on an explicit stack, atom by atom in the
-    given order, and b is extended in place: each solution is b itself, valid
-    until the next one is requested, so callers copy what they keep.
+    facts is an Instance, a FactIndex or a FactSet; its candidates() picks
+    the facts an atom may map to. Terms of var_type are bound, every other
+    term must match exactly. Backtracking runs on an explicit stack, atom by
+    atom in the given order, and b is extended in place: each solution is b
+    itself, valid until the next one is requested, so callers copy what they
+    keep.
     """
     n = len(atoms)
     if n == 0:
@@ -540,10 +581,10 @@ def match_conjunction(atoms: Sequence[Atom], I: Instance,
 # ---------------------------------------------------------------------------
 
 def head_holds(facts, c: Constraint, a: Assignment) -> bool:
-    """Does a satisfy c's head in facts (an Instance or a FactIndex), the
-    body being already in place? A TGD needs some extension over its
-    existential variables that maps the whole head into the facts; an EGD
-    needs the equated values to coincide."""
+    """Does a satisfy c's head in facts (an Instance, a FactIndex or a
+    FactSet), the body being already in place? A TGD needs some extension
+    over its existential variables that maps the whole head into the facts;
+    an EGD needs the equated values to coincide."""
     if c.kind == EGD:
         left, right = c.equated  # type: ignore[misc]
         return a[left] == a[right]
@@ -553,8 +594,8 @@ def head_holds(facts, c: Constraint, a: Assignment) -> bool:
     return next(join(c.head, facts, base), None) is not None
 
 
-def satisfies(I: Instance, c: Constraint, a: Assignment) -> bool:
-    """Does I satisfy c under assignment a?
+def satisfies(I: Union[Instance, FactSet], c: Constraint, a: Assignment) -> bool:
+    """Does I (an Instance or a FactSet) satisfy c under assignment a?
 
     True when the instantiated body is not contained in I (vacuous case).
     Otherwise a TGD needs some extension of a over its existential variables

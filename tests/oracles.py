@@ -376,10 +376,10 @@ def ref_find_homomorphism(source, target):
 # ---------------------------------------------------------------------------
 # The firing-witness search as it was before it pruned: every restricted-
 # growth assignment of alpha, then of beta, reaches ref_holds, the judge as
-# it was before it ran its checks cheapest first. The pruned search must
-# find the same first witness. It keeps the search's own unifier and
-# instance builder, which the package replaced with model._bind and
-# model.instance.
+# it was before it ran its checks cheapest first and on bare fact sets. The
+# pruned search must find the same first witness. It keeps the search's own
+# unifier and instance builder, which the package replaced with
+# model._bind and model.instance.
 # ---------------------------------------------------------------------------
 
 
@@ -388,6 +388,27 @@ def old_trigger(I, beta, b):
     "new" prune must keep every such b from the judge."""
     return (not any(_is_placeholder(v) for v in b.values())
             and instantiate(beta.body, b) <= I.facts)
+
+
+def settled_trigger(alpha, a, beta, b):
+    """Does beta's head under b hold in the step's image of alpha's body
+    image: for a TGD alpha the body image plus the added facts, with
+    placeholders for the fresh nulls, and for an EGD alpha the body image
+    with the loser renamed to the survivor? The search's "settled" prune
+    must keep every such b from the judge."""
+    base = {_ground(at, a) for at in alpha.body}
+    if alpha.kind == TGD:
+        image = base | set(_added_pattern(alpha, a))
+    else:
+        left, right = alpha.equated
+        survivor, loser = sorted((a[left], a[right]), key=value_key)
+        image = replace_value(base, loser, survivor)
+    if beta.kind == EGD:
+        left, right = beta.equated
+        return b[left] == b[right]
+    bound = {v: b[v] for v in beta.body_vars}
+    matches = ref_match_conjunction(beta.head, Instance(frozenset(image)), bound)
+    return next(matches, None) is not None
 
 
 def ref_holds(I, alpha, a, beta, b, P, mode):

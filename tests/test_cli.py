@@ -271,6 +271,16 @@ class TestInputErrors:
                      "--as-query", "-k", k]) == 4
         assert "argument -k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["-5", "-1", "x"])
+    def test_step_limit_below_zero(self, files, capsys, steps):
+        assert main(["chase", files["tc.rules"], files["tc.inst"],
+                     "--max-steps", steps]) == 4
+        assert "argument --max-steps" in capsys.readouterr().err
+
+    def test_step_limit_zero_aborts_before_the_first_step(self, files, capsys):
+        assert main(["chase", files["tc.rules"], files["tc.inst"],
+                     "--max-steps", "0"]) == 3
+
     def test_cross_file_arity_clash(self, tmp_path, capsys):
         rules = tmp_path / "a.rules"
         rules.write_text("a: S(X) -> T(X).\n")
@@ -303,3 +313,29 @@ class TestHashSeed:
         assert first.returncode in (0, 3), first.stderr
         assert first.stdout
         assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+
+class TestImportCost:
+    """Set-up, mostly imports, is the largest end-to-end cost of a short
+    CLI run, so importing the CLI must not load a module it did not load
+    before."""
+
+    # what `import chaseterm.cli` added to sys.modules on Python 3.11
+    KNOWN = frozenset("""
+        __future__ _ast _heapq _json _opcode argparse ast chaseterm
+        chaseterm.chase chaseterm.cli chaseterm.dynamic chaseterm.firing
+        chaseterm.fixtures chaseterm.graphs chaseterm.model chaseterm.monitor
+        chaseterm.reports chaseterm.static chaseterm.syntax copy dataclasses
+        dis gettext heapq importlib.machinery inspect json json.decoder
+        json.encoder json.scanner linecache opcode token tokenize
+    """.split())
+
+    def test_cli_loads_no_new_module(self):
+        code = ("import sys; before = set(sys.modules); import chaseterm.cli; "
+                "print(*sorted(set(sys.modules) - before))")
+        path = [TestHashSeed.SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert set(run.stdout.split()) - self.KNOWN == set()

@@ -263,6 +263,17 @@ class TestWitnessIntegrity:
         w = Witness("r", "s", I, (("X", c),), (("X", c),), J)
         assert not verify_witness(r, s, w, mode=PRECEDES)
 
+    def test_witness_whose_step_fails_is_rejected(self):
+        # a equates two constants, so the merge has no repair; renaming one
+        # into the other anyway would complete r's body in J
+        x, y, c1, c2 = V("X"), V("Y"), C("c1"), C("c2")
+        e = egd("e", [A("R", x, y)], x, y)
+        r = tgd("r", [A("R", x, x)], [A("T", x)])
+        I = instance([A("R", c1, c2)])
+        w = Witness("e", "r", I, (("X", c1), ("Y", c2)), (("X", c1),),
+                    instance([A("R", c1, c1)]))
+        assert not verify_witness(e, r, w, mode=PRECEDES)
+
     def test_witness_step_is_replayable(self, travel_sigma):
         from chaseterm.model import Variable
         a3 = travel_sigma[2]

@@ -11,23 +11,28 @@ the same does not pass. The search must also skip every candidate that
 its "new" prune names: no assignment without placeholders whose body
 image lies in the candidate instance may reach the judge, and under
 PRECEDES_P no assignment that puts no null on beta's frontier ("copying").
-A weaker prune would still find the same witnesses. Every set is asked
-twice, with PRECEDES first and with it last, since a guarded search that
-finds the pair's unguarded "no" returns at once and would compare nothing
+The same holds for "settled": no assignment whose beta head holds in the
+step's image of alpha's body image may reach the judge. A weaker prune
+would still find the same witnesses. Every set is asked twice, with
+PRECEDES first and with it last, since a guarded search that finds the
+pair's unguarded "no" returns at once and would compare nothing
 ("unguarded"). The sets with an instance's alpha_I appended hold the
 pairs that dynamic.irrelevant_constraints searches, body-less targets
-among them.
+among them. On those sets the judge must also give every candidate the
+generators yield, settled ones included, the verdict of oracles.ref_holds,
+and the same resolved b and successor when both accept.
 """
 
+import collections
 import random
 
 import pytest
 
 from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
-from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause
+from chaseterm.firing import PRECEDES, PRECEDES_P, _holds, can_cause
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import LabeledNull
+from chaseterm.model import TGD, LabeledNull, instance, instantiate
 from chaseterm.syntax import parse_constraints
 
 from . import generators, oracles
@@ -41,6 +46,7 @@ def judge_sees_only_new_triggers(monkeypatch):
 
     def checked_holds(I, alpha, a, beta, b, P, mode):
         assert not oracles.old_trigger(I, beta, b), (alpha, a, beta, b, I)
+        assert not oracles.settled_trigger(alpha, a, beta, b), (alpha, a, beta, b)
         if mode == PRECEDES_P:
             # the frontier: beta's head variables that b binds
             assert any(isinstance(b[v], LabeledNull)
@@ -61,6 +67,50 @@ def assert_same_witnesses(sigma, rng):
         firing._memo.clear()
         for q in order:
             assert strict(can_cause(*q)) == want[q], q
+
+
+def assert_same_verdicts(sigma, rng, seen):
+    """_holds against ref_holds on every (b, B) that the candidate
+    generators yield for every pair of sigma and every guard, with the
+    settled and copying prunes switched off (in the generators head_holds
+    serves the first alone), so that every check of the judge has
+    candidates to reject. seen counts the verdicts, so the caller can see
+    that both answers and settled candidates occurred."""
+    cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P) for P in guards(sigma, rng)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(firing, "head_holds", lambda *args: False)
+        for alpha in sigma:
+            for beta in sigma:
+                named = firing._named_constants(alpha, beta)
+                generate = (firing._tgd_candidates if alpha.kind == TGD
+                            else firing._egd_candidates)
+                for P, mode in cases:
+                    no_null_b = firing._no_null_vars(beta, P, mode)
+                    for a, pool, fc in firing._extensions(
+                            list(alpha.body_vars), {}, (), named, 0,
+                            firing._no_null_vars(alpha, P, mode)):
+                        base = instantiate(alpha.body, a)
+                        for b, B in generate(alpha, a, base, beta, pool, named,
+                                             fc, no_null_b, False):
+                            I = instance(base | B)
+                            got = _holds(I, alpha, a, beta, b, P, mode)
+                            want = oracles.ref_holds(I, alpha, a, beta, b, P, mode)
+                            assert strict(got) == strict(want), (alpha, a, beta, b, I)
+                            settled = oracles.settled_trigger(alpha, a, beta, b)
+                            assert not (settled and got), (alpha, a, beta, b, I)
+                            seen[got is not None, settled] += 1
+
+
+@pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+def test_judge_agrees_on_every_candidate(egd_rate):
+    seen = collections.Counter()
+    for seed in range(25):
+        rng = random.Random(f"firing-oracle/verdicts/{egd_rate}/{seed}")
+        sigma = generators.random_constraints(rng, egd_rate=egd_rate)
+        assert_same_verdicts(sigma, rng, seen)
+        I = generators.random_instance(rng, max_facts=6, n_constants=2)
+        assert_same_verdicts(sigma + [constraint_from_instance(I)], rng, seen)
+    assert seen[True, False] and seen[False, True], seen
 
 
 @pytest.mark.parametrize("egd_rate", [0.25, 0.75])
