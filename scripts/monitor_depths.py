@@ -13,6 +13,7 @@ import argparse
 from chaseterm.dynamic import data_dependent_guarantee
 from chaseterm.fixtures import rotation_family
 from chaseterm.monitor import is_k_cyclic, monitored_chase
+from chaseterm.static import analyze
 
 
 def main():
@@ -30,7 +31,7 @@ def main():
         depths = [d for d in range(1, k + 2) if is_k_cyclic(G, d)[0]]
         cyclic = f"<= {max(depths)}" if depths else "none"
         tripped = monitored_chase(I, sigma, k - 1).outcome
-        level = data_dependent_guarantee(I, sigma).level
+        level = data_dependent_guarantee(I, analyze(sigma)).level
         print(f"{k:>2} {len(res.steps):>5} {G.longest:>5} {cyclic:>12} "
               f"{res.outcome:>9} {tripped:>9} {level:>12}")
 

@@ -297,8 +297,15 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
 
     Returns Terminated with the final instance, Failed on a constant clash,
     or Aborted when the step limit or the cycle monitor trips. A run with
-    policy.monitor_k set also returns its monitor graph.
+    policy.monitor_k set also returns its monitor graph. A bad policy
+    raises ValueError before any step.
     """
+    if policy.order not in ("det", "rand"):
+        raise ValueError(f"unknown chase order {policy.order!r}")
+    if policy.max_steps is not None and policy.max_steps < 0:
+        raise ValueError("max_steps must be at least 0")
+    if policy.monitor_k is not None and policy.monitor_k < 1:
+        raise ValueError("k must be at least 1")
     monitor = None
     if policy.monitor_k is not None:
         from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update

@@ -196,7 +196,7 @@ def cmd_termcheck(args) -> int:
         else:
             print(f"guarantee: AllInstances (via {', '.join(rungs)})")
         return EXIT_OK
-    guarantee = data_dependent_guarantee(I, sigma)
+    guarantee = data_dependent_guarantee(I, report)
     if guarantee.level == THIS_INSTANCE:
         if args.json:
             sys.stdout.write(to_json(guarantee_report(guarantee)))

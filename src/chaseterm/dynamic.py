@@ -5,7 +5,9 @@ instance up to null renaming. Constraints not reachable from alpha_I in the
 firing graph, or from a body-less constraint the instance leaves violated,
 can never fire in any chase of that instance, so termination only depends on
 the reachable ones. The check is sound but necessarily incomplete:
-unreachable means irrelevant, reachable proves nothing.
+unreachable means irrelevant, reachable proves nothing. data_dependent_guarantee
+takes analyze's report on the set: it reads the verdict and parts there and,
+over the report's firing table, searches only the pairs of alpha_I.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from chaseterm.firing import PRECEDES, Witness, can_cause
+from chaseterm.firing import PRECEDES, Answers, Witness, can_cause
 from chaseterm.graphs import reachable_from
 from chaseterm.model import (
     Atom, Constraint, Instance, LabeledNull, ModelError, Variable, fact_key,
     find_violations, tgd,
 )
-from chaseterm.static import is_inductively_restricted, part
+from chaseterm.static import AnalysisReport, is_safe, part
 
 ALPHA_I = "alpha_I"
 
@@ -51,29 +53,30 @@ class ChaseGraph:
     witnesses: Dict[Tuple[str, str], Witness]
 
 
-def chase_graph(sigma: Sequence[Constraint]) -> ChaseGraph:
+def chase_graph(sigma: Sequence[Constraint], answers: Optional[Answers] = None) -> ChaseGraph:
     sigma = tuple(sigma)
     witnesses: Dict[Tuple[str, str], Witness] = {}
     for a in sigma:
         for b in sigma:
-            w = can_cause(a, b, mode=PRECEDES)
+            w = can_cause(a, b, mode=PRECEDES, answers=answers)
             if w is not None:
                 witnesses[(a.id, b.id)] = w
     return ChaseGraph(sigma, tuple(sorted(witnesses)), witnesses)
 
 
 def irrelevant_constraints(I: Instance, sigma: Sequence[Constraint],
+                           answers: Optional[Answers] = None,
                            ) -> Tuple[Tuple[Constraint, ...], Tuple[Constraint, ...], ChaseGraph]:
     """Split sigma into (irrelevant, relevant) for chasing I, with the graph
     as evidence. Relevant means reachable from alpha_I or from a body-less
-    constraint that I leaves violated.
+    constraint that I leaves violated. Queries go through answers.
 
     The extra roots matter: a body-less constraint violated by I fires with
     no predecessor (it was violated before alpha_I ran, so no edge reaches
     it), while one satisfied by I stays satisfied forever, since steps only
     add facts or rename nulls away."""
     alpha = constraint_from_instance(I)
-    g = chase_graph(tuple(sigma) + (alpha,))
+    g = chase_graph(tuple(sigma) + (alpha,), answers)
     roots = [ALPHA_I] + [c.id for c in sigma
                          if not c.body and find_violations(I, c)]
     reached = reachable_from(roots, g.edges)
@@ -93,18 +96,17 @@ class TerminationGuarantee:
     parts: Tuple[Tuple[Constraint, ...], ...]  # decomposition behind the verdict
 
 
-def data_dependent_guarantee(I: Instance, sigma: Sequence[Constraint],
+def data_dependent_guarantee(I: Instance, report: AnalysisReport,
                              ) -> TerminationGuarantee:
-    """AllInstances when sigma alone passes inductive restriction,
-    ThisInstance when the subset relevant to I does, None otherwise."""
-    sigma = tuple(sigma)
-    if is_inductively_restricted(sigma):
-        return TerminationGuarantee(ALL_INSTANCES, sigma, (), None,
-                                    tuple(part(sigma)))
+    """AllInstances when report, analyze's on sigma, finds sigma inductively
+    restricted; ThisInstance when the subset relevant to I is; None otherwise."""
+    sigma, answers = report.constraints, report.answers
+    if report.inductively_restricted:
+        return TerminationGuarantee(ALL_INSTANCES, sigma, (), None, report.parts)
     if I.facts:
-        irrelevant, relevant, g = irrelevant_constraints(I, sigma)
+        irrelevant, relevant, g = irrelevant_constraints(I, sigma, answers)
     else:
         irrelevant, relevant, g = (), sigma, None
-    level = THIS_INSTANCE if is_inductively_restricted(relevant) else NO_GUARANTEE
-    return TerminationGuarantee(level, relevant, irrelevant, g,
-                                tuple(part(relevant)))
+    pieces = report.parts if relevant == sigma else tuple(part(relevant, answers))
+    level = THIS_INSTANCE if all(map(is_safe, pieces)) else NO_GUARANTEE
+    return TerminationGuarantee(level, relevant, irrelevant, g, pieces)

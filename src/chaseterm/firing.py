@@ -58,16 +58,16 @@ so the first witness found is the one the unpruned enumeration finds.
             skipped whole, and else each B that contains them all. For an
             EGD alpha, each pre-image B that contains the part of b's
             body image outside base is skipped.
-  unguarded A PRECEDES_P search returns None at once when can_cause has
-            already answered None for the same pair under PRECEDES. The
-            unpruned enumeration is the same in both modes, and the
-            PRECEDES_P validator checks every PRECEDES condition plus the
-            guard and null-copying, so it accepts no candidate that the
-            PRECEDES one rejects. The search only reads that answer and
-            never computes a missing one: chase_graph runs before the
-            restriction system in analyze, so the answer is there when
-            it helps, and a bare restriction-system call searches no
-            PRECEDES pair.
+  unguarded A PRECEDES_P query is answered None at once when the table
+            of the analysis asking (see can_cause) already holds None for
+            the same pair under PRECEDES. The unpruned enumeration is the
+            same in both modes, and the PRECEDES_P validator checks every
+            PRECEDES condition plus the guard and null-copying, so it
+            accepts no candidate that the PRECEDES one rejects. The query
+            only reads that answer and never computes a missing one:
+            analyze builds the chase graph before the restriction system,
+            over one table, so the answer is there when it helps, and a
+            bare restriction-system call searches no PRECEDES pair.
   copying   Under PRECEDES_P, a b that puts no null on beta's frontier,
             the head variables of beta that occur in its body, is skipped
             before its instance is built: the null-copying check reads b
@@ -353,9 +353,8 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                 yield b, B
 
 
-# Every answer can_cause has given, keyed (alpha, beta, P, mode) with P and
-# mode as _normalised returns them. It lives as long as the process.
-_memo: Dict[Tuple[Constraint, Constraint, frozenset, str], Optional[Witness]] = {}
+# One analysis's firing answers, keyed (alpha, beta) + _normalised(P, mode)
+Answers = Dict[Tuple[Constraint, Constraint, frozenset, str], Optional[Witness]]
 
 
 def _search(alpha: Constraint, beta: Constraint, P: frozenset,
@@ -363,14 +362,8 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
     if not beta.body:
         return None  # see "body-less" in the module docstring
     copying = mode == PRECEDES_P
-    if copying:
-        # peek only: computing a missing PRECEDES answer here would cost
-        # more than the guarded search it might save (see "unguarded")
-        unguarded = (alpha, beta, frozenset(), PRECEDES)
-        if unguarded in _memo and _memo[unguarded] is None:
-            return None
-        if not beta.frontier:
-            return None  # see "copying"
+    if copying and not beta.frontier:
+        return None  # see "copying"
     if alpha.kind == TGD:
         # a TGD step only adds facts, so an assignment that newly violates
         # beta must match part of beta's body into them; no shared relation,
@@ -408,16 +401,20 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
 
 
 def can_cause(alpha: Constraint, beta: Constraint, P=frozenset(),
-              mode: str = PRECEDES_P) -> Optional[Witness]:
+              mode: str = PRECEDES_P,
+              answers: Optional[Answers] = None) -> Optional[Witness]:
     """A witness that firing alpha can newly violate beta, or None.
 
     Mode PRECEDES_P enforces the position guard P and null-copying; mode
-    PRECEDES drops both, and P is then ignored.
+    PRECEDES drops both, and P is then ignored. answers, the asking analysis's
+    table, keeps every answer and may settle a query (see "unguarded").
     """
     key = (alpha, beta) + _normalised(P, mode)
-    if key not in _memo:
-        _memo[key] = _search(*key)
-    return _memo[key]
+    answers = {} if answers is None else answers
+    if key not in answers:
+        no_edge = answers.get((alpha, beta, frozenset(), PRECEDES), False) is None
+        answers[key] = None if no_edge and mode == PRECEDES_P else _search(*key)
+    return answers[key]
 
 
 def _normalised(P, mode: str) -> Tuple[frozenset, str]:

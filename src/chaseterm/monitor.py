@@ -125,7 +125,5 @@ def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
                     policy: ChasePolicy = ChasePolicy()) -> ChaseResult:
     """Chase with the cycle monitor armed: aborts with reason k_cyclic the
     first time the monitor graph becomes k-cyclic. The result's `monitor`
-    is the graph of the steps run."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    is the graph of the steps run. A k below 1 raises ValueError."""
     return chase(I, sigma, replace(policy, monitor_k=k))

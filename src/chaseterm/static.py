@@ -13,11 +13,10 @@ bodies and heads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from chaseterm.firing import PRECEDES_P, Witness, can_cause
+from chaseterm.firing import PRECEDES_P, Answers, Witness, can_cause
 from chaseterm.graphs import cycle_through, nontrivial_components
 from chaseterm.model import (
     TGD, Constraint, Position, check_arities, position_key, term_positions,
@@ -200,16 +199,13 @@ class RestrictionSystem:
     witnesses: Dict[Tuple[str, str], Witness]
 
 
-def minimal_restriction_system(sigma: Sequence[Constraint]) -> RestrictionSystem:
+def minimal_restriction_system(sigma: Sequence[Constraint],
+                               answers: Optional[Answers] = None) -> RestrictionSystem:
     """Least fixpoint: discover edges with the guard at its current value,
     then grow each target's guard by exactly the positions the edge forces
     (the firing constraint's affected closure for TGDs, its own guard for
-    EGDs, cut down to the target's body positions)."""
-    return _minimal_system(tuple(sigma))
-
-
-@lru_cache(maxsize=None)
-def _minimal_system(sigma: Tuple[Constraint, ...]) -> RestrictionSystem:
+    EGDs, cut down to the target's body positions). See can_cause on answers."""
+    answers = {} if answers is None else answers
     by_id = {c.id: c for c in sigma}
     f: Dict[str, frozenset] = {c.id: frozenset() for c in sigma}
     witnesses: Dict[Tuple[str, str], Witness] = {}
@@ -220,7 +216,7 @@ def _minimal_system(sigma: Tuple[Constraint, ...]) -> RestrictionSystem:
             for b in sigma:
                 if (a.id, b.id) in witnesses:
                     continue
-                w = can_cause(a, b, f[a.id], PRECEDES_P)
+                w = can_cause(a, b, f[a.id], PRECEDES_P, answers)
                 if w is not None:
                     witnesses[(a.id, b.id)] = w
                     changed = True
@@ -246,25 +242,22 @@ def nontrivial_sccs(constraints: Sequence[Constraint],
     return out
 
 
-def part(sigma: Sequence[Constraint]) -> List[Tuple[Constraint, ...]]:
+def part(sigma: Sequence[Constraint],
+         answers: Optional[Answers] = None) -> List[Tuple[Constraint, ...]]:
     """Recursive SCC refinement of the minimal restriction system. A set
     returns itself once it is its own single component; otherwise the
     refinement descends into each component. Components are disjoint and
-    each descent stays inside one, so the pieces are pairwise disjoint."""
-    return _part(tuple(sigma))
+    each descent stays inside one, so the pieces are pairwise disjoint.
+    Every level queries one table: answers (see can_cause), or its own."""
+    answers = {} if answers is None else answers
+    return _refine(minimal_restriction_system(sigma, answers), answers)
 
 
-def _part(sigma: Tuple[Constraint, ...]) -> List[Tuple[Constraint, ...]]:
-    system = _minimal_system(sigma)
-    comps = nontrivial_sccs(sigma, system.edges)
-    if len(comps) == 1:
-        if set(comps[0]) != set(sigma):
-            return _part(comps[0])
+def _refine(system: RestrictionSystem, answers: Answers) -> List[Tuple[Constraint, ...]]:
+    comps = nontrivial_sccs(system.constraints, system.edges)
+    if len(comps) == 1 and set(comps[0]) == set(system.constraints):
         return [comps[0]]
-    out: List[Tuple[Constraint, ...]] = []
-    for comp in comps:
-        out.extend(_part(comp))
-    return out
+    return [piece for comp in comps for piece in part(comp, answers)]
 
 
 def is_safely_restricted(sigma: Sequence[Constraint]) -> bool:
@@ -305,6 +298,7 @@ class AnalysisReport:
     inductively_restricted: bool
     parts: Tuple[Tuple[Constraint, ...], ...]
     part_failures: Tuple[Tuple[Tuple[str, ...], Cycle], ...]
+    answers: Answers = field(compare=False, repr=False)  # data_dependent_guarantee reuses it
 
     @property
     def accepted_by(self) -> Tuple[Rung, ...]:
@@ -335,15 +329,16 @@ def analyze(sigma: Sequence[Constraint]) -> AnalysisReport:
     wa, wa_cycle, dep = weak_acyclicity(sigma)
     safe, safe_cycle, prop = safety(sigma)
 
-    cg = chase_graph(sigma)
+    answers: Answers = {}  # one table for every rung: see "unguarded" in firing
+    cg = chase_graph(sigma, answers)
     strat_failures = _component_failures(
         nontrivial_sccs(list(sigma), cg.edges), weak_acyclicity)
 
-    system = minimal_restriction_system(sigma)
+    system = minimal_restriction_system(sigma, answers)
     sr_failures = _component_failures(
         nontrivial_sccs(list(sigma), system.edges), safety)
 
-    parts = tuple(part(sigma))
+    parts = tuple(_refine(system, answers))  # part(sigma), reusing system
     part_failures = _component_failures(parts, safety)
 
     return AnalysisReport(
@@ -355,4 +350,4 @@ def analyze(sigma: Sequence[Constraint]) -> AnalysisReport:
         safely_restricted=not sr_failures, restriction_system=system,
         restriction_failures=sr_failures,
         inductively_restricted=not part_failures, parts=parts,
-        part_failures=part_failures)
+        part_failures=part_failures, answers=answers)

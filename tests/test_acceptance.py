@@ -121,7 +121,7 @@ def test_c03_travel_set_and_query_bodies(travel_sigma, oneway_instance, roundtri
 def test_c04_query_body_pruning(travel_sigma, roundtrip_instance):
     irrelevant, relevant, _ = irrelevant_constraints(roundtrip_instance, travel_sigma)
     assert ids(irrelevant) == {"a2", "a3"}
-    guarantee = data_dependent_guarantee(roundtrip_instance, travel_sigma)
+    guarantee = data_dependent_guarantee(roundtrip_instance, analyze(travel_sigma))
     assert guarantee.level == THIS_INSTANCE
     assert ids(guarantee.relevant) == {"a1"}
 

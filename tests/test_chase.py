@@ -9,7 +9,7 @@ import pytest
 
 from chaseterm.chase import (
     ABORTED, FAILED, STEP_LIMIT, TERMINATED,
-    ChaseFailed, ChasePolicy, chase, chase_step, apply_record,
+    ChaseFailed, ChasePolicy, _Run, chase, chase_step, apply_record,
 )
 from chaseterm.model import (
     Constant, Instance, LabeledNull, Position, Variable,
@@ -174,6 +174,25 @@ class TestRandomizedRuns:
                     ChasePolicy(order="rand", seed=3, max_steps=9))
         assert res.outcome == ABORTED
         assert len(res.steps) == 9
+
+
+class TestPolicyChecks:
+    # each is rejected before the first step, though the instance has
+    # violations to apply
+    @pytest.mark.parametrize("policy", [
+        ChasePolicy(order="random"),
+        ChasePolicy(max_steps=-1),
+        ChasePolicy(monitor_k=0),
+    ], ids=["unknown-order", "negative-step-limit", "monitor-depth-zero"])
+    def test_bad_policy_raises_before_any_step(self, travel_sigma,
+                                               oneway_instance, policy,
+                                               monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a step was applied")
+
+        monkeypatch.setattr(_Run, "apply", refuse)
+        with pytest.raises(ValueError):
+            chase(oneway_instance, travel_sigma, policy)
 
 
 class TestReplay:

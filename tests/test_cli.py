@@ -216,6 +216,31 @@ class TestIrrelevantAndTermcheck:
                      "--as-query", "--json"]) == 0
         assert capsys.readouterr().out == golden(f"termcheck_{rules}.json")
 
+    @pytest.mark.parametrize("inst, code", [("roundtrip.inst", 0),
+                                            ("oneway.inst", 3)])
+    def test_termcheck_refines_the_whole_set_once(self, files, capsys,
+                                                  monkeypatch, inst, code):
+        # analyze refines the whole set from the restriction system it
+        # built; the guarantee reads those parts and refines only a proper
+        # relevant subset (a1 for the round trip, none for the one-way trip)
+        from chaseterm import dynamic, static
+        refined = []
+
+        def recording(fn, constraints):
+            def counted(arg, *args):
+                refined.append(tuple(c.id for c in constraints(arg)))
+                return fn(arg, *args)
+            return counted
+
+        for module in (static, dynamic):
+            monkeypatch.setattr(module, "part",
+                                recording(static.part, lambda sigma: sigma))
+        monkeypatch.setattr(static, "_refine", recording(
+            static._refine, lambda system: system.constraints))
+        assert main(["termcheck", files["travel.rules"], files[inst],
+                     "--as-query", "-k", "3"]) == code
+        assert refined.count(("a1", "a2", "a3")) == 1
+
     def test_termcheck_json_levels(self, files, capsys):
         main(["termcheck", files["travel.rules"], files["roundtrip.inst"],
               "--as-query", "--json"])

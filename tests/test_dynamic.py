@@ -8,7 +8,7 @@ from chaseterm.dynamic import (
 )
 from chaseterm.firing import PRECEDES, verify_witness
 from chaseterm.model import TGD, ModelError, Variable, instance
-from chaseterm.static import is_inductively_restricted
+from chaseterm.static import analyze, is_inductively_restricted
 
 from .conftest import A, C, N, V
 
@@ -97,28 +97,28 @@ class TestIrrelevance:
 
 class TestGuarantee:
     def test_pruning_recovers_termination(self, travel_sigma, roundtrip_instance):
-        g = data_dependent_guarantee(roundtrip_instance, travel_sigma)
+        g = data_dependent_guarantee(roundtrip_instance, analyze(travel_sigma))
         assert g.level == THIS_INSTANCE
         assert [c.id for c in g.relevant] == ["a1"]
         assert [c.id for c in g.irrelevant] == ["a2", "a3"]
         assert is_inductively_restricted(g.relevant)
 
     def test_no_guarantee_when_loop_stays(self, travel_sigma, oneway_instance):
-        g = data_dependent_guarantee(oneway_instance, travel_sigma)
+        g = data_dependent_guarantee(oneway_instance, analyze(travel_sigma))
         assert g.level == NO_GUARANTEE
         assert {c.id for c in g.relevant} == {"a1", "a2", "a3"}
 
     def test_static_pass_short_circuits(self, seeded_feedback_sigma, oneway_instance):
-        g = data_dependent_guarantee(oneway_instance, seeded_feedback_sigma)
+        g = data_dependent_guarantee(oneway_instance, analyze(seeded_feedback_sigma))
         assert g.level == ALL_INSTANCES
         assert g.irrelevant == ()
         assert g.chase_graph is None
 
     def test_empty_instance_keeps_everything(self, travel_sigma):
-        g = data_dependent_guarantee(instance([]), travel_sigma)
+        g = data_dependent_guarantee(instance([]), analyze(travel_sigma))
         assert g.level == NO_GUARANTEE
         assert {c.id for c in g.relevant} == {"a1", "a2", "a3"}
 
     def test_failing_part_reported(self, travel_sigma, oneway_instance):
-        g = data_dependent_guarantee(oneway_instance, travel_sigma)
+        g = data_dependent_guarantee(oneway_instance, analyze(travel_sigma))
         assert [[c.id for c in p] for p in g.parts] == [["a3"]]

@@ -145,7 +145,6 @@ class TestBodylessTarget:
             return holds(*args)
 
         monkeypatch.setattr(firing, "_holds", counting_holds)
-        firing._memo.clear()
         for alpha in travel_sigma + [e1]:
             assert can_cause(alpha, alpha_I, mode=PRECEDES) is None
         assert judged == []
@@ -163,7 +162,7 @@ class TestNewPrune:
             return holds(I, alpha, a, beta, b, P, mode)
 
         monkeypatch.setattr(firing, "_holds", recording_holds)
-        firing._memo.clear()
+        answers = {}
         for seed in range(40):
             rng = random.Random(f"new-prune/{seed}")
             sigma = generators.random_constraints(rng, egd_rate=0.5)
@@ -173,38 +172,40 @@ class TestNewPrune:
                       frozenset(p for p in body if rng.random() < 0.5)]
             for alpha in sigma:
                 for beta in sigma:
-                    can_cause(alpha, beta, mode=PRECEDES)
+                    can_cause(alpha, beta, mode=PRECEDES, answers=answers)
                     for guard in guards:
-                        can_cause(alpha, beta, guard, PRECEDES_P)
+                        can_cause(alpha, beta, guard, PRECEDES_P, answers)
         assert judged and not any(judged)
 
 
 class TestUnguardedReuse:
     def test_no_edge_is_not_searched_again_under_a_guard(self, monkeypatch):
         # a guarded search only adds checks and drops candidates, so the
-        # unguarded "no" settles it without a judged candidate
-        holds, judged = firing._holds, []
+        # unguarded "no" in the table settles it without a search
+        search, searched = firing._search, []
 
-        def counting_holds(*args):
-            judged.append(args)
-            return holds(*args)
+        def counting_search(*args):
+            searched.append(args)
+            return search(*args)
 
-        monkeypatch.setattr(firing, "_holds", counting_holds)
-        firing._memo.clear()
+        monkeypatch.setattr(firing, "_search", counting_search)
+        answers = {}
         settled = 0
         for seed in range(30):
             rng = random.Random(f"unguarded/{seed}")
             sigma = generators.random_constraints(rng, egd_rate=0.5)
             for alpha in sigma:
                 for beta in sigma:
-                    if can_cause(alpha, beta, mode=PRECEDES) is not None:
+                    if can_cause(alpha, beta, mode=PRECEDES,
+                                 answers=answers) is not None:
                         continue
-                    before = len(judged)
+                    before = len(searched)
                     for guard in generators.guards(sigma, rng):
-                        assert can_cause(alpha, beta, guard, PRECEDES_P) is None
-                    assert len(judged) == before, (alpha, beta)
+                        assert can_cause(alpha, beta, guard, PRECEDES_P,
+                                         answers) is None
+                    assert len(searched) == before, (alpha, beta)
                     settled += 1
-        assert settled and judged
+        assert settled and searched
 
     def test_restriction_system_searches_no_unguarded_pair(
             self, feedback_sigma, monkeypatch):
@@ -222,11 +223,8 @@ class TestUnguardedReuse:
         sets = [feedback_sigma] + [generators.random_constraints(rng)
                                    for _ in range(20)]
         for sigma in sets:
-            firing._memo.clear()
-            static._minimal_system.cache_clear()
             static.minimal_restriction_system(sigma)
             static.is_inductively_restricted(sigma)
-        static._minimal_system.cache_clear()
         assert PRECEDES_P in modes and PRECEDES not in modes
 
 

@@ -13,10 +13,10 @@ image lies in the candidate instance may reach the judge, and under
 PRECEDES_P no assignment that puts no null on beta's frontier ("copying").
 The same holds for "settled": no assignment whose beta head holds in the
 step's image of alpha's body image may reach the judge. A weaker prune
-would still find the same witnesses. Every set is asked twice, with
-PRECEDES first and with it last, since a guarded search that finds the
-pair's unguarded "no" returns at once and would compare nothing
-("unguarded"). The sets with an instance's alpha_I appended hold the
+would still find the same witnesses. Every set is asked twice, each time
+over a fresh answer table, with PRECEDES first and with it last, since a
+guarded query whose table holds the pair's unguarded "no" is answered at
+once and would compare nothing ("unguarded"). The sets with an instance's alpha_I appended hold the
 pairs that dynamic.irrelevant_constraints searches, body-less targets
 among them. On those sets the judge must also give every candidate the
 generators yield, settled ones included, the verdict of oracles.ref_holds,
@@ -54,7 +54,6 @@ def judge_sees_only_new_triggers(monkeypatch):
         return holds(I, alpha, a, beta, b, P, mode)
 
     monkeypatch.setattr(firing, "_holds", checked_holds)
-    firing._memo.clear()
 
 
 def assert_same_witnesses(sigma, rng):
@@ -64,9 +63,9 @@ def assert_same_witnesses(sigma, rng):
     want = {q: strict(oracles.ref_search(*q)) for q in queries}
     guarded_first = sorted(queries, key=lambda q: q[3] == PRECEDES)
     for order in (queries, guarded_first):
-        firing._memo.clear()
+        answers = {}
         for q in order:
-            assert strict(can_cause(*q)) == want[q], q
+            assert strict(can_cause(*q, answers)) == want[q], q
 
 
 def assert_same_verdicts(sigma, rng, seen):

@@ -19,7 +19,7 @@ from chaseterm.model import (
     satisfies,
 )
 from chaseterm.monitor import edge_class, is_k_cyclic, monitored_chase
-from chaseterm.static import affected_positions, part
+from chaseterm.static import affected_positions, analyze, part
 from chaseterm.syntax import (
     ConstraintDocument, parse_constraints, parse_instance, print_constraints,
     print_instance,
@@ -156,6 +156,16 @@ def test_part_pieces_are_disjoint(seed):
     ids = [c.id for piece in part(sigma) for c in piece]
     assert len(ids) == len(set(ids))
     assert set(ids) <= {c.id for c in sigma}
+
+
+@FAST
+@given(seeds)
+def test_every_accepting_rung_implies_inductive_restriction(seed):
+    # termcheck accepts a set on any rung, data_dependent_guarantee on
+    # inductive restriction alone; they agree because the two coincide
+    rng = random.Random(seed)
+    report = analyze(generators.random_constraints(rng, max_atoms=3))
+    assert report.terminating == report.inductively_restricted
 
 
 @FAST

@@ -133,7 +133,7 @@ class TestChaseReport:
 class TestGuaranteeAndMonitorReports:
     def test_guarantee_payload(self, travel_sigma, roundtrip_instance):
         payload = guarantee_report(data_dependent_guarantee(roundtrip_instance,
-                                                            travel_sigma))
+                                                            analyze(travel_sigma)))
         assert payload["level"] == "ThisInstance"
         assert payload["relevant"] == ["a1"]
         assert payload["chase_graph"]["nodes"] == ["a1", "a2", "a3", "alpha_I"]

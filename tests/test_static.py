@@ -2,7 +2,7 @@
 
 import pytest
 
-from chaseterm import firing, static
+from chaseterm import firing
 from chaseterm.firing import verify_witness
 from chaseterm.model import ModelError, Position, egd, tgd
 from chaseterm.static import (
@@ -250,6 +250,25 @@ class TestComponentOrdering:
         assert [[c.id for c in comp] for comp in comps] == [["a"], ["b"]]
 
 
+class TestNoStateOutlivesAnAnalysis:
+    def test_second_analysis_searches_as_much_as_the_first(
+            self, travel_sigma, seeded_feedback_sigma, monkeypatch):
+        search, searched = firing._search, []
+
+        def counting_search(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(firing, "_search", counting_search)
+        for sigma in (travel_sigma, seeded_feedback_sigma):
+            counts = []
+            for _ in range(2):
+                before = len(searched)
+                analyze(sigma)
+                counts.append(len(searched) - before)
+            assert counts[0] == counts[1] > 0, sigma
+
+
 class TestWidthFamily:
     # The body cycle holds E(X1, X2), which satisfies the head E(X1, Y), so
     # the wide rule never fires: there is no firing edge, and every rung
@@ -266,11 +285,5 @@ class TestWidthFamily:
     def test_report_matches_unpruned_search(self, n, monkeypatch):
         sigma = generators.width_family(n)
         got = strict(analyze(sigma))
-        static._minimal_system.cache_clear()
-        monkeypatch.setattr(firing, "_memo", {})
         monkeypatch.setattr(firing, "_search", oracles.ref_search)
-        try:
-            want = strict(analyze(sigma))
-        finally:
-            static._minimal_system.cache_clear()
-        assert got == want
+        assert got == strict(analyze(sigma))
