@@ -20,7 +20,7 @@ are resolved against the real fresh nulls once the step has run. For an EGD
 alpha the extra atoms range over the pre-images of b's body image under the
 merge, which is where a merge can complete a previously absent body.
 
-Eight prunes skip whole subtrees of the enumeration, or the whole search,
+Nine prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
 candidate the validator would accept, and they keep the order of the rest,
 so the first witness found is the one the unpruned enumeration finds.
@@ -67,7 +67,12 @@ so the first witness found is the one the unpruned enumeration finds.
             only reads that answer and never computes a missing one:
             analyze builds the chase graph before the restriction system,
             over one table, so the answer is there when it helps, and a
-            bare restriction-system call searches no PRECEDES pair.
+            bare restriction-system call searches no PRECEDES pair. When
+            the table holds a PRECEDES witness instead, and verify_witness
+            accepts it under P, it is the answer: every candidate before it
+            in the common enumeration failed the PRECEDES validator, so it
+            fails the stricter one too, and the witness is the first that
+            the PRECEDES_P search would find.
   copying   Under PRECEDES_P, a b that puts no null on beta's frontier,
             the head variables of beta that occur in its body, is skipped
             before its instance is built: the null-copying check reads b
@@ -83,9 +88,45 @@ so the first witness found is the one the unpruned enumeration finds.
             holds the loser. So the resolved b satisfies beta in J and
             the validator rejects it. An EGD beta is settled by a b that
             equates a value with itself. The check runs against one index
-            built per a, after the placeholder and "new" checks; for an
-            EGD alpha it reads b alone, so it runs before b's pre-images
-            are built.
+            built per a, before b's B or pre-images are built.
+  exists    For a TGD alpha, in both modes, the search first decides
+            whether any witness exists, and answers None at once when none
+            does; otherwise the enumeration runs unchanged. It enumerates
+            the piece unifiers of a non-empty subset Q of beta's body with
+            alpha's head (Baget et al., "On rules with existential
+            variables: Walking the decidability line", AIJ 2011): an
+            existential of alpha may not unify with a constant, another
+            existential or a body variable of alpha, and the beta variables
+            it binds may not occur in beta's other atoms, the rest. Each
+            unifier has one most general candidate: a class holding a
+            constant takes it, an existential's class takes its
+            placeholder, and every other class a distinct fresh value, a
+            null exactly when all its positions in I = base | B lie in P
+            (never under PRECEDES, where P is empty), else a constant. The
+            candidate passes the satisfied, copying, new and settled
+            filters, which drop only what the validator rejects, before
+            the validator judges it.
+            Complete: take a witness (I, a, b). Dropping from I every fact
+            outside base and the body image of b keeps each condition
+            (alpha's head and beta's head fail in less, b's body image still
+            leaves I, the guard reads fewer facts), so I = base | B. Let Q
+            be the atoms of beta whose image is outside I: they map into
+            the added facts, the rest into B, which holds no fresh null, so
+            a, b and the fresh nulls unify Q with alpha's head as a piece
+            unifier, and h, sending each class to its value in the witness,
+            maps that unifier's most general candidate onto (I, a, b) and
+            its successor onto J. Each condition the validator checks
+            holds for the candidate by construction (alpha's body image
+            lies in I, b's in J) or is the negation of a positive formula
+            that h preserves (a body image inside a fact set, a head
+            holding, two values being equal), so it holds for the
+            candidate as it does for the witness. The guard holds by
+            construction, and null-copying carries over because
+            positions(v, I_gen) is a subset of positions(h(v), I): a null
+            of the witness has all its positions in P, so its class is a
+            null of the candidate. The candidate is a witness itself, so
+            the enumeration then finds one. An EGD alpha falls back to the
+            enumeration.
 """
 
 from __future__ import annotations
@@ -98,7 +139,7 @@ from chaseterm.chase import ChaseFailed, _merged_pair, _tgd_added, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, FactSet, Instance,
     LabeledNull, Position, Value, Variable, _bind, fact_key, head_holds,
-    instance, instantiate, replace_value, satisfies, term_positions,
+    instance, instantiate, replace_value, satisfies,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -141,28 +182,44 @@ def _extensions(vars_seq: Sequence[Variable], bound: Assignment,
                 pool: Tuple[Value, ...], named: Tuple[Constant, ...],
                 fresh_count: int, no_null: frozenset,
                 ) -> Iterator[Tuple[Assignment, Tuple[Value, ...], int]]:
-    """Canonical completions of bound over vars_seq. Each unbound variable
-    reuses an available value or introduces the next pool symbol; a variable
-    in no_null skips every null, so its subtrees holding one are never built."""
-    if not vars_seq:
+    """Canonical completions of bound over vars_seq, depth first. Each
+    unbound variable reuses an available value or introduces the next pool
+    symbol; a variable in no_null skips every null, so its subtrees holding
+    one are never built. The search keeps one stack level per unbound
+    variable, so a long body cannot exhaust the recursion limit."""
+    todo = [v for v in vars_seq if v not in bound]
+    if not todo:
         yield bound, pool, fresh_count
         return
-    v, rest = vars_seq[0], vars_seq[1:]
-    if v in bound:
-        yield from _extensions(rest, bound, pool, named, fresh_count, no_null)
-        return
-    nulls_ok = v not in no_null
-    options: List[Value] = []
-    for val in pool + named:
-        if val not in options and (nulls_ok or isinstance(val, Constant)):
-            options.append(val)
-    for val in options:
-        yield from _extensions(rest, {**bound, v: val}, pool, named, fresh_count,
-                               no_null)
-    const, null = _new_symbols(fresh_count, frozenset(c.name for c in named))
-    for val in (const, null) if nulls_ok else (const,):
-        yield from _extensions(rest, {**bound, v: val}, pool + (val,), named,
-                               fresh_count + 1, no_null)
+    taken = frozenset(c.name for c in named)
+
+    def choices(v: Variable, pool: Tuple[Value, ...], fresh_count: int):
+        nulls_ok = v not in no_null
+        options: List[Value] = []
+        for val in pool + named:
+            if val not in options and (nulls_ok or val.__class__ is Constant):
+                options.append(val)
+        out = [(val, pool, fresh_count) for val in options]
+        const, null = _new_symbols(fresh_count, taken)
+        for val in (const, null) if nulls_ok else (const,):
+            out.append((val, pool + (val,), fresh_count + 1))
+        return iter(out)
+
+    last = len(todo) - 1
+    stack = [(bound, choices(todo[0], pool, fresh_count))]
+    while stack:
+        b, options = stack[-1]
+        for val, pool, fresh_count in options:
+            break
+        else:
+            stack.pop()
+            continue
+        i = len(stack) - 1
+        b = {**b, todo[i]: val}
+        if i == last:
+            yield b, pool, fresh_count
+        else:
+            stack.append((b, choices(todo[i + 1], pool, fresh_count)))
 
 
 def _no_null_vars(c: Constraint, P: frozenset, mode: str) -> frozenset:
@@ -171,8 +228,8 @@ def _no_null_vars(c: Constraint, P: frozenset, mode: str) -> frozenset:
     the module docstring), so a null there fails the position guard."""
     if mode != PRECEDES_P:
         return frozenset()
-    return frozenset(v for v in c.body_vars
-                     if not term_positions(c.body, v) <= P)
+    return frozenset(v for v, occ in c.body_var_positions.items()
+                     if not P.issuperset(occ))
 
 
 def _is_placeholder(v: Value) -> bool:
@@ -184,56 +241,76 @@ def _copies_null(b: Assignment, frontier: Sequence[Variable]) -> bool:
     return any(isinstance(b[v], LabeledNull) for v in frontier)
 
 
+def _placeholder(i: int) -> LabeledNull:
+    """The stand-in for the null a TGD step creates for its i-th existential."""
+    return LabeledNull(f"~f{i}", _PLACEHOLDER_BASE + i)
+
+
 def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
     """Alpha's instantiated head with placeholder nulls for the existentials."""
     ext = dict(a)
     for i, v in enumerate(alpha.existential_vars):
-        ext[v] = LabeledNull(f"~f{i}", _PLACEHOLDER_BASE + i)
+        ext[v] = _placeholder(i)
     return sorted(instantiate(alpha.head, ext), key=fact_key)
 
 
-def _subset_matches(atoms: Sequence[Atom], facts: Sequence[Atom],
-                    ) -> Iterator[Tuple[Assignment, List[Atom], List[Atom]]]:
-    """Every way to match a non-empty subset of atoms into facts; yields the
-    bindings, the unmatched remainder and the facts matched into."""
+def _subset_matches(atoms: Sequence[Atom], targets: Sequence[Atom], match,
+                    start) -> Iterator[Tuple[object, List[Atom], List[Atom]]]:
+    """Every way to match a non-empty subset of atoms into targets. Atom by
+    atom, in order, each is first left out, then matched into each target
+    of its relation and arity in turn; match(atom, target, state) returns
+    the extended state, or None. Yields the final state, the atoms left out
+    and the targets matched into. The search keeps one stack level per
+    atom, so a long conjunction cannot exhaust the recursion limit."""
+    n = len(atoms)
 
-    def go(i: int, bound: Assignment, deferred: List[Atom], hit: List[Atom],
-           ) -> Iterator[Tuple[Assignment, List[Atom], List[Atom]]]:
-        if i == len(atoms):
-            if hit:
-                yield bound, deferred, hit
-            return
+    def branches(i: int, state, deferred: List[Atom], hit: List[Atom]):
         at = atoms[i]
-        yield from go(i + 1, bound, deferred + [at], hit)
-        for f in facts:
-            if f.relation != at.relation or len(f.args) != len(at.args):
-                continue
-            b2 = dict(bound)
-            if _bind(at.args, f.args, b2, Variable) is not None:
-                yield from go(i + 1, b2, deferred, hit + [f])
+        yield state, deferred + [at], hit
+        for t in targets:
+            if t.relation == at.relation and len(t.args) == len(at.args):
+                extended = match(at, t, state)
+                if extended is not None:
+                    yield extended, deferred, hit + [t]
 
-    yield from go(0, {}, [], [])
+    stack = [branches(0, start, [], [])] if n else []
+    while stack:
+        for state, deferred, hit in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < n:
+            stack.append(branches(len(stack), state, deferred, hit))
+        elif hit:
+            yield state, deferred, hit
+
+
+def _bound(at: Atom, f: Atom, b: Assignment) -> Optional[Assignment]:
+    """b extended so that at maps onto the fact f, or None."""
+    b = dict(b)
+    return b if _bind(at.args, f.args, b, Variable) is not None else None
 
 
 def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
-           b: Assignment, P: frozenset, mode: str):
+           b: Assignment, P: frozenset, mode: str) -> Optional[Assignment]:
     """Check all conditions concretely. b may still contain placeholders for
-    alpha's fresh nulls; returns the resolved (b, J) on success.
+    alpha's fresh nulls; returns the resolved b on success.
 
     The checks are pure and all must pass, so they run in the order that
     rejects soonest: the guard scan and the null-copying test, which read I
     and b alone; the step; "beta violated in J"; "beta not violated in I";
     "alpha violated in I". The step computes J's facts as a plain set, its
     fresh nulls named as chase_step names them, and the three satisfaction
-    checks read bare fact sets; the step record and the Instance J are
-    built only for a candidate that passes them all. Over the seed-1
-    analyze-batch inputs the search judged 483 candidates, down from 1,623
-    before the "settled" prune: 11 failed before the step, 230 the J
-    check, none the I check of beta and 42 the I check of alpha, and 200
-    were accepted; verify_witness judged another 200. Inside the search
-    the "new" prune leaves the I check of beta nothing to reject; it
-    guards verify_witness. A step taken for an a that is no violation
-    does no harm: the last check rejects it.
+    checks read bare fact sets. The judge builds neither the step record
+    nor the Instance J: the search builds J with chase_step for the one
+    witness it returns. Over the seed-1 analyze-batch inputs the judge ran
+    695 times: 117 times on most general candidates ("exists"), 110 of
+    them accepted; 337 times in the enumeration, 159 accepted; and 241
+    times for verify_witness, 41 of them to reuse an unguarded witness
+    ("unguarded"). Inside the search the "new" prune leaves the I check
+    of beta nothing to reject; it guards verify_witness. A step taken for
+    an a that is no violation does no harm: the last check rejects it.
 
     A placeholder is a null that resolves to a null, so b answers the
     null-copying test as the resolved b does, and equals it without one.
@@ -270,8 +347,7 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
         return None
     if satisfies(before, alpha, a):
         return None
-    J, _ = chase_step(I, alpha, a)
-    return rb, J
+    return rb
 
 
 def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
@@ -281,6 +357,9 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     ) -> Iterator[Tuple[Assignment, frozenset]]:
     """(b, B) pairs for a TGD alpha: b matches part of beta's body into the
     step's added facts, B holds the rest, to be planted in I = base | B.
+    A match that binds a variable of the rest to a placeholder is dropped
+    with its whole subtree: the placeholders come from the match alone, so
+    every B below it would hold a fresh null of the step, which no I holds.
     A b whose body image lies in I is skipped (see "new"), so is one whose
     beta head holds in base plus the added facts (see "settled"), and,
     when copying is set, so is one with no null on beta's frontier (see
@@ -288,7 +367,9 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
     pattern = _added_pattern(alpha, a)
     fresh = {f for f in pattern if any(_is_placeholder(t) for t in f.args)}
     after = FactSet(base.union(pattern))
-    for b0, deferred, hit in _subset_matches(list(beta.body), pattern):
+    for b0, deferred, hit in _subset_matches(beta.body, pattern, _bound, {}):
+        if any(_is_placeholder(b0.get(t)) for at in deferred for t in at.args):
+            continue  # every B of this subtree holds a fresh null
         # hit is the body image of the matched atoms, fixed by b0
         if fresh.intersection(hit):
             old = None  # a fact with a placeholder is never in I
@@ -301,12 +382,10 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                                    no_null):
             if copying and not _copies_null(b, beta.frontier):
                 continue
-            B = instantiate(deferred, b)
-            if any(_is_placeholder(t) for f in B for t in f.args):
-                continue
-            if old is not None and old <= B:
-                continue
             if head_holds(after, beta, b):
+                continue
+            B = instantiate(deferred, b)
+            if old is not None and old <= B:
                 continue
             yield b, B
 
@@ -353,6 +432,94 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                 yield b, B
 
 
+def _unify(at: Atom, hd: Atom, parent: Dict) -> Optional[Dict]:
+    """parent, a union-find over terms, extended so that beta's atom at and
+    alpha's head atom hd become equal; None when two constants clash. A
+    beta variable v is the term (1, v) and an alpha variable (0, v), so a
+    constraint paired with itself keeps two sets of variables. A class that
+    holds a constant has it as its representative."""
+    parent = dict(parent)
+    for s, t in zip(at.args, hd.args):
+        s = _find(parent, (1, s) if s.__class__ is Variable else s)
+        t = _find(parent, (0, t) if t.__class__ is Variable else t)
+        if s == t:
+            continue
+        if s.__class__ is Constant:
+            if t.__class__ is Constant:
+                return None
+            parent[t] = s
+        else:
+            parent[s] = t
+    return parent
+
+
+def _find(parent: Dict, t):
+    while t in parent:
+        t = parent[t]
+    return t
+
+
+def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
+                  deferred: List[Atom], P: frozenset, taken: frozenset,
+                  ) -> Optional[Tuple[Assignment, Assignment]]:
+    """The most general candidate (a, b) of the unifier parent of beta's
+    body less deferred with alpha's head, or None when it is no piece
+    unifier (see "exists")."""
+    value: Dict = {}  # class representative -> the candidate's value
+    for i, v in enumerate(alpha.existential_vars):
+        r = _find(parent, (0, v))
+        if r in value or r.__class__ is Constant:
+            return None  # two existentials, or an existential and a constant
+        value[r] = _placeholder(i)
+    a_reps = [_find(parent, (0, v)) for v in alpha.body_vars]
+    where: Dict = {}  # representative -> its positions in I
+    for v, r in zip(alpha.body_vars, a_reps):
+        where.setdefault(r, set()).update(alpha.body_var_positions[v])
+    for at in deferred:
+        for i, t in enumerate(at.args):
+            if t.__class__ is Variable:
+                where.setdefault(_find(parent, (1, t)), set()).add(
+                    Position(at.relation, i + 1))
+    if any(r in value for r in where):
+        return None  # an existential joined to alpha's body or to deferred
+    b_reps = [_find(parent, (1, v)) for v in beta.body_vars]
+    for r in a_reps + b_reps:
+        if r not in value:
+            if r.__class__ is Constant:
+                value[r] = r
+            else:
+                const, null = _new_symbols(len(value), taken)
+                value[r] = null if where[r] <= P else const
+    return ({v: value[r] for v, r in zip(alpha.body_vars, a_reps)},
+            {v: value[r] for v, r in zip(beta.body_vars, b_reps)})
+
+
+def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
+              mode: str) -> bool:
+    """For a TGD alpha: does the most general candidate of some piece
+    unifier of beta's body with alpha's head pass the judge? See "exists"."""
+    copying = mode == PRECEDES_P
+    taken = frozenset(c.name for c in _named_constants(alpha, beta))
+    for parent, deferred, _ in _subset_matches(beta.body, alpha.head, _unify, {}):
+        candidate = _most_general(alpha, beta, parent, deferred, P, taken)
+        if candidate is None:
+            continue
+        a, b = candidate
+        if copying and not _copies_null(b, beta.frontier):
+            continue  # see "copying"
+        base = instantiate(alpha.body, a)
+        if head_holds(FactSet(base), alpha, a):
+            continue  # see "satisfied"
+        facts = base | instantiate(deferred, b)
+        if instantiate(beta.body, b) <= facts:
+            continue  # see "new"
+        if head_holds(FactSet(base.union(_added_pattern(alpha, a))), beta, b):
+            continue  # see "settled"
+        if _holds(instance(facts), alpha, a, beta, b, P, mode) is not None:
+            return True
+    return False
+
+
 # One analysis's firing answers, keyed (alpha, beta) + _normalised(P, mode)
 Answers = Dict[Tuple[Constraint, Constraint, frozenset, str], Optional[Witness]]
 
@@ -364,15 +531,10 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
     copying = mode == PRECEDES_P
     if copying and not beta.frontier:
         return None  # see "copying"
-    if alpha.kind == TGD:
-        # a TGD step only adds facts, so an assignment that newly violates
-        # beta must match part of beta's body into them; no shared relation,
-        # no edge
-        added = {f.relation for f in alpha.head}
-        if not any(f.relation in added for f in beta.body):
-            return None
     if alpha.never_violated or beta.never_violated:
         return None
+    if alpha.kind == TGD and not _has_edge(alpha, beta, P, mode):
+        return None  # see "exists"; no shared relation, no unifier
     named = _named_constants(alpha, beta)
     no_null_b = _no_null_vars(beta, P, mode)
     for a, pool, fc in _extensions(list(alpha.body_vars), {}, (), named, 0,
@@ -388,15 +550,14 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
                                          no_null_b, copying)
         for b, B in candidates:
             I = instance(base | B)
-            got = _holds(I, alpha, a, beta, b, P, mode)
-            if got is None:
+            rb = _holds(I, alpha, a, beta, b, P, mode)
+            if rb is None:
                 continue
-            rb, J = got
             return Witness(
                 alpha.id, beta.id, I,
                 tuple((v.name, a[v]) for v in alpha.body_vars),
                 tuple((v.name, rb[v]) for v in beta.body_vars),
-                J)
+                chase_step(I, alpha, a)[0])
     return None
 
 
@@ -412,8 +573,14 @@ def can_cause(alpha: Constraint, beta: Constraint, P=frozenset(),
     key = (alpha, beta) + _normalised(P, mode)
     answers = {} if answers is None else answers
     if key not in answers:
-        no_edge = answers.get((alpha, beta, frozenset(), PRECEDES), False) is None
-        answers[key] = None if no_edge and mode == PRECEDES_P else _search(*key)
+        known = answers.get((alpha, beta, frozenset(), PRECEDES), False)
+        if mode == PRECEDES_P and known is None:
+            answers[key] = None
+        elif mode == PRECEDES_P and known and verify_witness(
+                alpha, beta, known, key[2], mode):
+            answers[key] = known
+        else:
+            answers[key] = _search(*key)
     return answers[key]
 
 
@@ -438,8 +605,7 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
             return False
     a = {Variable(name): val for name, val in w.assignment_a}
     b = {Variable(name): val for name, val in w.assignment_b}
-    got = _holds(w.instance, alpha, a, beta, b, P, mode)
-    if got is None:
-        return False
-    rb, J = got
-    return rb == b and J == w.successor
+    if mode == PRECEDES_P and not _copies_null(b, beta.frontier):
+        return False  # see "copying"; asked before the judge, as the search does
+    return (_holds(w.instance, alpha, a, beta, b, P, mode) == b
+            and chase_step(w.instance, alpha, a)[0] == w.successor)

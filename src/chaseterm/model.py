@@ -195,6 +195,18 @@ def term_positions(atoms: Iterable[Atom], t: Term) -> frozenset:
                      for a in atoms for i, u in enumerate(a.args) if u == t)
 
 
+def _var_positions(atoms: Iterable[Atom]) -> Dict[Variable, Tuple[Position, ...]]:
+    """Each variable of atoms, mapped to the positions at which it occurs,
+    without repeats. Tuples, not sets: a constraint keeps its maps for its
+    lifetime, and a one-element frozenset takes four times the memory."""
+    out: Dict[Variable, Dict[Position, None]] = {}
+    for a in atoms:
+        for i, t in enumerate(a.args):
+            if t.__class__ is Variable:
+                out.setdefault(t, {})[Position(a.relation, i + 1)] = None
+    return {v: tuple(ps) for v, ps in out.items()}
+
+
 def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None) -> Dict[str, int]:
     """Infer relation arities on first use and fail on later mismatches."""
     table = dict(table) if table else {}
@@ -285,6 +297,16 @@ class Constraint:
     @cached_property
     def body_positions(self) -> frozenset:
         return frozenset(p for a in self.body for p in a.positions)
+
+    @cached_property
+    def body_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
+        """Each body variable's positions in the body."""
+        return _var_positions(self.body)
+
+    @cached_property
+    def head_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
+        """Each head variable's positions in the head; empty for an EGD."""
+        return _var_positions(self.head)
 
     @cached_property
     def positions(self) -> frozenset:

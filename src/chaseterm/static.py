@@ -18,9 +18,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.firing import PRECEDES_P, Answers, Witness, can_cause
 from chaseterm.graphs import cycle_through, nontrivial_components
-from chaseterm.model import (
-    TGD, Constraint, Position, check_arities, position_key, term_positions,
-)
+from chaseterm.model import TGD, Constraint, Position, check_arities, position_key
 
 Cycle = Tuple[Position, ...]
 
@@ -67,16 +65,16 @@ def affected_positions(sigma: Sequence[Constraint]) -> frozenset:
     aff = set()
     for c in tgds:
         for v in c.existential_vars:
-            aff |= term_positions(c.head, v)
+            aff.update(c.head_var_positions[v])
     changed = True
     while changed:
         changed = False
         for c in tgds:
-            for v in c.body_vars:
-                if term_positions(c.body, v) <= aff:
-                    head_occ = term_positions(c.head, v)
-                    if not head_occ <= aff:
-                        aff |= head_occ
+            for v, occ in c.body_var_positions.items():
+                if aff.issuperset(occ):
+                    head_occ = c.head_var_positions.get(v, ())
+                    if not aff.issuperset(head_occ):
+                        aff.update(head_occ)
                         changed = True
     return frozenset(aff)
 
@@ -90,11 +88,11 @@ def aff_cl(alpha: Constraint, P) -> frozenset:
         raise ValueError("aff_cl is defined for TGDs only")
     P = frozenset(P)
     out = {p for f in alpha.head for p in f.positions}
-    for v in alpha.body_vars:
-        if not term_positions(alpha.body, v) <= P:
-            out -= term_positions(alpha.head, v)
+    for v, occ in alpha.body_var_positions.items():
+        if not P.issuperset(occ):
+            out.difference_update(alpha.head_var_positions.get(v, ()))
     for v in alpha.existential_vars:
-        out |= term_positions(alpha.head, v)
+        out.update(alpha.head_var_positions[v])
     return frozenset(out)
 
 
@@ -126,12 +124,11 @@ def _position_graph(tgds: Sequence[Constraint], nodes,
     for c in tgds:
         ex_positions = set()
         for v in c.existential_vars:
-            ex_positions |= term_positions(c.head, v)
-        for v in c.body_vars:
-            occ = term_positions(c.body, v)
-            if restrict is not None and not occ <= restrict:
+            ex_positions.update(c.head_var_positions[v])
+        for v, occ in c.body_var_positions.items():
+            if restrict is not None and not restrict.issuperset(occ):
                 continue
-            head_occ = term_positions(c.head, v)
+            head_occ = c.head_var_positions.get(v, ())
             for p in occ:
                 for q in head_occ:
                     regular.add((p, q))

@@ -19,35 +19,48 @@ from chaseterm.static import is_inductively_restricted
 SCHEMA = (("S", 1), ("R", 2), ("T", 2))
 
 
-def _random_atom(rng: random.Random, vars_pool: List[Variable]) -> Atom:
+# Constants that rules drawn with a constant_rate name. "c0" is also the
+# first symbol the firing search would invent, so it must step aside.
+NAMED = (Constant("c0"), Constant("d"))
+
+
+def _random_atom(rng: random.Random, vars_pool: List[Variable],
+                 constant_rate: float = 0.0) -> Atom:
     rel, arity = rng.choice(SCHEMA)
-    return Atom(rel, tuple(rng.choice(vars_pool) for _ in range(arity)))
+    return Atom(rel, tuple(
+        rng.choice(NAMED) if constant_rate and rng.random() < constant_rate
+        else rng.choice(vars_pool) for _ in range(arity)))
 
 
 def random_constraint(rng: random.Random, cid: str, max_atoms: int = 2,
                       max_vars: int = 3, allow_egds: bool = True,
-                      egd_rate: float = 0.25) -> Constraint:
+                      egd_rate: float = 0.25,
+                      constant_rate: float = 0.0) -> Constraint:
+    """Each argument is one of NAMED with probability constant_rate; at the
+    default 0 no draw is spent on it, so the sets are those drawn before
+    the option existed."""
     vars_pool = [Variable(f"X{i}") for i in range(1, max_vars + 1)]
-    body = [_random_atom(rng, vars_pool)
+    body = [_random_atom(rng, vars_pool, constant_rate)
             for _ in range(rng.randint(0, max_atoms))]
-    body_vars = sorted({t for a in body for t in a.args}, key=lambda v: v.name)
+    body_vars = sorted({t for a in body for t in a.args
+                        if isinstance(t, Variable)}, key=lambda v: v.name)
     if allow_egds and len(body_vars) >= 2 and rng.random() < egd_rate:
         left, right = rng.sample(body_vars, 2)
         return egd(cid, body, left, right)
     # head may reuse body variables or introduce existential ones
     head_pool = vars_pool + [Variable(f"Y{i}") for i in range(1, 3)]
-    head = [_random_atom(rng, head_pool)
+    head = [_random_atom(rng, head_pool, constant_rate)
             for _ in range(rng.randint(1, max_atoms))]
     return tgd(cid, body, head)
 
 
 def random_constraints(rng: random.Random, max_constraints: int = 3,
                        max_atoms: int = 2, max_vars: int = 3,
-                       allow_egds: bool = True,
-                       egd_rate: float = 0.25) -> List[Constraint]:
+                       allow_egds: bool = True, egd_rate: float = 0.25,
+                       constant_rate: float = 0.0) -> List[Constraint]:
     n = rng.randint(1, max_constraints)
     return [random_constraint(rng, f"d{i}", max_atoms, max_vars, allow_egds,
-                              egd_rate)
+                              egd_rate, constant_rate)
             for i in range(1, n + 1)]
 
 

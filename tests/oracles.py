@@ -12,7 +12,7 @@ results with strict().
 
 import dataclasses
 import random
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from chaseterm.chase import (
@@ -577,6 +577,60 @@ def ref_search(alpha, beta, P, mode):
                 tuple((v.name, a[v]) for v in alpha.body_vars),
                 tuple((v.name, rb[v]) for v in beta.body_vars),
                 J)
+    return None
+
+
+# A firing scenario found by planting facts, with no canonical enumeration.
+BF_DOMAIN = (Constant("k1"), Constant("k2"), LabeledNull("m1", 1),
+             LabeledNull("m2", 2))
+
+
+def bf_firing(alpha, beta, P, mode):
+    """A firing scenario (I, a, b, J) found by brute force, or None.
+
+    a ranges over every assignment of alpha's body into BF_DOMAIN plus the
+    constants the two rules name. I is a's body image plus extra facts over
+    the relations of beta's body: a scenario keeps every condition when I
+    loses the facts that b's body does not use, and b's body needs at most
+    one extra per atom, one fewer for a TGD alpha, whose step adds at least
+    one of its facts. Capped at two, which covers bodies of up to two
+    atoms. The step is ref_chase_step, every b is a body match of beta in J
+    (ref_match_conjunction), and each condition is checked with
+    bf_satisfies. P is used as given."""
+    named = {t for c in (alpha, beta) for f in c.body + c.head for t in f.args
+             if isinstance(t, Constant)}
+    dom = list(BF_DOMAIN) + sorted(named - set(BF_DOMAIN), key=value_key)
+    guarded = mode == PRECEDES_P
+
+    def allowed(facts):
+        return not guarded or all(
+            Position(f.relation, i + 1) in P for f in facts
+            for i, t in enumerate(f.args) if isinstance(t, LabeledNull))
+
+    rels = sorted({(f.relation, len(f.args)) for f in beta.body})
+    facts = (Atom(rel, args) for rel, n in rels for args in product(dom, repeat=n))
+    extras = [f for f in facts if allowed([f])]
+    most = max(0, min(2, len(beta.body) - (alpha.kind == TGD)))
+    frontier = [v for v in beta.head_vars() if v in beta.body_vars]
+    for vals in product(dom, repeat=len(alpha.body_vars)):
+        a = dict(zip(alpha.body_vars, vals))
+        base = instantiate(alpha.body, a)
+        if not allowed(base):
+            continue
+        for k in range(most + 1):
+            for extra in combinations(extras, k):
+                I = _mk_instance(base | frozenset(extra))
+                if bf_satisfies(I, alpha, a):
+                    continue
+                try:
+                    J, _ = ref_chase_step(I, alpha, a)
+                except ChaseFailed:
+                    continue
+                for b in ref_match_conjunction(beta.body, J):
+                    if (not bf_satisfies(J, beta, b) and bf_satisfies(I, beta, b)
+                            and (not guarded or any(isinstance(b[v], LabeledNull)
+                                                    for v in frontier))):
+                        return I, a, b, J
     return None
 
 

@@ -19,6 +19,7 @@ from chaseterm.model import Position, egd, instance, position_key, tgd
 
 from . import generators, oracles
 from .conftest import A, C, N, V
+from .oracles import strict
 
 
 def P(*pairs):
@@ -207,6 +208,40 @@ class TestUnguardedReuse:
                     settled += 1
         assert settled and searched
 
+    def test_witness_is_reused_under_a_guard_it_passes(self, monkeypatch):
+        # the unpruned enumeration is the same in both modes, and each
+        # candidate before the unguarded witness fails the weaker judge, so
+        # a guard that the witness passes has it as its first witness too
+        search, searched = firing._search, []
+
+        def counting_search(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(firing, "_search", counting_search)
+        reused = 0
+        for seed in range(30):
+            rng = random.Random(f"unguarded/witness/{seed}")
+            sigma = generators.random_constraints(rng, egd_rate=0.5)
+            for alpha in sigma:
+                for beta in sigma:
+                    answers = {}
+                    w = can_cause(alpha, beta, mode=PRECEDES, answers=answers)
+                    if w is None:
+                        continue
+                    for guard in generators.guards(sigma, rng):
+                        passes = verify_witness(alpha, beta, w, guard)
+                        before = len(searched)
+                        got = can_cause(alpha, beta, guard, PRECEDES_P,
+                                        dict(answers))
+                        assert (got is w) == passes
+                        assert (len(searched) == before) == passes
+                        if passes:
+                            assert strict(got) == strict(oracles.ref_search(
+                                alpha, beta, guard, PRECEDES_P))
+                            reused += 1
+        assert reused
+
     def test_restriction_system_searches_no_unguarded_pair(
             self, feedback_sigma, monkeypatch):
         # the guarded search only peeks at the unguarded answer; computing
@@ -226,6 +261,80 @@ class TestUnguardedReuse:
             static.minimal_restriction_system(sigma)
             static.is_inductively_restricted(sigma)
         assert PRECEDES_P in modes and PRECEDES not in modes
+
+
+class TestExistencePhase:
+    @staticmethod
+    def count_enumerations(monkeypatch):
+        candidates, entered = firing._tgd_candidates, []
+
+        def counting_candidates(*args):
+            entered.append(args)
+            return candidates(*args)
+
+        monkeypatch.setattr(firing, "_tgd_candidates", counting_candidates)
+        return entered
+
+    def test_no_edge_pair_is_never_enumerated(self, feedback_sigma, monkeypatch):
+        # a2's new E(y, z) completes its own body only with S(y), and then
+        # E(z, x) and E(x, y) satisfy its head; the other head atom puts
+        # the fresh null into S(.), which no I holds
+        a1, a2 = feedback_sigma
+        entered = self.count_enumerations(monkeypatch)
+        assert can_cause(a2, a2, mode=PRECEDES) is None
+        assert can_cause(a2, a2, frozenset(), PRECEDES_P) is None
+        assert entered == []
+        assert oracles.ref_search(a2, a2, frozenset(), PRECEDES) is None
+        assert can_cause(a2, a1, mode=PRECEDES) is not None
+        assert entered
+
+    def test_only_pairs_with_an_edge_are_enumerated(self, monkeypatch):
+        # a most general candidate that passes the judge is itself a
+        # witness, so the enumeration after it must find one too
+        entered = self.count_enumerations(monkeypatch)
+        edges = 0
+        for seed in range(30):
+            rng = random.Random(f"exists/{seed}")
+            sigma = generators.random_constraints(rng, egd_rate=0.25)
+            for alpha in sigma:
+                for beta in sigma:
+                    for P in generators.guards(sigma, rng)[:3]:
+                        before = len(entered)
+                        w = can_cause(alpha, beta, P, PRECEDES_P)
+                        if w is None:
+                            assert len(entered) == before, (alpha, beta, P)
+                        edges += w is not None
+        assert edges and entered
+
+
+class TestLongBodies:
+    def test_a_1200_atom_body_gets_a_verdict(self):
+        # the enumerations keep an explicit stack: one Python frame per
+        # variable or atom would pass the recursion limit here
+        xs = [V(f"X{i}") for i in range(1201)]
+        y = V("Y")
+        a = tgd("a", [A("R", xs[i], xs[i + 1]) for i in range(1200)],
+                [A("T", xs[0], y)])
+        b = tgd("b", [A("T", xs[0], y)], [A("S", y)])
+        report = static.analyze([a, b])
+        assert report.chase_graph.edges == (("a", "b"),)
+        assert report.terminating
+        w = report.chase_graph.witnesses[("a", "b")]
+        assert verify_witness(a, b, w, mode=PRECEDES)
+
+    def test_enumerations_keep_their_order(self):
+        xs = [V(f"X{i}") for i in range(4)]
+        named = (C("c0"),)
+        got = list(firing._extensions(xs, {xs[2]: C("c0")}, (), named, 0,
+                                      frozenset()))
+        want = list(oracles._ref_extensions(xs, {xs[2]: C("c0")}, (), named, 0))
+        assert strict(got) == strict(want)
+        atoms = [A("E", xs[0], xs[1]), A("E", xs[1], xs[2]), A("S", xs[3])]
+        facts = [A("E", C("p"), C("q")), A("E", C("q"), C("p")), A("S", C("p"))]
+        got = [(b, deferred)
+               for b, deferred, _ in firing._subset_matches(atoms, facts,
+                                                            firing._bound, {})]
+        assert strict(got) == strict(list(oracles._subset_matches(atoms, facts)))
 
 
 class TestWitnessIntegrity:

@@ -20,7 +20,7 @@ once and would compare nothing ("unguarded"). The sets with an instance's alpha_
 pairs that dynamic.irrelevant_constraints searches, body-less targets
 among them. On those sets the judge must also give every candidate the
 generators yield, settled ones included, the verdict of oracles.ref_holds,
-and the same resolved b and successor when both accept.
+and the same resolved b when both accept.
 """
 
 import collections
@@ -94,6 +94,7 @@ def assert_same_verdicts(sigma, rng, seen):
                             I = instance(base | B)
                             got = _holds(I, alpha, a, beta, b, P, mode)
                             want = oracles.ref_holds(I, alpha, a, beta, b, P, mode)
+                            want = want and want[0]  # the judge builds no J
                             assert strict(got) == strict(want), (alpha, a, beta, b, I)
                             settled = oracles.settled_trigger(alpha, a, beta, b)
                             assert not (settled and got), (alpha, a, beta, b, I)
@@ -143,6 +144,38 @@ def test_random_sets_with_an_instance(egd_rate):
         sigma = generators.random_constraints(rng, egd_rate=egd_rate)
         I = generators.random_instance(rng, max_facts=6, n_constants=2)
         assert_same_witnesses(sigma + [constraint_from_instance(I)], rng)
+
+
+@pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+def test_random_sets_with_named_constants(egd_rate):
+    for seed in range(25):
+        rng = random.Random(f"firing-oracle/named/{egd_rate}/{seed}")
+        sigma = generators.random_constraints(rng, egd_rate=egd_rate,
+                                              constant_rate=0.3)
+        assert_same_witnesses(sigma, rng)
+
+
+@pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+def test_every_brute_force_scenario_has_a_witness(egd_rate):
+    # oracles.bf_firing plants facts instead of enumerating candidates, so
+    # it can see a witness that the canonical enumeration and ref_search
+    # both miss
+    found = collections.Counter()
+    for seed in range(12):
+        rng = random.Random(f"firing-oracle/bf/{egd_rate}/{seed}")
+        sigma = generators.random_constraints(rng, egd_rate=egd_rate)
+        I = generators.random_instance(rng, max_facts=4, n_constants=2)
+        sigma = sigma + [constraint_from_instance(I)]
+        cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P)
+                                             for P in guards(sigma, rng)]
+        for alpha in sigma:
+            for beta in sigma:
+                for P, mode in cases:
+                    scenario = oracles.bf_firing(alpha, beta, P, mode)
+                    if scenario is not None:
+                        assert can_cause(alpha, beta, P, mode), (alpha, beta, P, mode)
+                    found[scenario is not None] += 1
+    assert found[True] and found[False], found
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
