@@ -10,9 +10,10 @@ and instance pruning say about the member.
 
 import argparse
 
+from chaseterm.chase import monitored_chase
 from chaseterm.dynamic import data_dependent_guarantee
 from chaseterm.fixtures import rotation_family
-from chaseterm.monitor import is_k_cyclic, monitored_chase
+from chaseterm.monitor import is_k_cyclic
 from chaseterm.static import analyze
 
 

@@ -6,19 +6,21 @@ static condition ladder, the data-dependent tools and the text frontend.
 
 from chaseterm.chase import (
     ABORTED, FAILED, TERMINATED, ChasePolicy, ChaseResult, ChaseStepRecord,
-    apply_record, chase, chase_step,
+    apply_record, chase, chase_step, monitored_chase,
 )
 from chaseterm.dynamic import (
-    ChaseGraph, TerminationGuarantee, chase_graph, constraint_from_instance,
-    data_dependent_guarantee, irrelevant_constraints,
+    TerminationGuarantee, constraint_from_instance, data_dependent_guarantee,
+    irrelevant_constraints,
 )
-from chaseterm.firing import PRECEDES, PRECEDES_P, Witness, can_cause
+from chaseterm.firing import (
+    PRECEDES, PRECEDES_P, ChaseGraph, Witness, can_cause, chase_graph,
+)
 from chaseterm.model import (
     Atom, Constant, Constraint, Instance, LabeledNull, ModelError, Position,
     Variable, egd, find_homomorphism, find_violations, hom_equivalent,
     instance, instantiate, satisfies, tgd,
 )
-from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitored_chase
+from chaseterm.monitor import MonitorGraph, is_k_cyclic
 from chaseterm.static import (
     AnalysisReport, analyze, is_inductively_restricted, is_safe,
     is_safely_restricted, is_stratified, is_weakly_acyclic, part,

@@ -9,9 +9,10 @@ distinct constants has no repair; the run is Failed.
 A run applies steps until no violation is left. The application order is a
 policy: deterministic (round-robin over the constraints in the given order,
 first violation in enumeration order) or randomized from a seed. Runs can be
-bounded by a step limit and, through the monitor hook, by cycle depth in the
-null-provenance graph; both produce an Aborted result instead of looping
-forever.
+bounded by a step limit and by cycle depth in the null-provenance graph of
+the monitor module, which sits below this one: monitored_chase arms it, and
+the run folds each step into one monitor graph. Both bounds produce an
+Aborted result instead of looping forever.
 
 A run never rescans the instance. It keeps one FactIndex (see model) for its
 whole life, and per constraint a pending set of candidate violations, keyed
@@ -37,18 +38,16 @@ the same ordered pool a rescan builds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from chaseterm.model import (
     TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
-    Position, Value, body_matches, fact_key, head_holds, instantiate,
+    Value, body_matches, fact_key, head_holds, instantiate, occurrences,
     replace_value, value_key,
 )
-
-if TYPE_CHECKING:
-    from chaseterm.monitor import MonitorGraph
+from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
 
 TERMINATED = "terminated"
 FAILED = "failed"
@@ -126,14 +125,8 @@ def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
     added, fresh, counter = _tgd_added(c, a, counter, taken)
     nulls: Tuple[Tuple[LabeledNull, frozenset], ...] = ()
     if fresh:
-        # every fresh null's positions, in one pass over the added facts
-        positions: Dict[LabeledNull, List[Position]] = {n: [] for n in fresh}
-        for f in added:
-            for i, t in enumerate(f.args):
-                held = positions.get(t)
-                if held is not None:
-                    held.append(Position(f.relation, i + 1))
-        nulls = tuple((n, frozenset(held)) for n, held in positions.items())
+        held = occurrences(added, LabeledNull)
+        nulls = tuple((n, frozenset(held[n])) for n in fresh)
     rec = ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
                           added, None, nulls)
     return rec, counter
@@ -306,10 +299,7 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
         raise ValueError("max_steps must be at least 0")
     if policy.monitor_k is not None and policy.monitor_k < 1:
         raise ValueError("k must be at least 1")
-    monitor = None
-    if policy.monitor_k is not None:
-        from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
-        monitor = MonitorGraph()
+    monitor = None if policy.monitor_k is None else MonitorGraph()
     rng = random.Random(policy.seed) if policy.order == "rand" else None
     sigma = list(sigma)
     run = _Run(I, sigma)
@@ -340,3 +330,11 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
                 return result(ABORTED, abort_reason=K_CYCLIC,
                               abort_k=policy.monitor_k, kcyclic_chain=chain)
         pointer = (idx + 1) % len(sigma)
+
+
+def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
+                    policy: ChasePolicy = ChasePolicy()) -> ChaseResult:
+    """Chase with the cycle monitor armed: aborts with reason k_cyclic the
+    first time the monitor graph becomes k-cyclic. The result's `monitor`
+    is the graph of the steps run. A k below 1 raises ValueError."""
+    return chase(I, sigma, replace(policy, monitor_k=k))

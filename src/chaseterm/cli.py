@@ -12,13 +12,14 @@ import os
 import sys
 from typing import Optional, Sequence, Tuple
 
-from chaseterm.chase import ABORTED, FAILED, ChasePolicy, ChaseResult, chase
+from chaseterm.chase import (
+    ABORTED, FAILED, ChasePolicy, ChaseResult, chase, monitored_chase,
+)
 from chaseterm.dynamic import (
     THIS_INSTANCE, data_dependent_guarantee, irrelevant_constraints,
 )
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import Constraint, Instance, ModelError, check_arities
-from chaseterm.monitor import monitored_chase
 from chaseterm.reports import (
     analysis_report, chase_report, export_dot, guarantee_report,
     monitor_report, to_json,

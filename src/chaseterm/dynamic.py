@@ -4,18 +4,19 @@ The instance itself becomes a body-less TGD (alpha_I) whose head asserts the
 instance up to null renaming. Constraints not reachable from alpha_I in the
 firing graph, or from a body-less constraint the instance leaves violated,
 can never fire in any chase of that instance, so termination only depends on
-the reachable ones. The check is sound but necessarily incomplete:
-unreachable means irrelevant, reachable proves nothing. data_dependent_guarantee
-takes analyze's report on the set: it reads the verdict and parts there and,
-over the report's firing table, searches only the pairs of alpha_I.
+the reachable ones. The firing graph is firing.chase_graph over sigma plus
+alpha_I. The check is sound but necessarily incomplete: unreachable means
+irrelevant, reachable proves nothing. data_dependent_guarantee takes
+analyze's report on the set: it reads the verdict and parts there and, over
+the report's firing table, searches only the pairs of alpha_I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from chaseterm.firing import PRECEDES, Answers, Witness, can_cause
+from chaseterm.firing import Answers, ChaseGraph, chase_graph
 from chaseterm.graphs import reachable_from
 from chaseterm.model import (
     Atom, Constraint, Instance, LabeledNull, ModelError, Variable, fact_key,
@@ -41,27 +42,6 @@ def constraint_from_instance(I: Instance) -> Constraint:
                      for t in f.args)
         head.append(Atom(f.relation, args))
     return tgd(ALPHA_I, [], head)
-
-
-@dataclass(frozen=True)
-class ChaseGraph:
-    """All-pairs firing graph: an edge means the source's application can
-    newly violate the target."""
-
-    constraints: Tuple[Constraint, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    witnesses: Dict[Tuple[str, str], Witness]
-
-
-def chase_graph(sigma: Sequence[Constraint], answers: Optional[Answers] = None) -> ChaseGraph:
-    sigma = tuple(sigma)
-    witnesses: Dict[Tuple[str, str], Witness] = {}
-    for a in sigma:
-        for b in sigma:
-            w = can_cause(a, b, mode=PRECEDES, answers=answers)
-            if w is not None:
-                witnesses[(a.id, b.id)] = w
-    return ChaseGraph(sigma, tuple(sorted(witnesses)), witnesses)
 
 
 def irrelevant_constraints(I: Instance, sigma: Sequence[Constraint],

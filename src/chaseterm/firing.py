@@ -5,7 +5,9 @@ a, b such that applying alpha on (I, a) yields a J in which b newly violates
 beta? Six conditions define the positive answer: (a is a violation of alpha
 in I; b is not one in I; the step applies; b violates beta in J; and, in the
 position-guarded mode, nulls of I sit only in positions from P and b puts a
-null into beta's head).
+null into beta's head). chase_graph tabulates the relation over every pair
+of a set, the chase graph of Deutsch, Nash and Remmel ("The chase
+revisited", PODS 2008).
 
 The search enumerates candidates and hands each to a concrete validator that
 takes the step and checks every condition with the ordinary satisfaction
@@ -47,7 +49,7 @@ so the first witness found is the one the unpruned enumeration finds.
             holds in I holds in J.
   new       A candidate (b, B) whose beta-body image under b already lies in
             I = base | B is skipped: b is not new, whatever the step does.
-            If b violates beta in I, the validator rejects it. Otherwise
+            If b violates beta in I, it is no witness. Otherwise
             it stays satisfied in J, since the step maps I into J by a
             homomorphism that fixes b's values: the identity for a TGD
             alpha, and for an EGD alpha a renaming of the loser, which b
@@ -137,9 +139,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from chaseterm.chase import ChaseFailed, _merged_pair, _tgd_added, chase_step
 from chaseterm.model import (
-    TGD, Assignment, Atom, Constant, Constraint, FactSet, Instance,
-    LabeledNull, Position, Value, Variable, _bind, fact_key, head_holds,
-    instance, instantiate, replace_value, satisfies,
+    TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
+    Position, Value, Variable, _bind, fact_key, head_holds, instance,
+    instantiate, occurrences, replace_value, satisfies,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -299,24 +301,25 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
 
     The checks are pure and all must pass, so they run in the order that
     rejects soonest: the guard scan and the null-copying test, which read I
-    and b alone; the step; "beta violated in J"; "beta not violated in I";
-    "alpha violated in I". The step computes J's facts as a plain set, its
-    fresh nulls named as chase_step names them, and the three satisfaction
-    checks read bare fact sets. The judge builds neither the step record
-    nor the Instance J: the search builds J with chase_step for the one
-    witness it returns. Over the seed-1 analyze-batch inputs the judge ran
-    695 times: 117 times on most general candidates ("exists"), 110 of
-    them accepted; 337 times in the enumeration, 159 accepted; and 241
-    times for verify_witness, 41 of them to reuse an unguarded witness
-    ("unguarded"). Inside the search the "new" prune leaves the I check
-    of beta nothing to reject; it guards verify_witness. A step taken for
-    an a that is no violation does no harm: the last check rejects it.
+    and b alone; the step; "beta violated in J"; "alpha violated in I". The
+    step computes J's facts as a plain set, its fresh nulls named as
+    chase_step names them, which the "beta violated in J" check reads as a
+    throwaway Instance. The judge builds neither the step record nor the
+    successor with its null counter: the search builds J with chase_step
+    for the one witness it returns. Over the seed-1 analyze-batch inputs
+    the judge ran 695 times: 117 times on most general candidates
+    ("exists"), 110 of them accepted; 337 times in the enumeration, 159
+    accepted; and 241 times for verify_witness, 41 of them to reuse an
+    unguarded witness ("unguarded"). A step taken for an a that is no
+    violation does no harm: the last check rejects it.
 
-    A placeholder is a null that resolves to a null, so b answers the
-    null-copying test as the resolved b does, and equals it without one.
-    A b holding a placeholder needs no "not violated in I" check: the
-    placeholder resolves to a fresh null of the step, which is not in I,
-    so b's body image is not in I and beta holds there vacuously."""
+    The judge leaves out "beta not violated in I": the "new" filters drop
+    every b whose body image lies in I before it is judged, and a b
+    holding a placeholder has a fresh null of the step, which is not in I,
+    in its body image. verify_witness, which judges witnesses from
+    elsewhere, checks it itself. A placeholder is a null that resolves to
+    a null, so b answers the null-copying test as the resolved b does, and
+    equals it without one."""
     if mode == PRECEDES_P:
         for f in I.facts:
             for i, t in enumerate(f.args):
@@ -339,13 +342,9 @@ def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
         if _is_placeholder(val):
             val = fresh[val.creation_index - _PLACEHOLDER_BASE]
         rb[var] = val
-    if satisfies(FactSet(after), beta, rb):
+    if satisfies(Instance(after), beta, rb):
         return None
-    before = FactSet(I.facts)
-    if (not any(_is_placeholder(val) for val in b.values())
-            and not satisfies(before, beta, b)):
-        return None
-    if satisfies(before, alpha, a):
+    if satisfies(I, alpha, a):
         return None
     return rb
 
@@ -366,7 +365,7 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
     "copying")."""
     pattern = _added_pattern(alpha, a)
     fresh = {f for f in pattern if any(_is_placeholder(t) for t in f.args)}
-    after = FactSet(base.union(pattern))
+    after = Instance(base.union(pattern))
     for b0, deferred, hit in _subset_matches(beta.body, pattern, _bound, {}):
         if any(_is_placeholder(b0.get(t)) for at in deferred for t in at.args):
             continue  # every B of this subtree holds a fresh null
@@ -405,7 +404,7 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
         survivor, loser = _merged_pair(alpha, a)
     except (ChaseFailed, ValueError):
         return  # the step does not apply
-    after = FactSet(replace_value(base, loser, survivor))
+    after = Instance(replace_value(base, loser, survivor))
     for b, _, _ in _extensions(list(beta.body_vars), {}, pool, named,
                                fresh_count, no_null):
         if loser in b.values():
@@ -475,11 +474,8 @@ def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
     where: Dict = {}  # representative -> its positions in I
     for v, r in zip(alpha.body_vars, a_reps):
         where.setdefault(r, set()).update(alpha.body_var_positions[v])
-    for at in deferred:
-        for i, t in enumerate(at.args):
-            if t.__class__ is Variable:
-                where.setdefault(_find(parent, (1, t)), set()).add(
-                    Position(at.relation, i + 1))
+    for v, occ in occurrences(deferred, Variable).items():
+        where.setdefault(_find(parent, (1, v)), set()).update(occ)
     if any(r in value for r in where):
         return None  # an existential joined to alpha's body or to deferred
     b_reps = [_find(parent, (1, v)) for v in beta.body_vars]
@@ -508,12 +504,12 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         if copying and not _copies_null(b, beta.frontier):
             continue  # see "copying"
         base = instantiate(alpha.body, a)
-        if head_holds(FactSet(base), alpha, a):
+        if head_holds(Instance(base), alpha, a):
             continue  # see "satisfied"
         facts = base | instantiate(deferred, b)
         if instantiate(beta.body, b) <= facts:
             continue  # see "new"
-        if head_holds(FactSet(base.union(_added_pattern(alpha, a))), beta, b):
+        if head_holds(Instance(base.union(_added_pattern(alpha, a))), beta, b):
             continue  # see "settled"
         if _holds(instance(facts), alpha, a, beta, b, P, mode) is not None:
             return True
@@ -541,7 +537,7 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
                                    _no_null_vars(alpha, P, mode)):
         base = instantiate(alpha.body, a)
         if alpha.kind == TGD:
-            if head_holds(FactSet(base), alpha, a):
+            if head_holds(Instance(base), alpha, a):
                 continue  # alpha is satisfied in every I containing base
             candidates = _tgd_candidates(alpha, a, base, beta, pool, named, fc,
                                          no_null_b, copying)
@@ -584,6 +580,27 @@ def can_cause(alpha: Constraint, beta: Constraint, P=frozenset(),
     return answers[key]
 
 
+@dataclass(frozen=True)
+class ChaseGraph:
+    """All-pairs firing graph: an edge means the source's application can
+    newly violate the target."""
+
+    constraints: Tuple[Constraint, ...]
+    edges: Tuple[Tuple[str, str], ...]
+    witnesses: Dict[Tuple[str, str], Witness]
+
+
+def chase_graph(sigma: Sequence[Constraint], answers: Optional[Answers] = None) -> ChaseGraph:
+    sigma = tuple(sigma)
+    witnesses: Dict[Tuple[str, str], Witness] = {}
+    for a in sigma:
+        for b in sigma:
+            w = can_cause(a, b, mode=PRECEDES, answers=answers)
+            if w is not None:
+                witnesses[(a.id, b.id)] = w
+    return ChaseGraph(sigma, tuple(sorted(witnesses)), witnesses)
+
+
 def _normalised(P, mode: str) -> Tuple[frozenset, str]:
     """The guard mode reads, and mode: P under PRECEDES_P, nothing under
     PRECEDES. Any other mode raises ValueError."""
@@ -608,4 +625,5 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
     if mode == PRECEDES_P and not _copies_null(b, beta.frontier):
         return False  # see "copying"; asked before the judge, as the search does
     return (_holds(w.instance, alpha, a, beta, b, P, mode) == b
+            and satisfies(w.instance, beta, b)  # b is not violated in I
             and chase_step(w.instance, alpha, a)[0] == w.successor)

@@ -22,12 +22,13 @@ One matcher, join(), serves conjunction matching, satisfaction, violations
 and homomorphisms. It backtracks with an explicit stack, so deep searches
 cannot overflow the interpreter's recursion limit, and takes each atom's
 candidates from the narrowest bucket the already-bound arguments select.
-Buckets list their facts in fact_key order, then in the order later added,
-so enumeration never depends on hash order. A frozen Instance offers only
-relation buckets, built once per instance on first use: positional buckets
-do not pay for themselves on the throwaway instances of the firing search.
-A FactSet is a bare fact set for the yes-or-no checks of that search: its
-buckets keep no order, so building them sorts nothing.
+Only FactIndex buckets keep an order: fact_key order, then the order facts
+are added in, so a chase or a homomorphism search never depends on hash
+order. A frozen Instance offers only relation buckets, built once per
+instance on first use and in no fixed order, so building them sorts
+nothing: positional buckets do not pay for themselves on the throwaway
+instances of the firing search, whose checks are yes-or-no questions, and
+find_violations sorts what it finds.
 
 A note on equality: nulls compare by name only. The creation index a null
 carries is bookkeeping for the chase (freshness, merge tie-breaking) and two
@@ -185,26 +186,17 @@ class Atom(_Frozen):
         return tuple(Position(self.relation, i + 1) for i in range(len(self.args)))
 
 
-def atom(relation: str, *args: Term) -> Atom:
-    return Atom(relation, tuple(args))
-
-
-def term_positions(atoms: Iterable[Atom], t: Term) -> frozenset:
-    """The positions at which the term t occurs in atoms."""
-    return frozenset(Position(a.relation, i + 1)
-                     for a in atoms for i, u in enumerate(a.args) if u == t)
-
-
-def _var_positions(atoms: Iterable[Atom]) -> Dict[Variable, Tuple[Position, ...]]:
-    """Each variable of atoms, mapped to the positions at which it occurs,
-    without repeats. Tuples, not sets: a constraint keeps its maps for its
-    lifetime, and a one-element frozenset takes four times the memory."""
-    out: Dict[Variable, Dict[Position, None]] = {}
+def occurrences(atoms: Iterable[Atom], kind: type) -> Dict[Term, Tuple[Position, ...]]:
+    """Each term of class kind in atoms, mapped to the positions at which it
+    occurs, in first-occurrence order and without repeats. Tuples, not sets:
+    a constraint keeps its maps for its lifetime, and a one-element
+    frozenset takes four times the memory."""
+    out: Dict[Term, Dict[Position, None]] = {}
     for a in atoms:
         for i, t in enumerate(a.args):
-            if t.__class__ is Variable:
+            if t.__class__ is kind:
                 out.setdefault(t, {})[Position(a.relation, i + 1)] = None
-    return {v: tuple(ps) for v, ps in out.items()}
+    return {t: tuple(ps) for t, ps in out.items()}
 
 
 def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None) -> Dict[str, int]:
@@ -285,7 +277,7 @@ class Constraint:
         if self.kind != TGD:
             return False
         frozen = {v: LabeledNull(v.name) for v in self.body_vars}
-        return head_holds(FactSet(instantiate(self.body, frozen)), self, frozen)
+        return head_holds(Instance(instantiate(self.body, frozen)), self, frozen)
 
     @cached_property
     def existential_vars(self) -> Tuple[Variable, ...]:
@@ -301,12 +293,12 @@ class Constraint:
     @cached_property
     def body_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
         """Each body variable's positions in the body."""
-        return _var_positions(self.body)
+        return occurrences(self.body, Variable)
 
     @cached_property
     def head_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
         """Each head variable's positions in the head; empty for an EGD."""
-        return _var_positions(self.head)
+        return occurrences(self.head, Variable)
 
     @cached_property
     def positions(self) -> frozenset:
@@ -375,26 +367,6 @@ class Instance:
     @cached_property
     def _by_relation(self) -> Dict[Tuple[str, int], List[Atom]]:
         by_rel: Dict[Tuple[str, int], List[Atom]] = {}
-        for f in sorted(self.facts, key=fact_key):
-            by_rel.setdefault((f.relation, len(f.args)), []).append(f)
-        return by_rel
-
-    def candidates(self, at: Atom, b: Dict, var_type: type = Variable) -> List[Atom]:
-        """The facts of at's relation and arity, in fact_key order."""
-        return self._by_relation.get((at.relation, len(at.args)), [])
-
-
-class FactSet:
-    """A bare fact set for yes-or-no questions: satisfies, head_holds and
-    join read it as they read an Instance. Its relation buckets are built
-    on first use and keep no order, since an existence test needs none."""
-
-    def __init__(self, facts: frozenset):
-        self.facts = facts
-
-    @cached_property
-    def _by_relation(self) -> Dict[Tuple[str, int], List[Atom]]:
-        by_rel: Dict[Tuple[str, int], List[Atom]] = {}
         for f in self.facts:
             by_rel.setdefault((f.relation, len(f.args)), []).append(f)
         return by_rel
@@ -408,9 +380,9 @@ def fact_key(a: Atom) -> Tuple:
     return (a.relation, len(a.args), tuple(value_key(t) for t in a.args))
 
 
-def instance(facts: Iterable[Atom], null_counter: Optional[int] = None) -> Instance:
+def instance(facts: Iterable[Atom]) -> Instance:
     """Build an instance, checking groundness and arity consistency. The
-    null counter defaults to one past the largest null creation index."""
+    null counter is one past the largest null creation index."""
     fs = frozenset(facts)
     top = 0
     for a in fs:
@@ -421,7 +393,7 @@ def instance(facts: Iterable[Atom], null_counter: Optional[int] = None) -> Insta
             elif isinstance(t, Variable):
                 raise ModelError(f"instance atoms must be ground, got {a!r}")
     check_arities(fs)
-    return Instance(fs, top + 1 if null_counter is None else null_counter)
+    return Instance(fs, top + 1)
 
 
 def _substitute(a: Atom, old: Value, new: Value) -> Atom:
@@ -553,7 +525,7 @@ def join(atoms: Sequence[Atom], facts, b: Dict,
          var_type: type = Variable) -> Iterator[Dict]:
     """Every extension of the binding b that maps all atoms into facts.
 
-    facts is an Instance, a FactIndex or a FactSet; its candidates() picks
+    facts is an Instance or a FactIndex; its candidates() picks
     the facts an atom may map to. Terms of var_type are bound, every other
     term must match exactly. Backtracking runs on an explicit stack, atom by
     atom in the given order, and b is extended in place: each solution is b
@@ -591,8 +563,8 @@ def match_conjunction(atoms: Sequence[Atom], I: Instance,
                       binding: Optional[Assignment] = None) -> Iterator[Assignment]:
     """All extensions of `binding` that map every atom into I.
 
-    Yields each completed assignment once per derivation; callers dedup if
-    they care.
+    Yields each completed assignment once per derivation, in no fixed
+    order; callers dedup or sort if they care.
     """
     for b in join(atoms, I, dict(binding or {})):
         yield dict(b)
@@ -603,8 +575,8 @@ def match_conjunction(atoms: Sequence[Atom], I: Instance,
 # ---------------------------------------------------------------------------
 
 def head_holds(facts, c: Constraint, a: Assignment) -> bool:
-    """Does a satisfy c's head in facts (an Instance, a FactIndex or a
-    FactSet), the body being already in place? A TGD needs some extension
+    """Does a satisfy c's head in facts (an Instance or a FactIndex), the
+    body being already in place? A TGD needs some extension
     over its existential variables that maps the whole head into the facts;
     an EGD needs the equated values to coincide."""
     if c.kind == EGD:
@@ -616,8 +588,8 @@ def head_holds(facts, c: Constraint, a: Assignment) -> bool:
     return next(join(c.head, facts, base), None) is not None
 
 
-def satisfies(I: Union[Instance, FactSet], c: Constraint, a: Assignment) -> bool:
-    """Does I (an Instance or a FactSet) satisfy c under assignment a?
+def satisfies(I: Instance, c: Constraint, a: Assignment) -> bool:
+    """Does I satisfy c under assignment a?
 
     True when the instantiated body is not contained in I (vacuous case).
     Otherwise a TGD needs some extension of a over its existential variables

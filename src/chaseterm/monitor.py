@@ -13,22 +13,27 @@ Repeated structure shows up as chains of edges that share a class key
 is k-cyclic when k pairwise distinct edges of one class form a consecutive
 path. The per-class longest-chain index makes the check incremental.
 
-A monitored run owns one graph: `chase` creates it, folds every step into
-it in place with `monitor_update` and returns it as `ChaseResult.monitor`.
-A merge moves one entry of `live`. A TGD step reads the source nulls off
-its own body instantiation and pays for its new edges, plus one copy of
-each chain it extends, since chains are tuples. `longest` tracks the
-longest chain, so `is_k_cyclic` answers "no" at once until some chain
-reaches k; the scan for the least witness then runs once, at the abort.
+The monitor sits below the chase and reads only step records. A monitored
+run (`chase.monitored_chase`, or `chase` with a `monitor_k`) owns one
+graph: `chase` creates it, folds every step into it in place with
+`monitor_update` and returns it as `ChaseResult.monitor`. A merge moves one
+entry of `live`. A TGD step reads the source nulls and their positions off
+its own body instantiation, in one pass, and pays for its new edges, plus
+one copy of each chain it extends, since chains are tuples. `longest`
+tracks the longest chain, so `is_k_cyclic` answers "no" at once until some
+chain reaches k; the scan for the least witness then runs once, at the
+abort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from chaseterm.chase import ChasePolicy, ChaseResult, ChaseStepRecord, chase
-from chaseterm.model import Constraint, Instance, LabeledNull, term_positions
+from chaseterm.model import LabeledNull, occurrences
+
+if TYPE_CHECKING:
+    from chaseterm.chase import ChaseStepRecord
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,11 @@ def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -
         return G
 
     new_nodes = [MonitorNode(n, ps) for n, ps in step.fresh_nulls]
-    sources = {v for atom in body_instantiation for v in atom.args if v in live}
+    sources = [(live[v], frozenset(ps)) for v, ps in
+               occurrences(body_instantiation, LabeledNull).items() if v in live]
     new_edges = sorted(
-        (MonitorEdge(live[v], step.constraint_id,
-                     term_positions(body_instantiation, v), tgt)
-         for v in sources for tgt in new_nodes), key=edge_key)
+        (MonitorEdge(src, step.constraint_id, ps, tgt)
+         for src, ps in sources for tgt in new_nodes), key=edge_key)
 
     for node in new_nodes:
         live[node.null] = node
@@ -120,10 +125,3 @@ def is_k_cyclic(G: MonitorGraph, k: int) -> Tuple[bool, Optional[Tuple[MonitorEd
                 best = witness
     return (best is not None), best
 
-
-def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
-                    policy: ChasePolicy = ChasePolicy()) -> ChaseResult:
-    """Chase with the cycle monitor armed: aborts with reason k_cyclic the
-    first time the monitor graph becomes k-cyclic. The result's `monitor`
-    is the graph of the steps run. A k below 1 raises ValueError."""
-    return chase(I, sigma, replace(policy, monitor_k=k))

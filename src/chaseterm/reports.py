@@ -10,11 +10,11 @@ or firing witness raises instead of printing.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from chaseterm.chase import ChaseResult, ChaseStepRecord
-from chaseterm.dynamic import ChaseGraph, TerminationGuarantee
-from chaseterm.firing import PRECEDES, PRECEDES_P, verify_witness
+from chaseterm.dynamic import TerminationGuarantee
+from chaseterm.firing import PRECEDES, PRECEDES_P, ChaseGraph, verify_witness
 from chaseterm.model import Constraint, Position, fact_key, position_key
 from chaseterm.monitor import MonitorGraph, edge_key, is_k_cyclic
 from chaseterm.static import (
@@ -250,7 +250,7 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
     return out
 
 
-def monitor_report(g: MonitorGraph, k: Optional[int] = None) -> dict:
+def monitor_report(g: MonitorGraph, k: int) -> dict:
     def node_key(n):
         return (n.null.creation_index, n.null.name)
     out = {
@@ -263,14 +263,13 @@ def monitor_report(g: MonitorGraph, k: Optional[int] = None) -> dict:
                    "body_positions": _positions(e.body_positions)}
                   for e in sorted(g.edges, key=edge_key)],
     }
-    if k is not None:
-        cyclic, chain = is_k_cyclic(g, k)
-        out["k"] = k
-        out["k_cyclic"] = cyclic
-        out["chain"] = (None if chain is None else
-                        [{"source": _monitor_node_str(e.source),
-                          "target": _monitor_node_str(e.target)}
-                         for e in chain])
+    cyclic, chain = is_k_cyclic(g, k)
+    out["k"] = k
+    out["k_cyclic"] = cyclic
+    out["chain"] = (None if chain is None else
+                    [{"source": _monitor_node_str(e.source),
+                      "target": _monitor_node_str(e.target)}
+                     for e in chain])
     return out
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from chaseterm.firing import PRECEDES_P, Answers, Witness, can_cause
+from chaseterm.firing import (
+    PRECEDES_P, Answers, ChaseGraph, Witness, can_cause, chase_graph,
+)
 from chaseterm.graphs import cycle_through, nontrivial_components
 from chaseterm.model import TGD, Constraint, Position, check_arities, position_key
 
@@ -267,7 +269,6 @@ def is_inductively_restricted(sigma: Sequence[Constraint]) -> bool:
 
 
 def is_stratified(sigma: Sequence[Constraint]) -> bool:
-    from chaseterm.dynamic import chase_graph
     g = chase_graph(sigma)
     return all(is_weakly_acyclic(comp)
                for comp in nontrivial_sccs(list(sigma), g.edges))
@@ -287,7 +288,7 @@ class AnalysisReport:
     propagation_graph: PositionGraph
     propagation_cycle: Optional[Cycle]
     stratified: bool
-    chase_graph: "object"  # dynamic.ChaseGraph; typed loosely to avoid a cycle
+    chase_graph: ChaseGraph
     stratification_failures: Tuple[Tuple[Tuple[str, ...], Cycle], ...]
     safely_restricted: bool
     restriction_system: RestrictionSystem
@@ -319,7 +320,6 @@ def _component_failures(comps, check) -> Tuple:
 
 def analyze(sigma: Sequence[Constraint]) -> AnalysisReport:
     """Run the whole ladder and bundle verdicts with their evidence."""
-    from chaseterm.dynamic import chase_graph
     sigma = tuple(sigma)
     check_arities([f for c in sigma for f in tuple(c.body) + tuple(c.head)])
 

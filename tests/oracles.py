@@ -26,7 +26,7 @@ from chaseterm.firing import (
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, Position,
     Variable, conjunction_vars, fact_key, instantiate, replace_value,
-    satisfies, term_positions, value_key,
+    satisfies, value_key,
 )
 from chaseterm.monitor import (
     MonitorEdge, MonitorGraph, MonitorNode, edge_class, edge_key,
@@ -167,6 +167,13 @@ def affected_oracle(constraints):
 # and every step rebuilds the instance. Matching and the homomorphism search
 # recurse once per atom.
 # ---------------------------------------------------------------------------
+
+
+def term_positions(atoms, t):
+    """The positions at which the term t occurs in atoms, one term at a
+    time: the reference for model.occurrences."""
+    return frozenset(Position(a.relation, i + 1)
+                     for a in atoms for i, u in enumerate(a.args) if u == t)
 
 
 def _facts_by_relation(I):

@@ -15,13 +15,14 @@ import pytest
 
 from chaseterm.chase import (
     ABORTED, ChasePolicy, K_CYCLIC, STEP_LIMIT, TERMINATED, chase,
+    monitored_chase,
 )
 from chaseterm.dynamic import (
     THIS_INSTANCE, data_dependent_guarantee, irrelevant_constraints,
 )
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import Atom, LabeledNull, Position, hom_equivalent
-from chaseterm.monitor import is_k_cyclic, monitored_chase
+from chaseterm.monitor import is_k_cyclic
 from chaseterm.static import (
     analyze, is_inductively_restricted, propagation_graph,
 )

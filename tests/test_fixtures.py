@@ -2,10 +2,9 @@
 
 import pytest
 
-from chaseterm.chase import ChasePolicy, TERMINATED, chase
+from chaseterm.chase import ChasePolicy, TERMINATED, chase, monitored_chase
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import Atom, Constant, ModelError, Variable
-from chaseterm.monitor import monitored_chase
 from chaseterm.static import is_inductively_restricted
 
 

@@ -1,14 +1,18 @@
 """Core model: terms, satisfaction, violations, homomorphisms."""
 
+import collections
+import random
+
 import pytest
 
 from chaseterm.model import (
     Atom, Constant, LabeledNull, ModelError, Position, Variable,
-    egd, find_homomorphism, find_violations, hom_equivalent, instance,
-    instantiate, satisfies, tgd, value_key,
+    egd, fact_key, find_homomorphism, find_violations, hom_equivalent,
+    instance, instantiate, match_conjunction, occurrences, satisfies, tgd,
+    value_key,
 )
 from .conftest import A, C, N, V
-from . import oracles
+from . import generators, oracles
 
 
 class TestTerms:
@@ -87,6 +91,42 @@ class TestConstruction:
         a1, a2 = feedback_sigma
         assert a1.existential_vars == ()
         assert a2.existential_vars == (V("Z"),)
+
+
+class TestOccurrences:
+    def test_agrees_with_term_positions(self):
+        # oracles.term_positions, one term at a time, is the reference
+        seen = collections.Counter()
+        for seed in range(40):
+            rng = random.Random(f"model/occurrences/{seed}")
+            I = generators.random_instance(rng, n_constants=2)
+            sigma = generators.random_constraints(rng, max_atoms=3,
+                                                  constant_rate=0.2)
+            conjunctions = ([sorted(I.facts, key=fact_key)]
+                            + [c.body for c in sigma] + [c.head for c in sigma])
+            for atoms in conjunctions:
+                for kind in (Variable, LabeledNull):
+                    got = occurrences(atoms, kind)
+                    assert set(got) == {t for a in atoms for t in a.args
+                                        if t.__class__ is kind}
+                    for t, ps in got.items():
+                        assert len(ps) == len(set(ps)), (atoms, t)
+                        assert frozenset(ps) == oracles.term_positions(atoms, t)
+                        seen[kind] += 1
+                        if any(a.args.count(t) > 1 for a in atoms):
+                            seen["repeated in one atom", kind] += 1
+        assert all(seen[key] for key in (
+            Variable, LabeledNull, ("repeated in one atom", Variable),
+            ("repeated in one atom", LabeledNull))), seen
+
+    def test_first_occurrence_order_without_repeats(self):
+        x, y, u = V("X"), V("Y"), N("u")
+        atoms = [A("R", x, x), A("T", y, x), A("R", x, x), A("S", u)]
+        assert occurrences(atoms, Variable) == {
+            x: (Position("R", 1), Position("R", 2), Position("T", 2)),
+            y: (Position("T", 1),)}
+        assert occurrences(atoms, LabeledNull) == {u: (Position("S", 1),)}
+        assert occurrences(atoms, Constant) == {}
 
 
 class TestInstantiate:
@@ -181,6 +221,34 @@ class TestFindViolations:
         c = tgd("c", [], [A("S", V("X"))])
         assert find_violations(instance([]), c) == [{}]
         assert find_violations(instance([A("S", C("a"))]), c) == []
+
+
+class TestMatcherAgainstOracle:
+    def test_matches_and_violations_agree(self):
+        # the matcher over an Instance, whose buckets keep no order, against
+        # the recursive join of oracles: matches as a multiset, violations
+        # in their value_key order
+        def multiset(matches):
+            return collections.Counter(frozenset(m.items()) for m in matches)
+
+        seen = collections.Counter()
+        for seed in range(60):
+            rng = random.Random(f"model/matcher/{seed}")
+            I = generators.random_instance(rng, max_facts=12, n_constants=2)
+            for c in generators.random_constraints(rng, max_atoms=3,
+                                                   egd_rate=0.5):
+                matches = list(match_conjunction(c.body, I))
+                assert multiset(matches) == multiset(
+                    oracles.ref_match_conjunction(c.body, I)), (I, c)
+                for m in matches[:3]:
+                    base = {v: m[v] for v in c.body_vars}
+                    assert multiset(match_conjunction(c.head, I, base)) == multiset(
+                        oracles.ref_match_conjunction(c.head, I, base)), (I, c, m)
+                got = find_violations(I, c)
+                assert got == oracles.ref_find_violations(I, c), (I, c)
+                seen["matches"] += len(matches)
+                seen["violations"] += len(got)
+        assert seen["matches"] and seen["violations"], seen
 
 
 class TestHomomorphism:

@@ -4,10 +4,11 @@ import pytest
 
 from chaseterm.chase import (
     ABORTED, K_CYCLIC, TERMINATED, ChasePolicy, apply_record, chase,
+    monitored_chase,
 )
 from chaseterm.model import LabeledNull, Position, instance
 from chaseterm.monitor import (
-    MonitorGraph, edge_class, is_k_cyclic, monitor_update, monitored_chase,
+    MonitorGraph, edge_class, is_k_cyclic, monitor_update,
 )
 from chaseterm.model import egd, instantiate, tgd
 

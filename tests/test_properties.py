@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaseterm.chase import (
     ChaseFailed, ChasePolicy, apply_record, chase, chase_step,
+    monitored_chase,
 )
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import PRECEDES, PRECEDES_P, can_cause, verify_witness
@@ -18,7 +19,7 @@ from chaseterm.model import (
     TGD, LabeledNull, fact_key, find_violations, instance, match_conjunction,
     satisfies,
 )
-from chaseterm.monitor import edge_class, is_k_cyclic, monitored_chase
+from chaseterm.monitor import edge_class, is_k_cyclic
 from chaseterm.static import affected_positions, analyze, part
 from chaseterm.syntax import (
     ConstraintDocument, parse_constraints, parse_instance, print_constraints,

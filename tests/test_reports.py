@@ -5,12 +5,11 @@ import json
 
 import pytest
 
-from chaseterm.chase import chase
+from chaseterm.chase import chase, monitored_chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
 from chaseterm.model import instance, tgd
-from chaseterm.monitor import monitored_chase
 from chaseterm.reports import (
     ReportIntegrityError, analysis_report, chase_report, export_dot,
     guarantee_report, monitor_report, position_str, to_json,
