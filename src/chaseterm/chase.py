@@ -98,14 +98,12 @@ class ChaseResult:
     monitor: Optional[MonitorGraph] = None  # the graph of a monitored run
 
 
-def _tgd_added(c: Constraint, a: Assignment, counter: int, taken,
-               ) -> Tuple[frozenset, List[LabeledNull], int]:
-    """The facts a TGD step of c on a adds, its fresh nulls in the order of
-    c's existential variables, and the next null counter.
-
-    Each existential variable gets null n<counter> with creation index
-    counter; names in taken (those of the nulls in the current instance) are
-    skipped."""
+def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
+              index: int) -> Tuple[ChaseStepRecord, int]:
+    """The record of step number index, a TGD step, and the next null
+    counter. Each existential variable gets null n<counter> with creation
+    index counter, in the order of c's existential variables; names in
+    taken (those of the nulls in the current instance) are skipped."""
     ext = dict(a)
     fresh: List[LabeledNull] = []
     for v in c.existential_vars:
@@ -115,14 +113,7 @@ def _tgd_added(c: Constraint, a: Assignment, counter: int, taken,
         counter += 1
         ext[v] = n
         fresh.append(n)
-    return instantiate(c.head, ext), fresh, counter
-
-
-def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
-              index: int) -> Tuple[ChaseStepRecord, int]:
-    """The record of step number index, a TGD step, and the next null
-    counter (see _tgd_added)."""
-    added, fresh, counter = _tgd_added(c, a, counter, taken)
+    added = instantiate(c.head, ext)
     nulls: Tuple[Tuple[LabeledNull, frozenset], ...] = ()
     if fresh:
         held = occurrences(added, LabeledNull)

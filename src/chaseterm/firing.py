@@ -9,18 +9,48 @@ null into beta's head). chase_graph tabulates the relation over every pair
 of a set, the chase graph of Deutsch, Nash and Remmel ("The chase
 revisited", PODS 2008).
 
-The search enumerates candidates and hands each to a concrete validator that
-takes the step and checks every condition with the ordinary satisfaction
-test, so the enumeration may overapproximate freely. Candidates are built
+The search enumerates candidates and hands each to a concrete validator,
+the judge, that checks every condition with the ordinary satisfaction test,
+so the enumeration may overapproximate freely. Candidates are built
 canonically: assignment values are either constants named in the two
 constraints or pool symbols introduced in first-use order, each new symbol
 tried both as a constant and as a null (a restricted-growth enumeration, so
 isomorphic candidates are generated once). For a TGD alpha the candidate
 instance is a's body image plus the beta-body atoms not matched into the
 step's added facts; matching into added facts uses placeholder nulls that
-are resolved against the real fresh nulls once the step has run. For an EGD
-alpha the extra atoms range over the pre-images of b's body image under the
-merge, which is where a merge can complete a previously absent body.
+stand for the step's fresh nulls. For an EGD alpha the extra atoms range
+over the pre-images of b's body image under the merge, which is where a
+merge can complete a previously absent body.
+
+The judge takes no step. The candidate generators build the step's image
+of alpha's body image base once per assignment a: for a TGD alpha, base
+plus the instantiated head with placeholders for the fresh nulls; for an
+EGD alpha, base with the loser renamed to the survivor. "b violates beta
+in J" is checked on that image plus B, for an EGD alpha plus B renamed,
+with b unresolved. This is exact. For an EGD alpha the set is J itself,
+since the renaming distributes over base | B. For a TGD alpha, J is
+I = base | B plus the added facts, and the set is I plus the added facts
+with placeholders. Mapping placeholder i to the step's fresh null i maps
+one onto the other and fixes every value of I, since neither kind of null
+occurs in I: B never holds a placeholder, and the step's nulls are new. It
+is an isomorphism, so b violates beta in the image exactly when the b it
+resolves to violates beta in J. Only the accepted candidate takes the real
+step, once, with chase_step: its record's fresh nulls resolve b, and its
+successor is the witness's.
+
+An analysis keeps its answers in one table, Answers, keyed (alpha, beta)
+plus the guard and mode the query reads (_normalised). An entry is one of
+three kinds: None, no edge; a Witness; or EDGE, the edge mark, which says
+that a TGD alpha's existence check (see "exists") found an edge and the
+enumeration has not run yet. An EGD alpha's existence check is the
+enumeration, which finds the witness anyway, so its entries are never
+marks. chase_graph and minimal_restriction_system decide edges from the
+table and leave marks alone. Their witnesses mappings build a witness on
+first read: the enumeration runs under the exact key under which the edge
+was found, and its witness replaces the mark in the table. can_cause
+returns the built witness. So a command that prints no witness, termcheck,
+irrelevant or a bare is_* check, runs no enumeration for a TGD alpha,
+except where "unguarded" reuses a witness.
 
 Nine prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
@@ -66,7 +96,8 @@ so the first witness found is the one the unpruned enumeration finds.
             same in both modes, and the PRECEDES_P validator checks every
             PRECEDES condition plus the guard and null-copying, so it
             accepts no candidate that the PRECEDES one rejects. The query
-            only reads that answer and never computes a missing one:
+            only reads that answer and never computes a missing one, but it
+            builds the witness of an EDGE entry, to reuse it as below:
             analyze builds the chase graph before the restriction system,
             over one table, so the answer is there when it helps, and a
             bare restriction-system call searches no PRECEDES pair. When
@@ -93,7 +124,8 @@ so the first witness found is the one the unpruned enumeration finds.
             built per a, before b's B or pre-images are built.
   exists    For a TGD alpha, in both modes, the search first decides
             whether any witness exists, and answers None at once when none
-            does; otherwise the enumeration runs unchanged. It enumerates
+            does; otherwise it answers EDGE, and the enumeration runs,
+            unchanged, when the witness is read. It enumerates
             the piece unifiers of a non-empty subset Q of beta's body with
             alpha's head (Baget et al., "On rules with existential
             variables: Walking the decidability line", AIJ 2011): an
@@ -134,10 +166,11 @@ so the first witness found is the one the unpruned enumeration finds.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from chaseterm.chase import ChaseFailed, _merged_pair, _tgd_added, chase_step
+from chaseterm.chase import ChaseFailed, _merged_pair, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
     Position, Value, Variable, _bind, fact_key, head_holds, instance,
@@ -294,68 +327,65 @@ def _bound(at: Atom, f: Atom, b: Assignment) -> Optional[Assignment]:
     return b if _bind(at.args, f.args, b, Variable) is not None else None
 
 
-def _holds(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
-           b: Assignment, P: frozenset, mode: str) -> Optional[Assignment]:
-    """Check all conditions concretely. b may still contain placeholders for
-    alpha's fresh nulls; returns the resolved b on success.
+def _guarded(I: Instance, P: frozenset) -> bool:
+    """Does every null of I sit at a position in P?"""
+    for f in I.facts:
+        for i, t in enumerate(f.args):
+            if isinstance(t, LabeledNull) and Position(f.relation, i + 1) not in P:
+                return False
+    return True
+
+
+def _holds(I: Instance, after: frozenset, alpha: Constraint, a: Assignment,
+           beta: Constraint, b: Assignment, P: frozenset, mode: str) -> bool:
+    """Do all conditions hold for the candidate (I, a, b)? after is the
+    step's image: J with placeholders for the fresh nulls, which b may
+    still hold (see the module docstring).
 
     The checks are pure and all must pass, so they run in the order that
     rejects soonest: the guard scan and the null-copying test, which read I
-    and b alone; the step; "beta violated in J"; "alpha violated in I". The
-    step computes J's facts as a plain set, its fresh nulls named as
-    chase_step names them, which the "beta violated in J" check reads as a
-    throwaway Instance. The judge builds neither the step record nor the
-    successor with its null counter: the search builds J with chase_step
-    for the one witness it returns. Over the seed-1 analyze-batch inputs
-    the judge ran 695 times: 117 times on most general candidates
-    ("exists"), 110 of them accepted; 337 times in the enumeration, 159
-    accepted; and 241 times for verify_witness, 41 of them to reuse an
-    unguarded witness ("unguarded"). A step taken for an a that is no
-    violation does no harm: the last check rejects it.
+    and b alone; "beta violated in J", read on after; "alpha violated in I".
+    The judge takes no step: the search takes the accepted candidate's,
+    once. Over the seed-1 analyze-batch inputs the judge ran 454 times:
+    117 times on most general candidates ("exists"), 110 of them accepted,
+    and 337 times in the enumeration, 159 accepted. An a that is no
+    violation gives an image all the same; the last check rejects it.
 
     The judge leaves out "beta not violated in I": the "new" filters drop
     every b whose body image lies in I before it is judged, and a b
     holding a placeholder has a fresh null of the step, which is not in I,
     in its body image. verify_witness, which judges witnesses from
     elsewhere, checks it itself. A placeholder is a null that resolves to
-    a null, so b answers the null-copying test as the resolved b does, and
-    equals it without one."""
+    a null, so b answers the null-copying test as the resolved b does."""
     if mode == PRECEDES_P:
-        for f in I.facts:
-            for i, t in enumerate(f.args):
-                if isinstance(t, LabeledNull) and Position(f.relation, i + 1) not in P:
-                    return None
-        if not _copies_null(b, beta.frontier):
-            return None
-    fresh: List[LabeledNull] = []
-    try:
-        if alpha.kind == TGD:
-            added, fresh, _ = _tgd_added(alpha, a, I.null_counter, I.null_names())
-            after = I.facts | added
-        else:
-            survivor, loser = _merged_pair(alpha, a)
-            after = replace_value(I.facts, loser, survivor)
-    except (ChaseFailed, ValueError):
-        return None
-    rb: Assignment = {}
-    for var, val in b.items():
-        if _is_placeholder(val):
-            val = fresh[val.creation_index - _PLACEHOLDER_BASE]
-        rb[var] = val
-    if satisfies(Instance(after), beta, rb):
-        return None
-    if satisfies(I, alpha, a):
-        return None
-    return rb
+        if not _guarded(I, P) or not _copies_null(b, beta.frontier):
+            return False
+    if satisfies(Instance(after), beta, b):
+        return False
+    return not satisfies(I, alpha, a)
+
+
+def _witness(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
+             b: Assignment) -> Witness:
+    """The witness of a candidate the judge accepted: the step, taken once,
+    gives the successor, and its fresh nulls resolve b's placeholders."""
+    J, rec = chase_step(I, alpha, a)
+    fresh = {_placeholder(i): n for i, (n, _) in enumerate(rec.fresh_nulls)}
+    return Witness(alpha.id, beta.id, I,
+                   tuple((v.name, a[v]) for v in alpha.body_vars),
+                   tuple((v.name, fresh.get(b[v], b[v])) for v in beta.body_vars),
+                   J)
 
 
 def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
                     no_null: frozenset, copying: bool,
-                    ) -> Iterator[Tuple[Assignment, frozenset]]:
-    """(b, B) pairs for a TGD alpha: b matches part of beta's body into the
-    step's added facts, B holds the rest, to be planted in I = base | B.
+                    ) -> Iterator[Tuple[Assignment, frozenset, frozenset]]:
+    """(b, B, after) for a TGD alpha: b matches part of beta's body into the
+    step's added facts, B holds the rest, to be planted in I = base | B,
+    and after is the step's image of I, the judge's J (see the module
+    docstring).
     A match that binds a variable of the rest to a placeholder is dropped
     with its whole subtree: the placeholders come from the match alone, so
     every B below it would hold a fresh null of the step, which no I holds.
@@ -386,16 +416,18 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
             B = instantiate(deferred, b)
             if old is not None and old <= B:
                 continue
-            yield b, B
+            yield b, B, after.facts | B
 
 
 def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
                     no_null: frozenset, copying: bool,
-                    ) -> Iterator[Tuple[Assignment, frozenset]]:
-    """(b, B) pairs for an EGD alpha: B ranges over the pre-images of b's
-    body under the merge, so the merge itself can complete beta's body.
+                    ) -> Iterator[Tuple[Assignment, frozenset, frozenset]]:
+    """(b, B, after) for an EGD alpha: B ranges over the pre-images of b's
+    body image under the merge, so the merge itself can complete beta's
+    body, and after is the step's image of I = base | B, the merged base
+    plus b's body image, which is B renamed.
     A b whose body image lies in I = base | B is skipped (see "new"), so
     is one whose beta head holds in the merged base (see "settled"), and,
     when copying is set, so is one with no null on beta's frontier (see
@@ -425,10 +457,11 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     args[slot] = val
                 choices.append(Atom(f.relation, tuple(args)))
             per_atom.append(choices)
+        J = after.facts | image
         for combo in itertools.product(*per_atom):
             B = frozenset(combo)
             if not old <= B:
-                yield b, B
+                yield b, B, J
 
 
 def _unify(at: Atom, hd: Atom, parent: Dict) -> Optional[Dict]:
@@ -506,31 +539,52 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         base = instantiate(alpha.body, a)
         if head_holds(Instance(base), alpha, a):
             continue  # see "satisfied"
-        facts = base | instantiate(deferred, b)
+        B = instantiate(deferred, b)
+        facts = base | B
         if instantiate(beta.body, b) <= facts:
             continue  # see "new"
-        if head_holds(Instance(base.union(_added_pattern(alpha, a))), beta, b):
+        after = Instance(base.union(_added_pattern(alpha, a)))
+        if head_holds(after, beta, b):
             continue  # see "settled"
-        if _holds(instance(facts), alpha, a, beta, b, P, mode) is not None:
+        if _holds(instance(facts), after.facts | B, alpha, a, beta, b, P, mode):
             return True
     return False
 
 
+class _EdgeMark:
+    """The entry EDGE of an answer table (see the module docstring)."""
+
+    def __repr__(self) -> str:
+        return "EDGE"
+
+
+EDGE = _EdgeMark()
+
+Key = Tuple[Constraint, Constraint, frozenset, str]
 # One analysis's firing answers, keyed (alpha, beta) + _normalised(P, mode)
-Answers = Dict[Tuple[Constraint, Constraint, frozenset, str], Optional[Witness]]
+Answers = Dict[Key, Union[None, Witness, _EdgeMark]]
 
 
-def _search(alpha: Constraint, beta: Constraint, P: frozenset,
-            mode: str) -> Optional[Witness]:
+def _exists(alpha: Constraint, beta: Constraint, P: frozenset,
+            mode: str) -> Union[None, Witness, _EdgeMark]:
+    """The existence part of the search: None when no witness exists, EDGE
+    when a TGD alpha has one, and an EGD alpha's first witness."""
     if not beta.body:
         return None  # see "body-less" in the module docstring
-    copying = mode == PRECEDES_P
-    if copying and not beta.frontier:
+    if mode == PRECEDES_P and not beta.frontier:
         return None  # see "copying"
     if alpha.never_violated or beta.never_violated:
         return None
-    if alpha.kind == TGD and not _has_edge(alpha, beta, P, mode):
-        return None  # see "exists"; no shared relation, no unifier
+    if alpha.kind == TGD:
+        # see "exists"; no shared relation, no unifier
+        return EDGE if _has_edge(alpha, beta, P, mode) else None
+    return _enumerate(alpha, beta, P, mode)
+
+
+def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
+               mode: str) -> Optional[Witness]:
+    """The canonical enumeration: its first witness, or None."""
+    copying = mode == PRECEDES_P
     named = _named_constants(alpha, beta)
     no_null_b = _no_null_vars(beta, P, mode)
     for a, pool, fc in _extensions(list(alpha.body_vars), {}, (), named, 0,
@@ -544,17 +598,36 @@ def _search(alpha: Constraint, beta: Constraint, P: frozenset,
         else:
             candidates = _egd_candidates(alpha, a, base, beta, pool, named, fc,
                                          no_null_b, copying)
-        for b, B in candidates:
+        for b, B, after in candidates:
             I = instance(base | B)
-            rb = _holds(I, alpha, a, beta, b, P, mode)
-            if rb is None:
-                continue
-            return Witness(
-                alpha.id, beta.id, I,
-                tuple((v.name, a[v]) for v in alpha.body_vars),
-                tuple((v.name, rb[v]) for v in beta.body_vars),
-                chase_step(I, alpha, a)[0])
+            if _holds(I, after, alpha, a, beta, b, P, mode):
+                return _witness(I, alpha, a, beta, b)
     return None
+
+
+def _built(answers: Answers, key: Key) -> Optional[Witness]:
+    """answers[key], an EDGE replaced for good by the witness that the
+    enumeration under key finds."""
+    if answers[key] is EDGE:
+        answers[key] = _enumerate(*key)
+    return answers[key]
+
+
+def find_edge(alpha: Constraint, beta: Constraint, P: frozenset, mode: str,
+              answers: Answers) -> Optional[Key]:
+    """The key of answers under which firing alpha can newly violate beta,
+    or None when it cannot. Fills the table and builds no witness, except
+    one that "unguarded" reuses."""
+    key = (alpha, beta) + _normalised(P, mode)
+    if key not in answers:
+        unguarded = (alpha, beta, frozenset(), PRECEDES)
+        if mode == PRECEDES_P and unguarded in answers:
+            w = _built(answers, unguarded)  # see "unguarded"
+            ok = w is None or verify_witness(alpha, beta, w, key[2], mode)
+            answers[key] = w if ok else _exists(*key)
+        else:
+            answers[key] = _exists(*key)
+    return None if answers[key] is None else key
 
 
 def can_cause(alpha: Constraint, beta: Constraint, P=frozenset(),
@@ -566,39 +639,49 @@ def can_cause(alpha: Constraint, beta: Constraint, P=frozenset(),
     PRECEDES drops both, and P is then ignored. answers, the asking analysis's
     table, keeps every answer and may settle a query (see "unguarded").
     """
-    key = (alpha, beta) + _normalised(P, mode)
     answers = {} if answers is None else answers
-    if key not in answers:
-        known = answers.get((alpha, beta, frozenset(), PRECEDES), False)
-        if mode == PRECEDES_P and known is None:
-            answers[key] = None
-        elif mode == PRECEDES_P and known and verify_witness(
-                alpha, beta, known, key[2], mode):
-            answers[key] = known
-        else:
-            answers[key] = _search(*key)
-    return answers[key]
+    key = find_edge(alpha, beta, P, mode, answers)
+    return None if key is None else _built(answers, key)
+
+
+class Witnesses(Mapping):
+    """A graph's witnesses by edge (alpha id, beta id), read-only. Each is
+    built on first read, under the key of answers under which its edge was
+    found (see the module docstring)."""
+
+    def __init__(self, answers: Answers, keys: Dict[Tuple[str, str], Key]):
+        self._answers, self._keys = answers, keys
+
+    def __getitem__(self, edge: Tuple[str, str]) -> Witness:
+        return _built(self._answers, self._keys[edge])
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 @dataclass(frozen=True)
 class ChaseGraph:
     """All-pairs firing graph: an edge means the source's application can
-    newly violate the target."""
+    newly violate the target. Each witness is built when it is read."""
 
     constraints: Tuple[Constraint, ...]
     edges: Tuple[Tuple[str, str], ...]
-    witnesses: Dict[Tuple[str, str], Witness]
+    witnesses: Mapping[Tuple[str, str], Witness]
 
 
 def chase_graph(sigma: Sequence[Constraint], answers: Optional[Answers] = None) -> ChaseGraph:
     sigma = tuple(sigma)
-    witnesses: Dict[Tuple[str, str], Witness] = {}
+    answers = {} if answers is None else answers
+    keys: Dict[Tuple[str, str], Key] = {}
     for a in sigma:
         for b in sigma:
-            w = can_cause(a, b, mode=PRECEDES, answers=answers)
-            if w is not None:
-                witnesses[(a.id, b.id)] = w
-    return ChaseGraph(sigma, tuple(sorted(witnesses)), witnesses)
+            key = find_edge(a, b, frozenset(), PRECEDES, answers)
+            if key is not None:
+                keys[(a.id, b.id)] = key
+    return ChaseGraph(sigma, tuple(sorted(keys)), Witnesses(answers, keys))
 
 
 def _normalised(P, mode: str) -> Tuple[frozenset, str]:
@@ -613,7 +696,8 @@ def _normalised(P, mode: str) -> Tuple[frozenset, str]:
 
 def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
                    P=frozenset(), mode: str = PRECEDES_P) -> bool:
-    """Recheck a witness from scratch against the defining conditions."""
+    """Recheck a witness from scratch against the defining conditions. The
+    step is taken once, and every condition is checked on its J."""
     P, mode = _normalised(P, mode)
     if w.alpha_id != alpha.id or w.beta_id != beta.id:
         return False
@@ -622,8 +706,14 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
             return False
     a = {Variable(name): val for name, val in w.assignment_a}
     b = {Variable(name): val for name, val in w.assignment_b}
-    if mode == PRECEDES_P and not _copies_null(b, beta.frontier):
-        return False  # see "copying"; asked before the judge, as the search does
-    return (_holds(w.instance, alpha, a, beta, b, P, mode) == b
-            and satisfies(w.instance, beta, b)  # b is not violated in I
-            and chase_step(w.instance, alpha, a)[0] == w.successor)
+    I = w.instance
+    if mode == PRECEDES_P and not (_copies_null(b, beta.frontier)
+                                   and _guarded(I, P)):
+        return False
+    if satisfies(I, alpha, a) or not satisfies(I, beta, b):
+        return False  # a is no violation in I, or b is one already
+    try:
+        J, _ = chase_step(I, alpha, a)
+    except (ChaseFailed, ValueError):
+        return False
+    return not satisfies(J, beta, b) and J == w.successor

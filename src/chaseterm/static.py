@@ -13,11 +13,13 @@ bodies and heads.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.firing import (
-    PRECEDES_P, Answers, ChaseGraph, Witness, can_cause, chase_graph,
+    PRECEDES_P, Answers, ChaseGraph, Key, Witness, Witnesses, chase_graph,
+    find_edge,
 )
 from chaseterm.graphs import cycle_through, nontrivial_components
 from chaseterm.model import TGD, Constraint, Position, check_arities, position_key
@@ -195,7 +197,7 @@ class RestrictionSystem:
     constraints: Tuple[Constraint, ...]
     edges: Tuple[Tuple[str, str], ...]
     f: Dict[str, frozenset]
-    witnesses: Dict[Tuple[str, str], Witness]
+    witnesses: Mapping[Tuple[str, str], Witness]
 
 
 def minimal_restriction_system(sigma: Sequence[Constraint],
@@ -203,30 +205,32 @@ def minimal_restriction_system(sigma: Sequence[Constraint],
     """Least fixpoint: discover edges with the guard at its current value,
     then grow each target's guard by exactly the positions the edge forces
     (the firing constraint's affected closure for TGDs, its own guard for
-    EGDs, cut down to the target's body positions). See can_cause on answers."""
+    EGDs, cut down to the target's body positions). Edges are decided from
+    answers (see firing.find_edge); each witness is built when it is read."""
     answers = {} if answers is None else answers
     by_id = {c.id: c for c in sigma}
     f: Dict[str, frozenset] = {c.id: frozenset() for c in sigma}
-    witnesses: Dict[Tuple[str, str], Witness] = {}
+    keys: Dict[Tuple[str, str], Key] = {}  # each edge's key in answers
     changed = True
     while changed:
         changed = False
         for a in sigma:
             for b in sigma:
-                if (a.id, b.id) in witnesses:
+                if (a.id, b.id) in keys:
                     continue
-                w = can_cause(a, b, f[a.id], PRECEDES_P, answers)
-                if w is not None:
-                    witnesses[(a.id, b.id)] = w
+                key = find_edge(a, b, f[a.id], PRECEDES_P, answers)
+                if key is not None:
+                    keys[(a.id, b.id)] = key
                     changed = True
-        for (aid, bid) in sorted(witnesses):
+        for (aid, bid) in sorted(keys):
             a = by_id[aid]
             add = aff_cl(a, f[aid]) if a.kind == TGD else f[aid]
             add &= by_id[bid].body_positions
             if not add <= f[bid]:
                 f[bid] |= add
                 changed = True
-    return RestrictionSystem(tuple(sigma), tuple(sorted(witnesses)), f, witnesses)
+    return RestrictionSystem(tuple(sigma), tuple(sorted(keys)), f,
+                             Witnesses(answers, keys))
 
 
 def nontrivial_sccs(constraints: Sequence[Constraint],
@@ -247,7 +251,7 @@ def part(sigma: Sequence[Constraint],
     returns itself once it is its own single component; otherwise the
     refinement descends into each component. Components are disjoint and
     each descent stays inside one, so the pieces are pairwise disjoint.
-    Every level queries one table: answers (see can_cause), or its own."""
+    Every level queries one table: answers (see firing.find_edge), or its own."""
     answers = {} if answers is None else answers
     return _refine(minimal_restriction_system(sigma, answers), answers)
 

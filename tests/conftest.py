@@ -7,6 +7,7 @@ parser tests can cross-check the surface syntax against them.
 
 import pytest
 
+from chaseterm import firing
 from chaseterm.model import (
     Atom, Constant, LabeledNull, Variable, egd, instance, instantiate, tgd,
 )
@@ -27,6 +28,20 @@ def N(name, idx=0):
 
 def A(rel, *args):
     return Atom(rel, tuple(args))
+
+
+def count_searches(monkeypatch, parts=("_exists", "_enumerate")):
+    """The (alpha, beta, P, mode) of every call to the named parts of the
+    firing search, in call order: by default both, the existence check and
+    the canonical enumeration."""
+    searched = []
+    for name in parts:
+        def counting(*args, part=getattr(firing, name)):
+            searched.append(args)
+            return part(*args)
+
+        monkeypatch.setattr(firing, name, counting)
+    return searched
 
 
 def monitor_steps(steps, sigma):

@@ -3,15 +3,17 @@
 Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
-freezes the agreed values. The last three sections are different in kind:
+freezes the agreed values. The last four sections are different in kind:
 they keep the chase engine the package had before its run-scoped index, the
-firing-witness search as it was before it pruned, and the monitor graph as
+firing-witness search as it was before it pruned, the firing graphs as they
+were before their witnesses were built on demand, and the monitor graph as
 it was before each run owned one graph, for differential tests that compare
 results with strict().
 """
 
 import dataclasses
 import random
+from collections.abc import Mapping
 from itertools import combinations, product
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -20,8 +22,8 @@ from chaseterm.chase import (
     ChasePolicy, ChaseResult, ChaseStepRecord, chase_step,
 )
 from chaseterm.firing import (
-    _PLACEHOLDER_BASE, PRECEDES_P, Witness, _added_pattern, _is_placeholder,
-    _named_constants, _new_symbols,
+    _PLACEHOLDER_BASE, PRECEDES, PRECEDES_P, ChaseGraph, Witness,
+    _added_pattern, _is_placeholder, _named_constants, _new_symbols, can_cause,
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, Position,
@@ -31,6 +33,7 @@ from chaseterm.model import (
 from chaseterm.monitor import (
     MonitorEdge, MonitorGraph, MonitorNode, edge_class, edge_key,
 )
+from chaseterm.static import RestrictionSystem, aff_cl
 
 
 def strict(x):
@@ -52,7 +55,7 @@ def strict(x):
             strict(getattr(x, f.name)) for f in dataclasses.fields(x))
     if isinstance(x, (set, frozenset)):
         return ("set",) + tuple(sorted((strict(v) for v in x), key=repr))
-    if isinstance(x, dict):
+    if isinstance(x, Mapping):  # a dict, or a graph's witnesses
         return ("dict",) + tuple(sorted(((strict(k), strict(v)) for k, v in x.items()),
                                         key=repr))
     if isinstance(x, (tuple, list)):
@@ -639,6 +642,50 @@ def bf_firing(alpha, beta, P, mode):
                                                     for v in frontier))):
                         return I, a, b, J
     return None
+
+
+# ---------------------------------------------------------------------------
+# The chase graph and the minimal restriction system as they were before
+# witnesses were built on demand: each edge's witness is built through
+# can_cause as the edge is found, and kept in a plain dict.
+# ---------------------------------------------------------------------------
+
+
+def ref_chase_graph(sigma, answers=None) -> ChaseGraph:
+    sigma = tuple(sigma)
+    witnesses = {}
+    for a in sigma:
+        for b in sigma:
+            w = can_cause(a, b, mode=PRECEDES, answers=answers)
+            if w is not None:
+                witnesses[(a.id, b.id)] = w
+    return ChaseGraph(sigma, tuple(sorted(witnesses)), witnesses)
+
+
+def ref_minimal_restriction_system(sigma, answers=None) -> RestrictionSystem:
+    answers = {} if answers is None else answers
+    by_id = {c.id: c for c in sigma}
+    f = {c.id: frozenset() for c in sigma}
+    witnesses = {}
+    changed = True
+    while changed:
+        changed = False
+        for a in sigma:
+            for b in sigma:
+                if (a.id, b.id) in witnesses:
+                    continue
+                w = can_cause(a, b, f[a.id], PRECEDES_P, answers)
+                if w is not None:
+                    witnesses[(a.id, b.id)] = w
+                    changed = True
+        for (aid, bid) in sorted(witnesses):
+            a = by_id[aid]
+            add = aff_cl(a, f[aid]) if a.kind == TGD else f[aid]
+            add &= by_id[bid].body_positions
+            if not add <= f[bid]:
+                f[bid] |= add
+                changed = True
+    return RestrictionSystem(tuple(sigma), tuple(sorted(witnesses)), f, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 from chaseterm.cli import main
 from chaseterm.syntax import parse_constraints, parse_instance
 
+from .conftest import count_searches
+
 TRAVEL_RULES = """\
 a1: fly(X1,X2,Y) -> hasAirport(X1), hasAirport(X2).
 a2: rail(X1,X2,Y) -> rail(X2,X1,Y).
@@ -240,6 +242,20 @@ class TestIrrelevantAndTermcheck:
         assert main(["termcheck", files["travel.rules"], files[inst],
                      "--as-query", "-k", "3"]) == code
         assert refined.count(("a1", "a2", "a3")) == 1
+
+    def test_termcheck_enumerates_no_instance_pair(self, files, capsys,
+                                                   monkeypatch):
+        # level None prints no firing witness, so each alpha_I pair is
+        # decided by its existence check, and none is enumerated
+        from chaseterm.dynamic import ALPHA_I
+        checked = count_searches(monkeypatch, ("_exists",))
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        assert main(["termcheck", files["travel.rules"], files["oneway.inst"],
+                     "--as-query", "-k", "3"]) == 3
+        assert "guarantee: None" in capsys.readouterr().out
+        assert [q for q in checked if q[0].id == ALPHA_I]
+        assert [q for q in enumerated
+                if ALPHA_I in (q[0].id, q[1].id)] == []
 
     def test_termcheck_json_levels(self, files, capsys):
         main(["termcheck", files["travel.rules"], files["roundtrip.inst"],

@@ -10,7 +10,7 @@ from chaseterm.firing import PRECEDES, verify_witness
 from chaseterm.model import TGD, ModelError, Variable, instance
 from chaseterm.static import analyze, is_inductively_restricted
 
-from .conftest import A, C, N, V
+from .conftest import A, C, N, V, count_searches
 
 
 class TestConstraintFromInstance:
@@ -93,6 +93,26 @@ class TestIrrelevance:
         ids = {c.id for c in irr} | {c.id for c in rel}
         assert ALPHA_I not in ids
         assert ids == {"a1", "a2", "a3"}
+
+
+class TestWitnessesOnDemand:
+    def test_pruning_enumerates_nothing(self, travel_sigma, oneway_instance,
+                                        roundtrip_instance, monkeypatch):
+        # the travel rules are TGDs, and the split reads edges alone; a
+        # witness is built when it is read, once
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        for I in (oneway_instance, roundtrip_instance):
+            _, _, g = irrelevant_constraints(I, travel_sigma)
+            assert [e for e in g.edges if e[0] == ALPHA_I]
+            assert enumerated == []
+            by_id = {c.id: c for c in g.constraints}
+            for edge in g.edges:
+                w = g.witnesses[edge]
+                assert g.witnesses[edge] is w
+                assert verify_witness(by_id[edge[0]], by_id[edge[1]], w,
+                                      mode=PRECEDES)
+            assert len(enumerated) == len(g.edges)
+            enumerated.clear()
 
 
 class TestGuarantee:

@@ -18,7 +18,7 @@ from chaseterm.firing import (
 from chaseterm.model import Position, egd, instance, position_key, tgd
 
 from . import generators, oracles
-from .conftest import A, C, N, V
+from .conftest import A, C, N, V, count_searches
 from .oracles import strict
 
 
@@ -158,9 +158,9 @@ class TestNewPrune:
         # the search must not hand it to the judge
         holds, judged = firing._holds, []
 
-        def recording_holds(I, alpha, a, beta, b, P, mode):
+        def recording_holds(I, after, alpha, a, beta, b, P, mode):
             judged.append(oracles.old_trigger(I, beta, b))
-            return holds(I, alpha, a, beta, b, P, mode)
+            return holds(I, after, alpha, a, beta, b, P, mode)
 
         monkeypatch.setattr(firing, "_holds", recording_holds)
         answers = {}
@@ -183,13 +183,7 @@ class TestUnguardedReuse:
     def test_no_edge_is_not_searched_again_under_a_guard(self, monkeypatch):
         # a guarded search only adds checks and drops candidates, so the
         # unguarded "no" in the table settles it without a search
-        search, searched = firing._search, []
-
-        def counting_search(*args):
-            searched.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(firing, "_search", counting_search)
+        searched = count_searches(monkeypatch)
         answers = {}
         settled = 0
         for seed in range(30):
@@ -212,13 +206,7 @@ class TestUnguardedReuse:
         # the unpruned enumeration is the same in both modes, and each
         # candidate before the unguarded witness fails the weaker judge, so
         # a guard that the witness passes has it as its first witness too
-        search, searched = firing._search, []
-
-        def counting_search(*args):
-            searched.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(firing, "_search", counting_search)
+        searched = count_searches(monkeypatch)
         reused = 0
         for seed in range(30):
             rng = random.Random(f"unguarded/witness/{seed}")
@@ -247,19 +235,14 @@ class TestUnguardedReuse:
         # the guarded search only peeks at the unguarded answer; computing
         # it would make a bare restriction-system call search every pair
         # twice
-        search, modes = firing._search, []
-
-        def counting_search(alpha, beta, P, mode):
-            modes.append(mode)
-            return search(alpha, beta, P, mode)
-
-        monkeypatch.setattr(firing, "_search", counting_search)
+        searched = count_searches(monkeypatch)
         rng = random.Random("unguarded/bare")
         sets = [feedback_sigma] + [generators.random_constraints(rng)
                                    for _ in range(20)]
         for sigma in sets:
             static.minimal_restriction_system(sigma)
             static.is_inductively_restricted(sigma)
+        modes = [mode for _, _, _, mode in searched]
         assert PRECEDES_P in modes and PRECEDES not in modes
 
 
@@ -380,6 +363,22 @@ class TestWitnessIntegrity:
         w = Witness("e", "r", I, (("X", c1), ("Y", c2)), (("X", c1),),
                     instance([A("R", c1, c1)]))
         assert not verify_witness(e, r, w, mode=PRECEDES)
+
+    @pytest.mark.parametrize("mode", [PRECEDES, PRECEDES_P])
+    def test_witness_with_a_null_of_high_index_is_rejected(self, mode):
+        # the search's placeholders have creation indexes from 1,000,000
+        # on, but a witness from elsewhere holds no placeholder: such a
+        # null is an ordinary value, here one absent from J
+        x, y = V("X"), V("Y")
+        a = tgd("a", [A("S", x)], [A("R", x, y)])
+        b = tgd("b", [A("R", x, y)], [A("T", y)])
+        guard = P(("S", 1), ("R", 1), ("R", 2), ("T", 1))
+        w = can_cause(a, b, guard, mode)
+        assert verify_witness(a, b, w, guard, mode)
+        far = N("n9", 1_000_003)
+        bad = dataclasses.replace(w, assignment_b=tuple(
+            (name, far if name == "Y" else val) for name, val in w.assignment_b))
+        assert not verify_witness(a, b, bad, guard, mode)
 
     def test_witness_step_is_replayable(self, travel_sigma):
         from chaseterm.model import Variable

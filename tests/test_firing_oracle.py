@@ -20,7 +20,9 @@ once and would compare nothing ("unguarded"). The sets with an instance's alpha_
 pairs that dynamic.irrelevant_constraints searches, body-less targets
 among them. On those sets the judge must also give every candidate the
 generators yield, settled ones included, the verdict of oracles.ref_holds,
-and the same resolved b when both accept.
+and the same resolved b when both accept. Last, the chase graph and the
+minimal restriction system, which build each witness when it is read, must
+equal the eager copies in oracles, witnesses included.
 """
 
 import collections
@@ -30,9 +32,12 @@ import pytest
 
 from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
-from chaseterm.firing import PRECEDES, PRECEDES_P, _holds, can_cause
+from chaseterm.firing import (
+    PRECEDES, PRECEDES_P, _holds, _witness, can_cause, chase_graph,
+)
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import TGD, LabeledNull, instance, instantiate
+from chaseterm.model import TGD, LabeledNull, Variable, instance, instantiate
+from chaseterm.static import analyze, minimal_restriction_system
 from chaseterm.syntax import parse_constraints
 
 from . import generators, oracles
@@ -44,14 +49,14 @@ from .oracles import strict
 def judge_sees_only_new_triggers(monkeypatch):
     holds = firing._holds
 
-    def checked_holds(I, alpha, a, beta, b, P, mode):
+    def checked_holds(I, after, alpha, a, beta, b, P, mode):
         assert not oracles.old_trigger(I, beta, b), (alpha, a, beta, b, I)
         assert not oracles.settled_trigger(alpha, a, beta, b), (alpha, a, beta, b)
         if mode == PRECEDES_P:
             # the frontier: beta's head variables that b binds
             assert any(isinstance(b[v], LabeledNull)
                        for v in beta.head_vars() if v in b), (alpha, a, beta, b)
-        return holds(I, alpha, a, beta, b, P, mode)
+        return holds(I, after, alpha, a, beta, b, P, mode)
 
     monkeypatch.setattr(firing, "_holds", checked_holds)
 
@@ -69,11 +74,12 @@ def assert_same_witnesses(sigma, rng):
 
 
 def assert_same_verdicts(sigma, rng, seen):
-    """_holds against ref_holds on every (b, B) that the candidate
-    generators yield for every pair of sigma and every guard, with the
-    settled and copying prunes switched off (in the generators head_holds
-    serves the first alone), so that every check of the judge has
-    candidates to reject. seen counts the verdicts, so the caller can see
+    """_holds, reading the step's image that the candidate generators
+    yield, against ref_holds on every (b, B) that they yield for every pair
+    of sigma and every guard, an accepted b resolved by its witness's step,
+    with the settled and copying prunes switched off (in the generators
+    head_holds serves the first alone), so that every check of the judge
+    has candidates to reject. seen counts the verdicts, so the caller can see
     that both answers and settled candidates occurred."""
     cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P) for P in guards(sigma, rng)]
     with pytest.MonkeyPatch.context() as mp:
@@ -89,10 +95,15 @@ def assert_same_verdicts(sigma, rng, seen):
                             list(alpha.body_vars), {}, (), named, 0,
                             firing._no_null_vars(alpha, P, mode)):
                         base = instantiate(alpha.body, a)
-                        for b, B in generate(alpha, a, base, beta, pool, named,
-                                             fc, no_null_b, False):
+                        for b, B, after in generate(alpha, a, base, beta, pool,
+                                                    named, fc, no_null_b, False):
                             I = instance(base | B)
-                            got = _holds(I, alpha, a, beta, b, P, mode)
+                            got = None
+                            if _holds(I, after, alpha, a, beta, b, P, mode):
+                                # the step resolves b, for the accepted b alone
+                                w = _witness(I, alpha, a, beta, b)
+                                got = {Variable(name): val
+                                       for name, val in w.assignment_b}
                             want = oracles.ref_holds(I, alpha, a, beta, b, P, mode)
                             want = want and want[0]  # the judge builds no J
                             assert strict(got) == strict(want), (alpha, a, beta, b, I)
@@ -213,3 +224,38 @@ def test_target_without_frontier_has_no_guarded_edge(monkeypatch):
             assert oracles.ref_search(alpha, beta, P, PRECEDES_P) is None
     assert judged == []
     assert any(can_cause(alpha, beta, mode=PRECEDES) for alpha in sigma)
+
+
+def assert_same_graphs(sigma):
+    """The chase graph and the minimal restriction system, their witnesses
+    built on demand, against the eager copies in oracles, compared
+    strictly: each alone over a fresh table, and analyze's over one table
+    against the copies over one table, the chase graph first."""
+    assert strict(chase_graph(sigma)) == strict(oracles.ref_chase_graph(sigma))
+    assert (strict(minimal_restriction_system(sigma))
+            == strict(oracles.ref_minimal_restriction_system(sigma)))
+    report, answers = analyze(sigma), {}
+    assert strict(report.chase_graph) == strict(
+        oracles.ref_chase_graph(sigma, answers))
+    assert strict(report.restriction_system) == strict(
+        oracles.ref_minimal_restriction_system(sigma, answers))
+
+
+def test_graphs_on_the_travel_fixture_with_its_instances(
+        travel_sigma, oneway_instance, roundtrip_instance):
+    for I in (oneway_instance, roundtrip_instance):
+        assert_same_graphs(travel_sigma + [constraint_from_instance(I)])
+
+
+def test_graphs_on_the_feedback_fixtures(feedback_sigma, seeded_feedback_sigma):
+    assert_same_graphs(feedback_sigma)
+    assert_same_graphs(seeded_feedback_sigma)
+
+
+@pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+def test_graphs_on_random_sets(egd_rate):
+    for seed in range(40):
+        rng = random.Random(f"firing-oracle/graphs/{egd_rate}/{seed}")
+        sigma = generators.random_constraints(rng, max_atoms=3,
+                                              egd_rate=egd_rate)
+        assert_same_graphs(sigma)

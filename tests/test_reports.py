@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from chaseterm import firing
 from chaseterm.chase import chase, monitored_chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
@@ -16,6 +18,7 @@ from chaseterm.reports import (
 )
 from chaseterm.static import PositionGraph, analyze, propagation_graph
 
+from . import generators
 from .conftest import A, C, V
 
 
@@ -104,6 +107,29 @@ class TestAnalysisReport:
             r, chase_graph=dataclasses.replace(g, witnesses=short))
         with pytest.raises(ReportIntegrityError, match="witness"):
             analysis_report(bad)
+
+
+class TestWitnessesOnDemand:
+    @pytest.mark.parametrize("egd_rate", [0.25, 0.75])
+    def test_report_does_not_depend_on_read_order(self, egd_rate):
+        # each witness is built under the key its edge was found under, so
+        # which graph is read first changes nothing. Some guarded edges
+        # whose unguarded witness fails their guard are still marks when
+        # analyze returns
+        marked = 0
+        for seed in range(40):
+            rng = random.Random(f"on-demand/order/{egd_rate}/{seed}")
+            sigma = generators.random_constraints(rng, max_atoms=3,
+                                                  egd_rate=egd_rate)
+            texts = []
+            for first in ("restriction_system", "chase_graph", None):
+                r = analyze(sigma)
+                marked += sum(v is firing.EDGE for v in r.answers.values())
+                if first is not None:
+                    dict(getattr(r, first).witnesses)
+                texts.append(to_json(analysis_report(r)))
+            assert texts[0] == texts[1] == texts[2], sigma
+        assert marked
 
 
 class TestChaseReport:

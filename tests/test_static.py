@@ -1,10 +1,12 @@
 """Ladder checks against hand-worked graphs for the three recurring sets."""
 
+import random
+
 import pytest
 
 from chaseterm import firing
 from chaseterm.firing import verify_witness
-from chaseterm.model import ModelError, Position, egd, tgd
+from chaseterm.model import TGD, ModelError, Position, egd, tgd
 from chaseterm.static import (
     aff_cl, affected_positions, analyze, dependency_graph,
     is_inductively_restricted, is_safe, is_safely_restricted, is_stratified,
@@ -13,7 +15,7 @@ from chaseterm.static import (
 )
 
 from . import generators, oracles
-from .conftest import A, V
+from .conftest import A, V, count_searches
 from .oracles import strict
 
 
@@ -253,13 +255,7 @@ class TestComponentOrdering:
 class TestNoStateOutlivesAnAnalysis:
     def test_second_analysis_searches_as_much_as_the_first(
             self, travel_sigma, seeded_feedback_sigma, monkeypatch):
-        search, searched = firing._search, []
-
-        def counting_search(*args):
-            searched.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(firing, "_search", counting_search)
+        searched = count_searches(monkeypatch)
         for sigma in (travel_sigma, seeded_feedback_sigma):
             counts = []
             for _ in range(2):
@@ -267,6 +263,26 @@ class TestNoStateOutlivesAnAnalysis:
                 analyze(sigma)
                 counts.append(len(searched) - before)
             assert counts[0] == counts[1] > 0, sigma
+
+
+class TestWitnessesOnDemand:
+    def test_bare_check_builds_no_tgd_witness(
+            self, travel_sigma, feedback_sigma, seeded_feedback_sigma,
+            monkeypatch):
+        # the rungs read edges alone; a TGD's edge comes from its existence
+        # check, and an EGD's existence check is the enumeration
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        rng = random.Random("on-demand/bare")
+        sets = [travel_sigma, feedback_sigma, seeded_feedback_sigma] + [
+            generators.random_constraints(rng, egd_rate=0.5) for _ in range(30)]
+        tgd_edges = 0
+        for sigma in sets:
+            is_inductively_restricted(sigma)
+            assert [q for q in enumerated if q[0].kind == TGD] == [], sigma
+            by_id = {c.id: c for c in sigma}
+            edges = minimal_restriction_system(sigma).edges
+            tgd_edges += sum(by_id[aid].kind == TGD for aid, _ in edges)
+        assert tgd_edges and enumerated
 
 
 class TestWidthFamily:
@@ -285,5 +301,5 @@ class TestWidthFamily:
     def test_report_matches_unpruned_search(self, n, monkeypatch):
         sigma = generators.width_family(n)
         got = strict(analyze(sigma))
-        monkeypatch.setattr(firing, "_search", oracles.ref_search)
+        monkeypatch.setattr(firing, "_exists", oracles.ref_search)
         assert got == strict(analyze(sigma))
