@@ -38,9 +38,8 @@ the same ordered pool a rescan builds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.model import (
     TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
@@ -65,8 +64,7 @@ class ChaseFailed(Exception):
         self.clash = (left, right)
 
 
-@dataclass(frozen=True)
-class ChaseStepRecord:
+class ChaseStepRecord(NamedTuple):
     """One applied step, with enough detail to replay it exactly."""
 
     index: int
@@ -77,16 +75,14 @@ class ChaseStepRecord:
     fresh_nulls: Tuple[Tuple[LabeledNull, frozenset], ...]  # null, positions in added facts
 
 
-@dataclass(frozen=True)
-class ChasePolicy:
+class ChasePolicy(NamedTuple):
     order: str = "det"                  # "det" or "rand"
     seed: int = 0
     max_steps: Optional[int] = None     # None: unlimited
     monitor_k: Optional[int] = None     # None: no cycle monitor
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(NamedTuple):
     outcome: str                        # terminated / failed / aborted
     final: Optional[Instance]           # last instance reached
     steps: Tuple[ChaseStepRecord, ...]
@@ -328,4 +324,4 @@ def monitored_chase(I: Instance, sigma: Sequence[Constraint], k: int,
     """Chase with the cycle monitor armed: aborts with reason k_cyclic the
     first time the monitor graph becomes k-cyclic. The result's `monitor`
     is the graph of the steps run. A k below 1 raises ValueError."""
-    return chase(I, sigma, replace(policy, monitor_k=k))
+    return chase(I, sigma, policy._replace(monitor_k=k))

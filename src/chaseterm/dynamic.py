@@ -13,8 +13,7 @@ the report's firing table, searches only the pairs of alpha_I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.firing import Answers, ChaseGraph, chase_graph
 from chaseterm.graphs import reachable_from
@@ -65,8 +64,7 @@ def irrelevant_constraints(I: Instance, sigma: Sequence[Constraint],
     return irrelevant, relevant, g
 
 
-@dataclass(frozen=True)
-class TerminationGuarantee:
+class TerminationGuarantee(NamedTuple):
     """What the static ladder still guarantees once the instance is fixed."""
 
     level: str                                # AllInstances / ThisInstance / None

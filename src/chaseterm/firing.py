@@ -167,8 +167,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from chaseterm.chase import ChaseFailed, _merged_pair, chase_step
 from chaseterm.model import (
@@ -183,8 +182,7 @@ PRECEDES_P = "precedes_p"    # plus the null-position guard and null-copying
 _PLACEHOLDER_BASE = 1_000_000
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A concrete firing scenario: alpha applied on (instance, assignment_a)
     yields successor, where assignment_b newly violates beta."""
 
@@ -662,8 +660,7 @@ class Witnesses(Mapping):
         return len(self._keys)
 
 
-@dataclass(frozen=True)
-class ChaseGraph:
+class ChaseGraph(NamedTuple):
     """All-pairs firing graph: an edge means the source's application can
     newly violate the target. Each witness is built when it is read."""
 

@@ -8,11 +8,14 @@ of atoms over variables and constants. A constraint is either a TGD
 EGD (body -> x = y).
 
 Terms, atoms, constraints and instances are immutable values, so the rest of
-the package can memoize and share them freely. Terms, positions and atoms
-are built and hashed by the million, in the chase and in the firing search,
-so they are __slots__ classes that compute their hash once, on
-construction, and code on the hot paths tells their kinds apart by class
-identity rather than isinstance. The one mutable structure is
+the package can memoize and share them freely. All four build on _Frozen.
+Terms, positions and atoms are built and hashed by the million, in the chase
+and in the firing search, so they are __slots__ classes that compute their
+hash once, on construction, and code on the hot paths tells their kinds
+apart by class identity rather than isinstance. A constraint also computes
+its hash once, and keeps an instance dict for its cached properties. An
+instance hashes on demand: the firing search builds throwaway instances by
+the thousand and hashes few of them. The one mutable structure is
 FactIndex, the run-scoped index a chase keeps for its whole run: facts by
 relation and by (relation, position, value), plus the null names in use. A
 TGD step adds facts to it and an EGD step rewrites only the facts holding the
@@ -37,7 +40,6 @@ nulls with the same name are the same null regardless of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,9 +56,10 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the immutable terms, positions and atoms: __slots__, and a
-    hash computed once, in __init__. A subclass that defines __eq__ must
-    name __hash__ again, or Python drops it."""
+    """Base of the immutable values: no field can be assigned or deleted,
+    and the hash is computed once, in __init__, unless a subclass says
+    otherwise. A subclass that defines __eq__ must name __hash__ again, or
+    Python drops it."""
 
     __slots__ = ("_hash",)
 
@@ -239,20 +242,34 @@ TGD = "tgd"
 EGD = "egd"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Frozen):
     """A TGD or an EGD. Build through tgd() / egd(), which validate.
 
     For a TGD the head is non-empty and head variables absent from the body
     are existential. For an EGD the head is the equated variable pair and
-    both variables occur in the body.
+    both variables occur in the body. Equal fields make equal constraints,
+    hashed as the tuple of the fields. No __slots__: the cached properties
+    below live in the instance dict.
     """
 
-    id: str
-    kind: str
-    body: Tuple[Atom, ...]
-    head: Tuple[Atom, ...] = ()
-    equated: Optional[Tuple[Variable, Variable]] = None
+    def __init__(self, id: str, kind: str, body: Tuple[Atom, ...],
+                 head: Tuple[Atom, ...] = (),
+                 equated: Optional[Tuple[Variable, Variable]] = None):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "body", body)
+        _set(self, "head", head)
+        _set(self, "equated", equated)
+        _set(self, "_hash", hash((id, kind, body, head, equated)))
+
+    def __eq__(self, other):
+        if other.__class__ is Constraint:
+            return self._hash == other._hash and (
+                (self.id, self.kind, self.body, self.head, self.equated)
+                == (other.id, other.kind, other.body, other.head, other.equated))
+        return NotImplemented
+
+    __hash__ = _Frozen.__hash__
 
     def __repr__(self) -> str:
         return f"<{self.id}>"
@@ -347,12 +364,24 @@ def egd(cid: str, body: Sequence[Atom], left: Variable, right: Variable) -> Cons
 # Instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instance:
-    """A finite set of ground atoms plus the next free null creation index."""
+class Instance(_Frozen):
+    """A finite set of ground atoms plus the next free null creation index.
+    Equal fields make equal instances, hashed, on demand, as the tuple of
+    the fields."""
 
-    facts: frozenset
-    null_counter: int = 1
+    def __init__(self, facts: frozenset, null_counter: int = 1):
+        fields = self.__dict__  # writing it is about twice as fast as _set
+        fields["facts"] = facts
+        fields["null_counter"] = null_counter
+
+    def __eq__(self, other):
+        if other.__class__ is Instance:
+            return (self.null_counter == other.null_counter
+                    and self.facts == other.facts)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.facts, self.null_counter))
 
     def __repr__(self) -> str:
         shown = ", ".join(repr(f) for f in sorted(self.facts, key=fact_key))

@@ -27,8 +27,7 @@ abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
 from chaseterm.model import LabeledNull, occurrences
 
@@ -36,14 +35,12 @@ if TYPE_CHECKING:
     from chaseterm.chase import ChaseStepRecord
 
 
-@dataclass(frozen=True)
-class MonitorNode:
+class MonitorNode(NamedTuple):
     null: LabeledNull
     created_at: frozenset  # positions within the facts added by the creating step
 
 
-@dataclass(frozen=True)
-class MonitorEdge:
+class MonitorEdge(NamedTuple):
     source: MonitorNode
     constraint_id: str
     body_positions: frozenset  # where the source null sat in the instantiated body
@@ -64,17 +61,27 @@ def edge_key(e: MonitorEdge) -> Tuple:
             e.target.null.creation_index, e.target.null.name)
 
 
-@dataclass
 class MonitorGraph:
-    """The monitor graph of one run, updated in place by monitor_update."""
+    """The monitor graph of one run, updated in place by monitor_update.
+    Graphs with equal fields are equal; being mutable, a graph has no hash."""
 
-    nodes: Set[MonitorNode] = field(default_factory=set)
-    edges: Set[MonitorEdge] = field(default_factory=set)
-    # current null -> its node
-    live: Dict[LabeledNull, MonitorNode] = field(default_factory=dict)
-    # (node, class) -> longest chain ending there
-    chains: Dict[Tuple, Tuple[MonitorEdge, ...]] = field(default_factory=dict)
-    longest: int = 0  # length of the longest chain
+    def __init__(self, nodes: Optional[Set[MonitorNode]] = None,
+                 edges: Optional[Set[MonitorEdge]] = None,
+                 live: Optional[Dict[LabeledNull, MonitorNode]] = None,
+                 chains: Optional[Dict[Tuple, Tuple[MonitorEdge, ...]]] = None,
+                 longest: int = 0):
+        self.nodes = set() if nodes is None else nodes
+        self.edges = set() if edges is None else edges
+        self.live = {} if live is None else live  # current null -> its node
+        # (node, class) -> longest chain ending there
+        self.chains = {} if chains is None else chains
+        self.longest = longest  # length of the longest chain
+
+    def __eq__(self, other):
+        if other.__class__ is MonitorGraph:
+            return ((self.nodes, self.edges, self.live, self.chains, self.longest)
+                    == (other.nodes, other.edges, other.live, other.chains, other.longest))
+        return NotImplemented
 
 
 def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -> MonitorGraph:

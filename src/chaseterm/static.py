@@ -14,7 +14,6 @@ bodies and heads.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.firing import (
@@ -104,8 +103,7 @@ def aff_cl(alpha: Constraint, P) -> frozenset:
 # Position graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositionGraph:
+class PositionGraph(NamedTuple):
     """Positions as nodes; regular edges copy values, special edges mark
     places where a firing creates a fresh null."""
 
@@ -189,8 +187,7 @@ def is_weakly_acyclic(sigma: Sequence[Constraint]) -> bool:
 # Restriction systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RestrictionSystem:
+class RestrictionSystem(NamedTuple):
     """The firing graph over Sigma together with the position guard f under
     which each constraint's firings were tested."""
 
@@ -282,8 +279,7 @@ def is_stratified(sigma: Sequence[Constraint]) -> bool:
 # The full report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     constraints: Tuple[Constraint, ...]
     weakly_acyclic: bool
     dependency_graph: PositionGraph
@@ -300,7 +296,26 @@ class AnalysisReport:
     inductively_restricted: bool
     parts: Tuple[Tuple[Constraint, ...], ...]
     part_failures: Tuple[Tuple[Tuple[str, ...], Cycle], ...]
-    answers: Answers = field(compare=False, repr=False)  # data_dependent_guarantee reuses it
+    answers: Answers  # data_dependent_guarantee reuses it
+
+    # answers is bookkeeping: equality, the hash and repr leave it out.
+    # __ne__ is defined too, or tuple's own would compare it.
+    def __eq__(self, other):
+        if other.__class__ is AnalysisReport:
+            return self[:-1] == other[:-1]
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is AnalysisReport:
+            return self[:-1] != other[:-1]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"AnalysisReport({shown})"
 
     @property
     def accepted_by(self) -> Tuple[Rung, ...]:

@@ -13,8 +13,7 @@ Printing inverts parsing as long as names obey the lexical convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from chaseterm.model import (
     Atom, Constant, Constraint, EGD, Instance, LabeledNull, ModelError, Term,
@@ -37,8 +36,7 @@ _PUNCT = {"(": LPAREN, ")": RPAREN, ",": COMMA, "=": EQUALS,
           ".": DOT, ":": COLON}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -146,12 +144,26 @@ def _rule_term(p: _Parser) -> Term:
     return Constant(t.text)
 
 
-@dataclass(frozen=True)
-class ConstraintDocument:
+class ConstraintDocument(NamedTuple):
     """Rules in file order, with each rule's (line, column) for messages."""
 
     constraints: Tuple[Constraint, ...]
-    spans: Tuple[Tuple[int, int], ...] = field(compare=False, default=())
+    spans: Tuple[Tuple[int, int], ...] = ()
+
+    # equality and the hash read the rules only, wherever they sit in the
+    # file. __ne__ is defined too, or tuple's own would compare the spans.
+    def __eq__(self, other):
+        if other.__class__ is ConstraintDocument:
+            return self.constraints == other.constraints
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is ConstraintDocument:
+            return self.constraints != other.constraints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.constraints,))
 
 
 def parse_constraints(text: str) -> ConstraintDocument:

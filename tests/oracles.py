@@ -38,8 +38,10 @@ from chaseterm.static import RestrictionSystem, aff_cl
 
 def strict(x):
     """x as plain tuples, keeping what equality drops: a null's creation
-    index. Sets become sorted tuples, so the form is order-free. Terms,
-    positions and atoms are not dataclasses, so each is named here."""
+    index. Sets become sorted tuples, so the form is order-free. A record
+    keeps its class name in front: the package's classes are named one by
+    one, and NamedTuple records are caught before the plain-tuple branch,
+    which would drop the name."""
     if isinstance(x, LabeledNull):
         return ("null", x.name, x.creation_index)
     if isinstance(x, Constant):
@@ -50,7 +52,16 @@ def strict(x):
         return ("pos", x.relation, x.index)
     if isinstance(x, Atom):
         return ("atom", x.relation, strict(x.args))
-    if dataclasses.is_dataclass(x):
+    if isinstance(x, Constraint):
+        return ("Constraint",) + strict((x.id, x.kind, x.body, x.head, x.equated))
+    if isinstance(x, Instance):
+        return ("Instance",) + strict((x.facts, x.null_counter))
+    if isinstance(x, MonitorGraph):
+        return ("MonitorGraph",) + strict(
+            (x.nodes, x.edges, x.live, x.chains, x.longest))
+    if isinstance(x, tuple) and hasattr(x, "_fields"):  # a NamedTuple record
+        return (type(x).__name__,) + tuple(strict(v) for v in x)
+    if dataclasses.is_dataclass(x):  # RefMonitorGraph below
         return (type(x).__name__,) + tuple(
             strict(getattr(x, f.name)) for f in dataclasses.fields(x))
     if isinstance(x, (set, frozenset)):
@@ -288,8 +299,7 @@ def ref_chase(I, sigma, policy=ChasePolicy()):
     res = _ref_chase_run(I, sigma, policy)
     if policy.monitor_k is None:
         return res
-    return dataclasses.replace(
-        res, monitor=library_graph(ref_build_monitor(res.steps, sigma)))
+    return res._replace(monitor=library_graph(ref_build_monitor(res.steps, sigma)))
 
 
 def _ref_chase_run(I, sigma, policy):

@@ -12,9 +12,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaseterm.chase import ChasePolicy, chase
+from chaseterm.chase import (
+    TERMINATED, ChasePolicy, ChaseResult, ChaseStepRecord, chase,
+)
+from chaseterm.firing import Witness
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import egd, instance, tgd
+from chaseterm.model import Instance, egd, instance, tgd
 
 from .conftest import A, C, N, V
 from . import generators, oracles
@@ -43,6 +46,22 @@ def test_strict_sees_creation_indices_inside_atoms():
     assert strict(f1) != strict(f2)
     assert strict(instance([f1])) != strict(instance([f2]))
     assert strict(A("R", V("n"))) != strict(A("R", C("n")))
+
+
+def test_strict_sees_creation_indices_inside_records():
+    # two records that differ only in a null's creation index are equal,
+    # and strict tells them apart; it names the record class too
+    def record(idx):
+        n = N("n", idx)
+        I = Instance(frozenset({A("R", n)}), 3)
+        step = ChaseStepRecord(0, "c", (("X", n),), frozenset(), None, ())
+        w = Witness("c", "d", I, (("X", n),), (("X", n),), I)
+        return step, w, ChaseResult(TERMINATED, I, (step,))
+
+    for r1, r2 in zip(record(1), record(2)):
+        assert r1 == r2
+        assert strict(r1) != strict(r2)
+        assert strict(r1)[0] == type(r1).__name__
 
 
 def test_travel_fixtures(travel_sigma, oneway_instance, roundtrip_instance):

@@ -4,7 +4,6 @@ The S/E pair and the travel set have fully hand-checked firing relations;
 the EGD scenarios exercise the merge pre-image search.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -324,9 +323,9 @@ class TestWitnessIntegrity:
     def test_tampered_witness_is_rejected(self, feedback_sigma):
         a1, a2 = feedback_sigma
         w = can_cause(a2, a1, frozenset(), PRECEDES_P)
-        bad = dataclasses.replace(w, successor=w.instance)
+        bad = w._replace(successor=w.instance)
         assert not verify_witness(a2, a1, bad, frozenset(), PRECEDES_P)
-        swapped = dataclasses.replace(w, alpha_id="nope")
+        swapped = w._replace(alpha_id="nope")
         assert not verify_witness(a2, a1, swapped, frozenset(), PRECEDES_P)
 
     @pytest.mark.parametrize("field", ["assignment_a", "assignment_b"])
@@ -336,10 +335,9 @@ class TestWitnessIntegrity:
         t2 = tgd("t2", [A("t", x, y), A("e", y, z)], [A("t", x, z)])
         w = can_cause(t1, t2, mode=PRECEDES)
         assert verify_witness(t1, t2, w, mode=PRECEDES)
-        bad = dataclasses.replace(w, **{field: getattr(w, field)[:-1]})
+        bad = w._replace(**{field: getattr(w, field)[:-1]})
         assert not verify_witness(t1, t2, bad, mode=PRECEDES)
-        extra = dataclasses.replace(
-            w, **{field: getattr(w, field) + (("W", C("c")),)})
+        extra = w._replace(**{field: getattr(w, field) + (("W", C("c")),)})
         assert not verify_witness(t1, t2, extra, mode=PRECEDES)
 
     def test_witness_whose_target_is_violated_before_is_rejected(self):
@@ -376,7 +374,7 @@ class TestWitnessIntegrity:
         w = can_cause(a, b, guard, mode)
         assert verify_witness(a, b, w, guard, mode)
         far = N("n9", 1_000_003)
-        bad = dataclasses.replace(w, assignment_b=tuple(
+        bad = w._replace(assignment_b=tuple(
             (name, far if name == "Y" else val) for name, val in w.assignment_b))
         assert not verify_witness(a, b, bad, guard, mode)
 

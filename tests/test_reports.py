@@ -1,6 +1,5 @@
 """Export formats: DOT text, JSON dicts, and the witness integrity gate."""
 
-import dataclasses
 import json
 import random
 
@@ -80,7 +79,7 @@ class TestAnalysisReport:
 
     def test_truncated_cycle_refused(self, travel_sigma):
         r = analyze(travel_sigma)
-        bad = dataclasses.replace(r, dependency_cycle=r.dependency_cycle[:-1])
+        bad = r._replace(dependency_cycle=r.dependency_cycle[:-1])
         with pytest.raises(ReportIntegrityError, match="closed"):
             analysis_report(bad)
 
@@ -88,8 +87,7 @@ class TestAnalysisReport:
         r = analyze(travel_sigma)
         g = r.chase_graph
         swapped = {k: g.witnesses[("a3", "a3")] for k in g.witnesses}
-        bad = dataclasses.replace(
-            r, chase_graph=dataclasses.replace(g, witnesses=swapped))
+        bad = r._replace(chase_graph=g._replace(witnesses=swapped))
         with pytest.raises(ReportIntegrityError, match="witness"):
             analysis_report(bad)
 
@@ -101,10 +99,8 @@ class TestAnalysisReport:
         g = r.chase_graph
         w = g.witnesses[("t1", "t2")]
         short = {**g.witnesses,
-                 ("t1", "t2"): dataclasses.replace(
-                     w, assignment_b=w.assignment_b[:-1])}
-        bad = dataclasses.replace(
-            r, chase_graph=dataclasses.replace(g, witnesses=short))
+                 ("t1", "t2"): w._replace(assignment_b=w.assignment_b[:-1])}
+        bad = r._replace(chase_graph=g._replace(witnesses=short))
         with pytest.raises(ReportIntegrityError, match="witness"):
             analysis_report(bad)
 
