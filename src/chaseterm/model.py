@@ -8,18 +8,26 @@ of atoms over variables and constants. A constraint is either a TGD
 EGD (body -> x = y).
 
 Terms, atoms, constraints and instances are immutable values, so the rest of
-the package can memoize and share them freely. All four build on _Frozen.
-Terms, positions and atoms are built and hashed by the million, in the chase
-and in the firing search, so they are __slots__ classes that compute their
-hash once, on construction, and code on the hot paths tells their kinds
-apart by class identity rather than isinstance. A constraint also computes
-its hash once, and keeps an instance dict for its cached properties. An
-instance hashes on demand: the firing search builds throwaway instances by
-the thousand and hashes few of them. The one mutable structure is
-FactIndex, the run-scoped index a chase keeps for its whole run: facts by
-relation and by (relation, position, value), plus the null names in use. A
-TGD step adds facts to it and an EGD step rewrites only the facts holding the
-losing value; the run freezes it into an Instance once, at the end.
+the package can memoize and share them freely. Terms are built, hashed and
+compared by the million, in the chase and in the firing search, so a term is
+a str: one control character that tags its kind (U+0001 constant, U+0002
+null, U+0003 variable) followed by its name. str caches the hash, and
+hashing, dict and set lookups and == run in C with no Python frame; as no
+name can change the first character, two terms are equal exactly when kind
+and name agree. The name, and a null's creation index, live in the instance
+dict. So a term also equals its tagged string and orders under < like one;
+no code may rely on either. str() and format() give the same text as repr().
+Positions, atoms, constraints and instances build on _Frozen. Positions and
+atoms are __slots__ classes that compute their hash once, on construction.
+Code on the hot paths tells term kinds apart by class identity rather than
+isinstance. A constraint also computes its hash once, and keeps an instance
+dict for its cached properties. An instance hashes on demand: the firing
+search builds throwaway instances by the thousand and hashes few of them.
+The one mutable structure is FactIndex, the run-scoped index a chase keeps
+for its whole run: facts by relation and by (relation, position, value),
+plus the null names in use. A TGD step adds facts to it and an EGD step
+rewrites only the facts holding the losing value; the run freezes it into an
+Instance once, at the end.
 
 One matcher, join(), serves conjunction matching, satisfaction, violations
 and homomorphisms. It backtracks with an explicit stack, so deep searches
@@ -56,10 +64,10 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the immutable values: no field can be assigned or deleted,
-    and the hash is computed once, in __init__, unless a subclass says
-    otherwise. A subclass that defines __eq__ must name __hash__ again, or
-    Python drops it."""
+    """Base of the immutable positions, atoms, constraints and instances:
+    no field can be assigned or deleted, and the hash is computed once, in
+    __init__, unless a subclass says otherwise. A subclass that defines
+    __eq__ must name __hash__ again, or Python drops it."""
 
     __slots__ = ("_hash",)
 
@@ -73,25 +81,35 @@ class _Frozen:
         return self._hash
 
 
-class _Named(_Frozen):
-    """A term: its kind and its name decide equality and the hash."""
+class _Named(str):
+    """A term: a str holding its kind's tag character and then its name, so
+    that str's own hash and equality, which run in C, decide "same kind and
+    same name". The name lives in the instance dict; str cannot take
+    __slots__. Each kind sets _tag."""
 
-    __slots__ = ("name",)
+    def __new__(cls, name: str):
+        self = str.__new__(cls, cls._tag + name)
+        self.__dict__["name"] = name
+        return self
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", hash((self.__class__, name)))
+    __setattr__ = _Frozen.__setattr__
+    __delattr__ = _Frozen.__delattr__
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
+    def __str__(self) -> str:
+        return self.__repr__()
 
-    __hash__ = _Frozen.__hash__
+    def __format__(self, spec: str) -> str:
+        return format(self.__repr__(), spec)
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild the term from its fields,
+        # which the dict holds in the order __new__ takes them; str's own
+        # reduction would pass the tagged string, or str(self)
+        return (self.__class__, tuple(self.__dict__.values()))
 
 
 class Constant(_Named):
-    __slots__ = ()
+    _tag = "\x01"
 
     def __repr__(self) -> str:
         return self.name
@@ -102,18 +120,19 @@ class LabeledNull(_Named):
     instance and increases for chase-created ones; it does not take part in
     equality or hashing."""
 
-    __slots__ = ("creation_index",)
+    _tag = "\x02"
 
-    def __init__(self, name: str, creation_index: int = 0):
-        _Named.__init__(self, name)
-        _set(self, "creation_index", creation_index)
+    def __new__(cls, name: str, creation_index: int = 0):
+        self = _Named.__new__(cls, name)
+        self.__dict__["creation_index"] = creation_index
+        return self
 
     def __repr__(self) -> str:
         return "?" + self.name
 
 
 class Variable(_Named):
-    __slots__ = ()
+    _tag = "\x03"
 
     def __repr__(self) -> str:
         return self.name

@@ -35,6 +35,9 @@ ONEWAY_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2).\n"
 FLY_RULES = "g: fly(X1, X2, Y1) -> fly(X2, X3, Y2).\n"
 FLY_FACT = "fly(c1, c2, c3).\n"
 ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).\n"
+# the travel rules plus an EGD that merges the two airport nulls of ?x1
+TRAVEL_EGD_RULES = TRAVEL_RULES + "e1: hasAirport(X), airportOf(X,Y), airportOf(X,Z) -> Y = Z.\n"
+AIRPORTS_INST = "rail(c1,?x1,?y1). fly(?x1,?x2,?y2). airportOf(?x1,?p1). airportOf(?x1,?p2).\n"
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -50,7 +53,9 @@ def files(tmp_path):
     for name, text in [("travel.rules", TRAVEL_RULES), ("seeded.rules", SEEDED_RULES),
                        ("oneway.inst", ONEWAY_QUERY), ("roundtrip.inst", ROUNDTRIP_QUERY),
                        ("tc.rules", TC_RULES), ("tc.inst", TC_PATH),
-                       ("fly.rules", FLY_RULES), ("fly.inst", FLY_FACT)]:
+                       ("fly.rules", FLY_RULES), ("fly.inst", FLY_FACT),
+                       ("travel_egd.rules", TRAVEL_EGD_RULES),
+                       ("airports.inst", AIRPORTS_INST)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -332,8 +337,9 @@ class TestInputErrors:
 
 
 class TestHashSeed:
-    """The JSON of a chase must not depend on string hashing, which Python
-    salts per process unless PYTHONHASHSEED fixes it."""
+    """The JSON of a chase, an analysis or a termination check must not
+    depend on string hashing, which Python salts per process unless
+    PYTHONHASHSEED fixes it."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -350,6 +356,22 @@ class TestHashSeed:
     ])
     def test_chase_json_is_byte_identical(self, files, rules, inst, flags, order):
         argv = ["chase", files[rules], files[inst], "--json"] + flags + order
+        first, second = (self.run(argv, seed) for seed in ("0", "1"))
+        assert first.returncode in (0, 3), first.stderr
+        assert first.stdout
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout)
+
+    # a term hashes as its str does, salted by the seed alone, so set order
+    # over terms changes with the seed: the firing search and the monitor
+    # must not follow it
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "tc.rules", "--json"],
+        ["analyze", "travel_egd.rules", "--json"],
+        ["termcheck", "travel_egd.rules", "airports.inst", "--json", "-k", "3"],
+        ["termcheck", "tc.rules", "tc.inst", "--json", "-k", "3"],
+    ])
+    def test_analysis_and_termcheck_json_are_byte_identical(self, files, argv):
+        argv = [files.get(a, a) for a in argv]
         first, second = (self.run(argv, seed) for seed in ("0", "1"))
         assert first.returncode in (0, 3), first.stderr
         assert first.stdout

@@ -1,6 +1,8 @@
 """Core model: terms, satisfaction, violations, homomorphisms."""
 
 import collections
+import copy
+import pickle
 import random
 
 import pytest
@@ -37,7 +39,9 @@ class TestTerms:
         (LabeledNull("n", 1), "creation_index"), (Variable("X"), "name"),
         (Position("R", 1), "index"), (Atom("R", (Constant("a"),)), "args"),
         (Atom("R", (Constant("a"),)), "relation"),
-    ])
+    ],  # a term is a str, which pytest would name its case by, tag included
+        ids=["value0-name", "value1-name", "value2-creation_index", "value3-name",
+             "value4-index", "value5-args", "value6-relation"])
     def test_fields_cannot_be_set(self, value, field):
         before = getattr(value, field)
         with pytest.raises(AttributeError):
@@ -52,6 +56,38 @@ class TestTerms:
         assert repr(V("X")) == "X"
         assert repr(Position("E", 2)) == "E^2"
         assert repr(A("E", C("a"), N("n1"), V("X"))) == "E(a, ?n1, X)"
+
+    @pytest.mark.parametrize("term", [C("a"), N("n1", 3), V("X")], ids=repr)
+    def test_str_and_format_give_the_repr(self, term):
+        # a term is a str underneath; its printed forms must not show that
+        shown = repr(term)
+        for text in (str(term), f"{term}", "%s" % term, format(term, ""),
+                     "{}".format(term)):
+            assert text == shown and type(text) is str
+        assert f"{term:>6}" == f"{shown:>6}"
+
+    @pytest.mark.parametrize("term", [C("a"), N("n1", 3), N("n2"), V("X")], ids=repr)
+    def test_copy_and_pickle_rebuild_the_term(self, term):
+        copies = [copy.copy(term), copy.deepcopy(term)]
+        copies += [pickle.loads(pickle.dumps(term, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(term)
+            assert twin == term and hash(twin) == hash(term)
+            assert oracles.strict(twin) == oracles.strict(term)
+            assert repr(twin) == repr(term)
+
+    def test_kinds_stay_disjoint_for_names_that_begin_with_a_tag(self):
+        # the names are every tag and tag pair in front of "a"
+        kinds = (Constant, LabeledNull, Variable)
+        tags = [chr(1), chr(2), chr(3)]
+        names = ["a"] + [t + "a" for t in tags] + [t + u + "a" for t in tags for u in tags]
+        terms = [kind(name) for kind in kinds for name in names]
+        assert len(set(terms)) == len(terms)
+        for t in terms:
+            for u in terms:
+                assert (t == u) == (t is u)
+        assert len({A("R", t) for t in terms}) == len(terms)
 
     def test_value_order_constants_before_nulls(self):
         vals = [N("b", 2), C("z"), N("a", 1), C("a")]

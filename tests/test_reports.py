@@ -10,7 +10,7 @@ from chaseterm.chase import chase, monitored_chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
-from chaseterm.model import instance, tgd
+from chaseterm.model import egd, instance, tgd
 from chaseterm.reports import (
     ReportIntegrityError, analysis_report, chase_report, export_dot,
     guarantee_report, monitor_report, position_str, to_json,
@@ -18,7 +18,7 @@ from chaseterm.reports import (
 from chaseterm.static import PositionGraph, analyze, propagation_graph
 
 from . import generators
-from .conftest import A, C, V
+from .conftest import A, C, N, V
 
 
 class TestDot:
@@ -170,3 +170,67 @@ class TestGuaranteeAndMonitorReports:
     def test_position_str(self):
         from chaseterm.model import Position
         assert position_str(Position("fly", 2)) == "fly^2"
+
+
+def _leaves(x):
+    """Every dict key and every non-container value of a JSON payload."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield k
+            yield from _leaves(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+class TestNoTermInPayloads:
+    """A term is a str underneath, so json would print its tagged form
+    instead of refusing it: every string in a payload must be a plain str."""
+
+    @pytest.fixture
+    def merging_sigma(self):
+        # transitive closure, an existential rule and an EGD that merges
+        # the nulls it creates
+        x, y, z, z1, z2 = V("X"), V("Y"), V("Z"), V("Z1"), V("Z2")
+        return [tgd("t1", [A("e", x, y)], [A("t", x, y)]),
+                tgd("t2", [A("t", x, y), A("e", y, z)], [A("t", x, z)]),
+                tgd("m1", [A("e", x, y)], [A("m", x, z), A("m", y, z)]),
+                egd("q1", [A("m", x, z1), A("m", x, z2)], z1, z2)]
+
+    @staticmethod
+    def assert_plain(payload):
+        strings = [x for x in _leaves(payload) if isinstance(x, str)]
+        assert strings
+        leaked = [x for x in strings if type(x) is not str]
+        assert not leaked, leaked
+
+    def test_analysis_reports(self, travel_sigma, seeded_feedback_sigma,
+                              merging_sigma):
+        for sigma in (travel_sigma, seeded_feedback_sigma, merging_sigma):
+            payload = analysis_report(analyze(sigma))
+            assert payload["chase_graph"]["witnesses"]
+            self.assert_plain(payload)
+
+    def test_chase_reports(self, travel_sigma, roundtrip_instance, merging_sigma):
+        path = instance([A("e", C("v0"), C("v1")), A("e", C("v1"), C("v2")),
+                         A("e", C("v2"), N("u", 1))])
+        res = chase(path, merging_sigma)
+        assert any(rec.merged_pair for rec in res.steps)
+        self.assert_plain(chase_report(res))
+        self.assert_plain(chase_report(chase(roundtrip_instance, travel_sigma)))
+        e = egd("e", [A("R", V("X"), V("Y"))], V("X"), V("Y"))
+        self.assert_plain(chase_report(chase(instance([A("R", C("a"), C("b"))]), [e])))
+
+    def test_guarantee_reports(self, travel_sigma, roundtrip_instance,
+                               oneway_instance):
+        r = analyze(travel_sigma)
+        for I in (roundtrip_instance, oneway_instance):
+            self.assert_plain(guarantee_report(data_dependent_guarantee(I, r)))
+
+    def test_monitor_report(self, travel_sigma, oneway_instance):
+        g = monitored_chase(oneway_instance, travel_sigma, 3).monitor
+        payload = monitor_report(g, 3)
+        assert payload["chain"]
+        self.assert_plain(payload)
