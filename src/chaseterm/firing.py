@@ -204,11 +204,27 @@ def _named_constants(alpha: Constraint, beta: Constraint) -> Tuple[Constant, ...
     return tuple(sorted(out, key=lambda c: c.name))
 
 
+_POOL: Dict[int, Tuple[Constant, LabeledNull]] = {}
+
+
 def _new_symbols(index: int, taken: frozenset) -> Tuple[Constant, LabeledNull]:
-    name = f"c{index}"
-    while name in taken:
-        name = "c_" + name
-    return Constant(name), LabeledNull(f"u{index}", index + 1)
+    """Pool symbol pair index: the constant c<index> and the null u<index>,
+    of creation index index + 1. Each pair is built on first use and kept
+    for the process in a table indexed by index; it depends on index alone,
+    and setdefault keeps one pair per index even under threads. A constant
+    whose name is in taken, the named constants' names, gets "c_" prefixes
+    until it is free, and is built on each call."""
+    pair = _POOL.get(index)
+    if pair is None:
+        pair = _POOL.setdefault(index, (Constant(f"c{index}"),
+                                        LabeledNull(f"u{index}", index + 1)))
+    const, null = pair
+    name = const.name
+    if name in taken:
+        while name in taken:
+            name = "c_" + name
+        const = Constant(name)
+    return const, null
 
 
 def _extensions(vars_seq: Sequence[Variable], bound: Assignment,
@@ -274,9 +290,18 @@ def _copies_null(b: Assignment, frontier: Sequence[Variable]) -> bool:
     return any(isinstance(b[v], LabeledNull) for v in frontier)
 
 
+_PLACEHOLDERS: Dict[int, LabeledNull] = {}
+
+
 def _placeholder(i: int) -> LabeledNull:
-    """The stand-in for the null a TGD step creates for its i-th existential."""
-    return LabeledNull(f"~f{i}", _PLACEHOLDER_BASE + i)
+    """The stand-in for the null a TGD step creates for its i-th
+    existential. Placeholder i is built on first use and kept for the
+    process in a table indexed by i, so every call returns the same object,
+    as _new_symbols does."""
+    p = _PLACEHOLDERS.get(i)
+    if p is None:
+        p = _PLACEHOLDERS.setdefault(i, LabeledNull(f"~f{i}", _PLACEHOLDER_BASE + i))
+    return p
 
 
 def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
@@ -698,11 +723,13 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
     P, mode = _normalised(P, mode)
     if w.alpha_id != alpha.id or w.beta_id != beta.id:
         return False
+    assignments = []
     for c, pairs in ((alpha, w.assignment_a), (beta, w.assignment_b)):
-        if sorted(name for name, _ in pairs) != sorted(v.name for v in c.body_vars):
+        by_name = {v.name: v for v in c.body_vars}
+        if sorted(name for name, _ in pairs) != sorted(by_name):
             return False
-    a = {Variable(name): val for name, val in w.assignment_a}
-    b = {Variable(name): val for name, val in w.assignment_b}
+        assignments.append({by_name[name]: val for name, val in pairs})
+    a, b = assignments
     I = w.instance
     if mode == PRECEDES_P and not (_copies_null(b, beta.frontier)
                                    and _guarded(I, P)):

@@ -17,12 +17,18 @@ name can change the first character, two terms are equal exactly when kind
 and name agree. The name, and a null's creation index, live in the instance
 dict. So a term also equals its tagged string and orders under < like one;
 no code may rely on either. str() and format() give the same text as repr().
-Positions, atoms, constraints and instances build on _Frozen. Positions and
-atoms are __slots__ classes that compute their hash once, on construction.
-Code on the hot paths tells term kinds apart by class identity rather than
-isinstance. A constraint also computes its hash once, and keeps an instance
-dict for its cached properties. An instance hashes on demand: the firing
-search builds throwaway instances by the thousand and hashes few of them.
+Positions and atoms are NamedTuples over (relation, index) and
+(relation, args), for the same reason: tuple's hash, == and set and dict
+lookups run in C. tuple does not cache its hash, but hashing an atom only
+combines the cached hashes of its relation and terms. A position or an
+atom hashes as the plain tuple of its fields, so it also equals that tuple
+and orders under < like it; no code may rely on either. An atom never
+equals a position: args is a tuple and index an int. Code on the hot paths
+tells term kinds apart by class identity rather than isinstance.
+Constraints and instances build on _Frozen. A constraint computes its hash
+once, and keeps an instance dict for its cached properties. An instance
+hashes on demand: the firing search builds throwaway instances by the
+thousand and hashes few of them.
 The one mutable structure is FactIndex, the run-scoped index a chase keeps
 for its whole run: facts by relation and by (relation, position, value),
 plus the null names in use. A TGD step adds facts to it and an EGD step
@@ -49,7 +55,9 @@ nulls with the same name are the same null regardless of it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 
 class ModelError(ValueError):
@@ -64,10 +72,10 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Base of the immutable positions, atoms, constraints and instances:
-    no field can be assigned or deleted, and the hash is computed once, in
-    __init__, unless a subclass says otherwise. A subclass that defines
-    __eq__ must name __hash__ again, or Python drops it."""
+    """Base of the immutable constraints and instances: no field can be
+    assigned or deleted, and the hash is the one __init__ stores, unless a
+    subclass says otherwise. A subclass that defines __eq__ must name
+    __hash__ again, or Python drops it."""
 
     __slots__ = ("_hash",)
 
@@ -159,22 +167,11 @@ def value_key(v: Value) -> Tuple:
 # Positions and atoms
 # ---------------------------------------------------------------------------
 
-class Position(_Frozen):
+class Position(NamedTuple):
     """Argument slot index (1-based) of a relation symbol, e.g. E^2."""
 
-    __slots__ = ("relation", "index")
-
-    def __init__(self, relation: str, index: int):
-        _set(self, "relation", relation)
-        _set(self, "index", index)
-        _set(self, "_hash", hash((relation, index)))
-
-    def __eq__(self, other):
-        if other.__class__ is Position:
-            return self.index == other.index and self.relation == other.relation
-        return NotImplemented
-
-    __hash__ = _Frozen.__hash__
+    relation: str
+    index: int
 
     def __repr__(self) -> str:
         return f"{self.relation}^{self.index}"
@@ -184,21 +181,9 @@ def position_key(p: Position) -> Tuple[str, int]:
     return (p.relation, p.index)
 
 
-class Atom(_Frozen):
-    __slots__ = ("relation", "args")
-
-    def __init__(self, relation: str, args: Tuple[Term, ...]):
-        _set(self, "relation", relation)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((relation, args)))
-
-    def __eq__(self, other):
-        if other.__class__ is Atom:
-            return (self._hash == other._hash and self.relation == other.relation
-                    and self.args == other.args)
-        return NotImplemented
-
-    __hash__ = _Frozen.__hash__
+class Atom(NamedTuple):
+    relation: str
+    args: Tuple[Term, ...]
 
     def __repr__(self) -> str:
         return f"{self.relation}({', '.join(map(repr, self.args))})"
@@ -412,16 +397,17 @@ class Instance(_Frozen):
     def null_names(self) -> frozenset:
         return frozenset(t.name for t in self.domain() if isinstance(t, LabeledNull))
 
-    @cached_property
-    def _by_relation(self) -> Dict[Tuple[str, int], List[Atom]]:
-        by_rel: Dict[Tuple[str, int], List[Atom]] = {}
-        for f in self.facts:
-            by_rel.setdefault((f.relation, len(f.args)), []).append(f)
-        return by_rel
-
     def candidates(self, at: Atom, b: Dict, var_type: type = Variable) -> List[Atom]:
-        """The facts of at's relation and arity, in no fixed order."""
-        return self._by_relation.get((at.relation, len(at.args)), [])
+        """The facts of at's relation and arity, in no fixed order. The
+        buckets are built on the first call and kept in the instance dict;
+        a cached_property would take a lock on that first read."""
+        fields = self.__dict__
+        by_rel = fields.get("_by_relation")
+        if by_rel is None:
+            by_rel = fields["_by_relation"] = {}
+            for f in self.facts:
+                by_rel.setdefault((f.relation, len(f.args)), []).append(f)
+        return by_rel.get((at.relation, len(at.args)), [])
 
 
 def fact_key(a: Atom) -> Tuple:

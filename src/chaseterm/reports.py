@@ -9,7 +9,7 @@ or firing witness raises instead of printing.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence
 
 from chaseterm.chase import ChaseResult, ChaseStepRecord
@@ -274,4 +274,44 @@ def monitor_report(g: MonitorGraph, k: int) -> dict:
 
 
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """payload as JSON text plus a newline: the bytes that
+    json.dumps(payload, indent=2, sort_keys=True) + "\n" gives, written
+    here because any indent sends json.dumps to its pure-Python encoder.
+    It takes dicts with str keys, lists, tuples, str, int, bool and None;
+    any other type, a float included, raises TypeError."""
+    out: List[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: List[str]) -> None:
+    """Append the JSON text of x to out; nl is a newline and x's indent."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out += (sep, encode_basestring_ascii(k), ": ")
+            _write(x[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if x else "[]")
+    elif x is None:
+        out.append("null")
+    elif x is True or x is False:
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"{type(x).__name__} is not a JSON type here")

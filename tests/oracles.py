@@ -3,15 +3,17 @@
 Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
-freezes the agreed values. The last four sections are different in kind:
-they keep the chase engine the package had before its run-scoped index, the
+freezes the agreed values. Four sections are different in kind: they keep
+the chase engine the package had before its run-scoped index, the
 firing-witness search as it was before it pruned, the firing graphs as they
 were before their witnesses were built on demand, and the monitor graph as
 it was before each run owned one graph, for differential tests that compare
-results with strict().
+results with strict(). The last one keeps the report JSON as the standard
+library writes it, for byte comparisons with the package's own writer.
 """
 
 import dataclasses
+import json
 import random
 from collections.abc import Mapping
 from itertools import combinations, product
@@ -800,3 +802,12 @@ def library_graph(G: RefMonitorGraph) -> MonitorGraph:
     so that strict() compares it with a run's own graph."""
     return MonitorGraph(set(G.nodes), set(G.edges), dict(G.live), dict(G.chains),
                         max((len(c) for c in G.chains.values()), default=0))
+
+
+# ---------------------------------------------------------------------------
+# Report JSON as the standard library writes it
+# ---------------------------------------------------------------------------
+
+def ref_to_json(payload) -> str:
+    """The text reports.to_json must give for payload, byte for byte."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -5,12 +5,19 @@ order in which they build on one another shows in their headers: no module
 imports another inside a function, and the module-level imports form no
 cycle. Imports under `if TYPE_CHECKING:` only name types for annotations
 and are left out of both checks.
+
+One more guard keeps the value types that are hashed by the million, atoms,
+positions and terms, on the hash and equality of their built-in base, which
+run in C.
 """
 
 import ast
 import os
 
+import pytest
+
 import chaseterm
+from chaseterm.model import Atom, Constant, LabeledNull, Position, Variable
 
 PACKAGE = os.path.dirname(chaseterm.__file__)
 
@@ -133,3 +140,13 @@ def test_the_checks_see_what_they_look_for():
     assert inner == [("f", "monitor"), ("f.g", "static"), ("K.m", "__init__")]
     assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) is None
+
+
+@pytest.mark.parametrize("cls, base", [
+    (Atom, tuple), (Position, tuple),
+    (Constant, str), (LabeledNull, str), (Variable, str),
+], ids=lambda x: x.__name__)
+def test_value_types_hash_and_compare_in_c(cls, base):
+    assert cls.__hash__ is base.__hash__
+    assert cls.__eq__ is base.__eq__
+    assert cls.__ne__ is base.__ne__

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from chaseterm import firing
 from chaseterm.model import (
     Atom, Constant, LabeledNull, ModelError, Position, Variable,
     egd, fact_key, find_homomorphism, find_violations, hom_equivalent,
@@ -93,6 +94,54 @@ class TestTerms:
         vals = [N("b", 2), C("z"), N("a", 1), C("a")]
         ordered = sorted(vals, key=value_key)
         assert ordered == [C("a"), C("z"), N("a", 1), N("b", 2)]
+
+
+class TestValueTypes:
+    """Atoms and positions are tuples: they hash as the tuple of their
+    fields, which keeps every set's and dict's iteration order."""
+
+    ATOMS = [A("E", C("a"), N("n1", 3), V("X")), A("S"), A("R", N("n1"), N("n1"))]
+    POSITIONS = [Position("E", 1), Position("E", 2), Position("S", 0)]
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for a in self.ATOMS:
+            assert hash(a) == hash((a.relation, a.args))
+        for p in self.POSITIONS:
+            assert hash(p) == hash((p.relation, p.index))
+
+    @pytest.mark.parametrize("value", ATOMS + POSITIONS, ids=repr)
+    def test_copy_and_pickle_rebuild_the_value(self, value):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value)
+            assert oracles.strict(twin) == oracles.strict(value)
+            assert repr(twin) == repr(value) == str(value)
+
+    def test_reprs_are_unchanged(self):
+        assert [repr(a) for a in self.ATOMS] == ["E(a, ?n1, X)", "S()", "R(?n1, ?n1)"]
+        assert [repr(p) for p in self.POSITIONS] == ["E^1", "E^2", "S^0"]
+        assert repr((A("E", C("a")), Position("E", 1))) == "(E(a), E^1)"
+
+    def test_an_atom_never_equals_a_position(self):
+        atoms = self.ATOMS + [A("E", C("a")), Atom("E", ())]
+        for a in atoms:
+            for p in self.POSITIONS:
+                assert a != p and not a == p
+        assert len(set(atoms) | set(self.POSITIONS)) == len(atoms) + len(self.POSITIONS)
+
+    def test_firing_symbols_are_built_once(self):
+        assert firing._placeholder(3) is firing._placeholder(3)
+        assert firing._placeholder(0) == LabeledNull("~f0")
+        assert firing._placeholder(0).creation_index == firing._PLACEHOLDER_BASE
+        const, null = firing._new_symbols(4, frozenset())
+        assert firing._new_symbols(4, frozenset({"b"})) == (const, null)
+        assert firing._new_symbols(4, frozenset())[0] is const
+        assert (const, null, null.creation_index) == (C("c4"), N("u4"), 5)
+        # a pool constant that clashes with a named one is renamed
+        assert firing._new_symbols(4, frozenset({"c4", "c_c4"})) == (C("c_c_c4"), null)
 
 
 class TestConstruction:

@@ -1,9 +1,11 @@
 """Export formats: DOT text, JSON dicts, and the witness integrity gate."""
 
 import json
+import os
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaseterm import firing
 from chaseterm.chase import chase, monitored_chase
@@ -19,6 +21,9 @@ from chaseterm.static import PositionGraph, analyze, propagation_graph
 
 from . import generators
 from .conftest import A, C, N, V
+from .oracles import ref_to_json
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 class TestDot:
@@ -234,3 +239,61 @@ class TestNoTermInPayloads:
         payload = monitor_report(g, 3)
         assert payload["chain"]
         self.assert_plain(payload)
+
+
+# Every string the writer must escape: quotes, backslashes, control
+# characters, DEL, non-ASCII text, astral characters and lone surrogates.
+_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\xe9\u2028\U0001f600\ud800'),
+    st.characters(exclude_categories=())), max_size=8)
+_leaf = st.one_of(st.none(), st.booleans(), _text,
+                  st.integers(-2 ** 70, 2 ** 70), st.sampled_from([0, 1, -1, 10 ** 40]))
+_payload = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=25)
+
+
+class TestToJson:
+    """to_json writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    @pytest.mark.parametrize("name", sorted(n for n in os.listdir(GOLDEN)
+                                            if n.endswith(".json")))
+    def test_every_golden_payload(self, name):
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            text = fh.read()
+        payload = json.loads(text)
+        assert to_json(payload) == ref_to_json(payload) == text
+
+    def test_report_payloads(self, travel_sigma, seeded_feedback_sigma,
+                             oneway_instance, roundtrip_instance):
+        r = analyze(travel_sigma)
+        res = monitored_chase(oneway_instance, travel_sigma, 3)
+        payloads = [analysis_report(r), analysis_report(analyze(seeded_feedback_sigma)),
+                    chase_report(res), monitor_report(res.monitor, 3),
+                    guarantee_report(data_dependent_guarantee(roundtrip_instance, r))]
+        for payload in payloads:
+            assert to_json(payload) == ref_to_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_payload)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": ()})
+    @example([True, 1, False, 0, None])
+    @example({"b": True, "a": 1, "": -0})
+    @example({"\u00e9": "\"\\\n\x01", "z": [[{}]]})
+    @example(2 ** 64)
+    def test_agrees_with_the_standard_library(self, payload):
+        assert to_json(payload) == ref_to_json(payload)
+
+    @pytest.mark.parametrize("payload", [
+        1.5, {"a": 0.0}, [float("nan")], {1: "a"}, {"a": [{None: 1}]},
+        {("a",): 1}, {"a": {1, 2}}, [object()], {"a": b"x"},
+    ], ids=["float", "float value", "nan", "int key", "None key", "tuple key",
+            "set", "object", "bytes"])
+    def test_other_types_raise(self, payload):
+        with pytest.raises(TypeError):
+            to_json(payload)
