@@ -22,6 +22,17 @@ stand for the step's fresh nulls. For an EGD alpha the extra atoms range
 over the pre-images of b's body image under the merge, which is where a
 merge can complete a previously absent body.
 
+Orientation. A merge of two nulls keeps the one of lower creation index,
+and the restricted-growth order gives the pool null introduced first the
+lower index, so in the canonical pass the null of alpha's earlier variable
+always survives. Where that pass finds no witness for an EGD alpha, a
+second pass runs over those of the same assignments that equate two
+nulls, each with the two exchanged wherever they occur, so that the other
+one survives. Its candidates read survivor and loser off the same
+order that the step reads, so the step of its witness merges the way they
+assumed. A witness of the first pass ends the search before the second
+pass starts, so the second changes no witness the first finds.
+
 The judge takes no step. The candidate generators build the step's image
 of alpha's body image base once per assignment a: for a TGD alpha, base
 plus the instantiated head with placeholders for the fresh nulls; for an
@@ -41,16 +52,15 @@ successor is the witness's.
 An analysis keeps its answers in one table, Answers, keyed (alpha, beta)
 plus the guard and mode the query reads (_normalised). An entry is one of
 three kinds: None, no edge; a Witness; or EDGE, the edge mark, which says
-that a TGD alpha's existence check (see "exists") found an edge and the
-enumeration has not run yet. An EGD alpha's existence check is the
-enumeration, which finds the witness anyway, so its entries are never
-marks. chase_graph and minimal_restriction_system decide edges from the
-table and leave marks alone. Their witnesses mappings build a witness on
-first read: the enumeration runs under the exact key under which the edge
-was found, and its witness replaces the mark in the table. can_cause
-returns the built witness. So a command that prints no witness, termcheck,
-irrelevant or a bare is_* check, runs no enumeration for a TGD alpha,
-except where "unguarded" reuses a witness.
+that the existence check (see "exists") found an edge, for a TGD or an
+EGD alpha, and no witness is built yet. chase_graph and
+minimal_restriction_system decide edges from the table and leave marks
+alone. Their witnesses mappings build a witness on first read, under the
+exact key under which the edge was found (see "unguarded" for a guarded
+key), and the witness replaces the mark in the table. can_cause returns
+the built witness. So a command that prints no witness, termcheck,
+irrelevant or a bare is_* check, runs no enumeration at all. A mark whose
+enumeration finds no witness is a fault of the search, and raises.
 
 Nine prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
@@ -96,13 +106,14 @@ so the first witness found is the one the unpruned enumeration finds.
             same in both modes, and the PRECEDES_P validator checks every
             PRECEDES condition plus the guard and null-copying, so it
             accepts no candidate that the PRECEDES one rejects. The query
-            only reads that answer and never computes a missing one, but it
-            builds the witness of an EDGE entry, to reuse it as below:
-            analyze builds the chase graph before the restriction system,
-            over one table, so the answer is there when it helps, and a
-            bare restriction-system call searches no PRECEDES pair. When
-            the table holds a PRECEDES witness instead, and verify_witness
-            accepts it under P, it is the answer: every candidate before it
+            only reads that answer: it never computes a missing one, and
+            any other entry leaves it to its own existence check. analyze
+            builds the chase graph before the restriction system, over one
+            table, so the answer is there when it helps, and a bare
+            restriction-system call searches no PRECEDES pair. Building a
+            PRECEDES_P witness first builds the pair's PRECEDES entry, when
+            the table holds one, and when verify_witness accepts that
+            witness under P, it is the answer: every candidate before it
             in the common enumeration failed the PRECEDES validator, so it
             fails the stricter one too, and the witness is the first that
             the PRECEDES_P search would find.
@@ -122,10 +133,10 @@ so the first witness found is the one the unpruned enumeration finds.
             the validator rejects it. An EGD beta is settled by a b that
             equates a value with itself. The check runs against one index
             built per a, before b's B or pre-images are built.
-  exists    For a TGD alpha, in both modes, the search first decides
-            whether any witness exists, and answers None at once when none
-            does; otherwise it answers EDGE, and the enumeration runs,
-            unchanged, when the witness is read. It enumerates
+  exists    In both modes, the search first decides whether any witness
+            exists, and answers None at once when none does; otherwise it
+            answers EDGE, and the enumeration runs, unchanged, when the
+            witness is read. For a TGD alpha it enumerates
             the piece unifiers of a non-empty subset Q of beta's body with
             alpha's head (Baget et al., "On rules with existential
             variables: Walking the decidability line", AIJ 2011): an
@@ -159,8 +170,43 @@ so the first witness found is the one the unpruned enumeration finds.
             positions(v, I_gen) is a subset of positions(h(v), I): a null
             of the witness has all its positions in P, so its class is a
             null of the candidate. The candidate is a witness itself, so
-            the enumeration then finds one. An EGD alpha falls back to the
-            enumeration.
+            the enumeration then finds one.
+            For an EGD alpha, whose step renames its loser l to its
+            survivor s, it enumerates merge unifiers: b newly violates
+            beta only through slots of beta's body that hold s in J and l
+            in I (Deutsch, Nash and Remmel's chase graph over TGDs and
+            EGDs). A merge unifier fixes which of alpha's equated variables
+            survives (both orientations), the survivor (a fresh value or a
+            constant of beta's body), and a set M of beta's body variables
+            joined to the merged class. Its most general candidate gives
+            the loser's variable a null, l, and the survivor's the
+            survivor, s, a null of lower creation index than l or a
+            constant; M takes s, and every other variable of the two rules
+            a distinct fresh value, a null exactly when all its positions
+            in I lie in P. A fresh s is a null by the same rule; an
+            orientation whose l has a position of alpha's body outside P
+            has no candidate under PRECEDES_P. I is alpha's body image
+            plus beta's body image with l in the loser slots L: every slot
+            of M, and of that constant, at a position the guard allows
+            (every one under PRECEDES). A choice with no loser slot has
+            b's body image in I and is skipped (see "new"). The candidate
+            passes the copying, new and settled filters before the judge.
+            Complete: take a witness (I, a, b) with survivor s' and loser
+            l', and drop from I every fact outside base and one pre-image
+            of each atom of b's body image, as above. Take the orientation
+            of a, the survivor s' when it is a constant of beta's body and
+            a fresh value otherwise, M the variables that b sends to s',
+            and L' the slots whose pre-image holds l'. Built with L' in
+            place of L, the candidate is mapped by h, sending each class
+            to its value in the witness, onto the witness's I, and
+            merge∘h maps its J into the witness's J and its b onto b, so
+            every condition carries over as for a TGD alpha. L' lies
+            within L, since l' is a null, in P under the guard. J does not
+            depend on the slot set; "new" only gains atoms outside I as
+            the set grows; the guard holds by construction; and
+            null-copying only gains nulls, as s loses positions. So the
+            candidate with L passes too, and the enumeration, which runs
+            both orientations (see "orientation"), then finds a witness.
 """
 
 from __future__ import annotations
@@ -304,12 +350,17 @@ def _placeholder(i: int) -> LabeledNull:
     return p
 
 
-def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
+def _added(alpha: Constraint, a: Assignment) -> frozenset:
     """Alpha's instantiated head with placeholder nulls for the existentials."""
     ext = dict(a)
     for i, v in enumerate(alpha.existential_vars):
         ext[v] = _placeholder(i)
-    return sorted(instantiate(alpha.head, ext), key=fact_key)
+    return instantiate(alpha.head, ext)
+
+
+def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
+    """_added in fact order, the order the enumeration matches into."""
+    return sorted(_added(alpha, a), key=fact_key)
 
 
 def _subset_matches(atoms: Sequence[Atom], targets: Sequence[Atom], match,
@@ -369,10 +420,11 @@ def _holds(I: Instance, after: frozenset, alpha: Constraint, a: Assignment,
     rejects soonest: the guard scan and the null-copying test, which read I
     and b alone; "beta violated in J", read on after; "alpha violated in I".
     The judge takes no step: the search takes the accepted candidate's,
-    once. Over the seed-1 analyze-batch inputs the judge ran 454 times:
-    117 times on most general candidates ("exists"), 110 of them accepted,
-    and 337 times in the enumeration, 159 accepted. An a that is no
-    violation gives an image all the same; the last check rejects it.
+    once. Over the seed-1 analyze-batch inputs and their reports the judge
+    ran 507 times: 213 times on most general candidates ("exists"), 55 of
+    them for an EGD alpha and 200 of all of them accepted, and 294 times in
+    the enumeration, 159 accepted. An a that is no violation gives an image
+    all the same; the last check rejects it.
 
     The judge leaves out "beta not violated in I": the "new" filters drop
     every b whose body image lies in I before it is judged, and a b
@@ -566,10 +618,77 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         facts = base | B
         if instantiate(beta.body, b) <= facts:
             continue  # see "new"
-        after = Instance(base.union(_added_pattern(alpha, a)))
+        after = Instance(base | _added(alpha, a))
         if head_holds(after, beta, b):
             continue  # see "settled"
         if _holds(instance(facts), after.facts | B, alpha, a, beta, b, P, mode):
+            return True
+    return False
+
+
+def _merge_unifiers(alpha: Constraint, beta: Constraint, P: frozenset,
+                    guarded: bool) -> Iterator[Tuple]:
+    """(keep, lose, const, joined, lost) for each merge unifier of an EGD
+    alpha with beta that has a loser slot (see "exists"): keep survives,
+    lose is the loser's variable, const the constant survivor or None,
+    joined the class that takes the survivor, and lost, atom by atom of
+    beta's body, which slots hold the loser."""
+    consts = sorted({t for at in beta.body for t in at.args
+                     if t.__class__ is Constant})
+    free = [[not guarded or p in P for p in at.positions] for at in beta.body]
+    for keep, lose in (alpha.equated, alpha.equated[::-1]):
+        if guarded and not P.issuperset(alpha.body_var_positions[lose]):
+            continue  # the loser, a null, would sit outside P
+        for const in [None] + consts:
+            for k in range(const is None, len(beta.body_vars) + 1):
+                for M in itertools.combinations(beta.body_vars, k):
+                    joined = {const, *M}
+                    lost = [[t in joined and ok for t, ok in zip(at.args, oks)]
+                            for at, oks in zip(beta.body, free)]
+                    if any(map(any, lost)):  # else b's body image lies in I
+                        yield keep, lose, const, joined, lost
+
+
+def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
+                    mode: str) -> bool:
+    """For an EGD alpha: does the most general candidate of some merge
+    unifier pass the judge? See "exists"."""
+    guarded = mode == PRECEDES_P
+    taken = frozenset(c.name for c in _named_constants(alpha, beta))
+    a_where, b_where = alpha.body_var_positions, beta.body_var_positions
+    others = [v for v in alpha.body_vars if v not in alpha.equated]
+    loser = _new_symbols(1, taken)[1]
+
+    def fresh(index: int, where) -> Value:
+        const, null = _new_symbols(index, taken)
+        return null if P.issuperset(where) else const
+
+    for keep, lose, const, joined, lost in _merge_unifiers(alpha, beta, P, guarded):
+        survivor = const
+        if const is None:
+            survivor = fresh(0, set(a_where[keep]).union(
+                p for at, xs in zip(beta.body, lost)
+                for p, t, x in zip(at.positions, at.args, xs)
+                if t in joined and not x))
+        a = {keep: survivor, lose: loser}
+        a.update((v, fresh(i, a_where[v])) for i, v in enumerate(others, 2))
+        b = {v: survivor if v in joined else fresh(i, b_where[v])
+             for i, v in enumerate(beta.body_vars, len(a))}
+        if guarded and not _copies_null(b, beta.frontier):
+            continue  # see "copying"
+        base = instantiate(alpha.body, a)
+        image = instantiate(beta.body, b)
+        B = frozenset(Atom(at.relation, tuple(loser if x else b.get(t, t)
+                                              for t, x in zip(at.args, xs)))
+                      for at, xs in zip(beta.body, lost))
+        facts = base | B
+        if image <= facts:
+            continue  # see "new"
+        merged = Instance(replace_value(base, loser, survivor))
+        if head_holds(merged, beta, b):
+            continue  # see "settled"
+        if _holds(instance(facts), merged.facts | image, alpha, a, beta, b,
+                  P, mode):
             return True
     return False
 
@@ -589,19 +708,35 @@ Answers = Dict[Key, Union[None, Witness, _EdgeMark]]
 
 
 def _exists(alpha: Constraint, beta: Constraint, P: frozenset,
-            mode: str) -> Union[None, Witness, _EdgeMark]:
-    """The existence part of the search: None when no witness exists, EDGE
-    when a TGD alpha has one, and an EGD alpha's first witness."""
+            mode: str) -> Optional[_EdgeMark]:
+    """The existence part of the search: EDGE when a witness exists, else
+    None (see "exists")."""
     if not beta.body:
         return None  # see "body-less" in the module docstring
     if mode == PRECEDES_P and not beta.frontier:
         return None  # see "copying"
     if alpha.never_violated or beta.never_violated:
         return None
+    has_edge = _has_edge if alpha.kind == TGD else _has_merge_edge
+    return EDGE if has_edge(alpha, beta, P, mode) else None
+
+
+def _alpha_assignments(alpha: Constraint, named: Tuple[Constant, ...],
+                       no_null: frozenset,
+                       ) -> Iterator[Tuple[Assignment, Tuple[Value, ...], int]]:
+    """Alpha's assignments in enumeration order: the canonical pass, then,
+    for an EGD alpha, each of its assignments that equates two nulls, with
+    the two exchanged wherever they occur, so that the merge goes the
+    other way (see "orientation")."""
+    yield from _extensions(list(alpha.body_vars), {}, (), named, 0, no_null)
     if alpha.kind == TGD:
-        # see "exists"; no shared relation, no unifier
-        return EDGE if _has_edge(alpha, beta, P, mode) else None
-    return _enumerate(alpha, beta, P, mode)
+        return
+    for a, pool, fc in _extensions(list(alpha.body_vars), {}, (), named, 0,
+                                   no_null):
+        u, v = (a[x] for x in alpha.equated)
+        if u != v and u.__class__ is LabeledNull and v.__class__ is LabeledNull:
+            swap = {u: v, v: u}
+            yield {x: swap.get(val, val) for x, val in a.items()}, pool, fc
 
 
 def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
@@ -610,8 +745,8 @@ def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
     copying = mode == PRECEDES_P
     named = _named_constants(alpha, beta)
     no_null_b = _no_null_vars(beta, P, mode)
-    for a, pool, fc in _extensions(list(alpha.body_vars), {}, (), named, 0,
-                                   _no_null_vars(alpha, P, mode)):
+    for a, pool, fc in _alpha_assignments(alpha, named,
+                                          _no_null_vars(alpha, P, mode)):
         base = instantiate(alpha.body, a)
         if alpha.kind == TGD:
             if head_holds(Instance(base), alpha, a):
@@ -630,24 +765,35 @@ def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
 
 def _built(answers: Answers, key: Key) -> Optional[Witness]:
     """answers[key], an EDGE replaced for good by the witness that the
-    enumeration under key finds."""
+    enumeration under key finds. Under PRECEDES_P, a PRECEDES witness of
+    the table that passes the guard is that witness (see "unguarded"). An
+    EDGE whose enumeration finds nothing is an internal error."""
     if answers[key] is EDGE:
-        answers[key] = _enumerate(*key)
+        alpha, beta, P, mode = key
+        unguarded = (alpha, beta, frozenset(), PRECEDES)
+        w = None
+        if mode == PRECEDES_P and unguarded in answers:
+            w = _built(answers, unguarded)
+            if not verify_witness(alpha, beta, w, P, mode):
+                w = None
+        if w is None:
+            w = _enumerate(*key)
+        if w is None:
+            raise RuntimeError(f"internal error: the existence check found an "
+                               f"edge under {key!r} that the enumeration misses")
+        answers[key] = w
     return answers[key]
 
 
 def find_edge(alpha: Constraint, beta: Constraint, P: frozenset, mode: str,
               answers: Answers) -> Optional[Key]:
     """The key of answers under which firing alpha can newly violate beta,
-    or None when it cannot. Fills the table and builds no witness, except
-    one that "unguarded" reuses."""
+    or None when it cannot. Fills the table and builds no witness."""
     key = (alpha, beta) + _normalised(P, mode)
     if key not in answers:
         unguarded = (alpha, beta, frozenset(), PRECEDES)
-        if mode == PRECEDES_P and unguarded in answers:
-            w = _built(answers, unguarded)  # see "unguarded"
-            ok = w is None or verify_witness(alpha, beta, w, key[2], mode)
-            answers[key] = w if ok else _exists(*key)
+        if mode == PRECEDES_P and answers.get(unguarded, EDGE) is None:
+            answers[key] = None  # see "unguarded"
         else:
             answers[key] = _exists(*key)
     return None if answers[key] is None else key

@@ -84,6 +84,16 @@ def width_family(n: int) -> List[Constraint]:
             tgd("fb", [Atom("E", (x, y))], [Atom("E", (y, x))])]
 
 
+def wide_sets() -> List[List[Constraint]]:
+    """The "w/6/9" draw: 8 sets of 4 rules with up to 6 atoms and 9
+    variables each. Set 4, counted from 0, holds the EGD r4, which cannot
+    cause r2 under its three-position guard; the canonical enumeration
+    alone takes more than 15 minutes to find that out."""
+    rng = random.Random("w/6/9")
+    return [[random_constraint(rng, f"r{j}", max_atoms=6, max_vars=9)
+             for j in range(1, 5)] for _ in range(8)]
+
+
 def random_instance(rng: random.Random, max_facts: int = 10,
                     n_constants: int = 1, n_nulls: int = 3,
                     null_names: Optional[Sequence[str]] = None) -> Instance:

@@ -574,6 +574,21 @@ def _ref_egd_candidates(alpha, a, beta, pool, named, fresh_count):
             yield b, frozenset(combo)
 
 
+def _ref_alpha_assignments(alpha, named):
+    """Every restricted-growth assignment of alpha; then, for an EGD alpha,
+    each of them that equates two distinct nulls again, with those two
+    nulls exchanged, so that the other one survives the merge."""
+    yield from _ref_extensions(list(alpha.body_vars), {}, (), named, 0)
+    if alpha.kind == TGD:
+        return
+    left, right = alpha.equated
+    for a, pool, fc in _ref_extensions(list(alpha.body_vars), {}, (), named, 0):
+        u, v = a[left], a[right]
+        if u != v and isinstance(u, LabeledNull) and isinstance(v, LabeledNull):
+            swap = {u: v, v: u}
+            yield {x: swap.get(val, val) for x, val in a.items()}, pool, fc
+
+
 def ref_search(alpha, beta, P, mode):
     """The first witness of the unpruned enumeration, or None; P is used
     as given, so callers pass frozenset() under PRECEDES."""
@@ -582,7 +597,7 @@ def ref_search(alpha, beta, P, mode):
         if not any(f.relation in added for f in beta.body):
             return None
     named = _named_constants(alpha, beta)
-    for a, pool, fc in _ref_extensions(list(alpha.body_vars), {}, (), named, 0):
+    for a, pool, fc in _ref_alpha_assignments(alpha, named):
         base = instantiate(alpha.body, a)
         if alpha.kind == TGD:
             candidates = _ref_tgd_candidates(alpha, a, beta, pool, named, fc)
@@ -602,12 +617,70 @@ def ref_search(alpha, beta, P, mode):
     return None
 
 
+def ref_egd_exists(alpha, beta, P, mode):
+    """A firing scenario (I, a, b, J) of an EGD alpha built from a merge
+    unifier, or None: the reference for the existence check, which tries
+    only the largest loser slot set. Each choice fixes the survivor's
+    variable among alpha's equated pair, the survivor (a fresh null, a
+    fresh constant, or a constant of beta's body), a set M of beta's body
+    variables that take the survivor, and a non-empty set L of the slots
+    of beta's body that hold the survivor under b, where I holds the
+    loser instead. Every other variable of the two rules takes a value of
+    its own, a null exactly when all its positions in I lie in P. Each
+    candidate goes to ref_holds. P is used as given."""
+    named = sorted({t for at in beta.body for t in at.args
+                    if isinstance(t, Constant)}, key=value_key)
+    loser = LabeledNull("q_loser", 2)
+    for keep, lose in (alpha.equated, alpha.equated[::-1]):
+        for survivor in [LabeledNull("q_survivor", 1), Constant("q_survivor")] + named:
+            for k in range(len(beta.body_vars) + 1):
+                for M in combinations(beta.body_vars, k):
+                    slots = [(j, i) for j, at in enumerate(beta.body)
+                             for i, t in enumerate(at.args)
+                             if t in M or t == survivor]
+                    for n in range(1, len(slots) + 1):
+                        for L in combinations(slots, n):
+                            got = _ref_merge_candidate(alpha, beta, P, mode, keep,
+                                                       lose, survivor, loser, M, L)
+                            if got is not None:
+                                return got
+    return None
+
+
+def _ref_merge_candidate(alpha, beta, P, mode, keep, lose, survivor, loser, M, L):
+    """The candidate of one choice of ref_egd_exists, judged by ref_holds."""
+    # I's atoms, each term a constant, the loser or a tagged variable
+    atoms = [(at.relation, [("a", t) if isinstance(t, Variable) else t
+                            for t in at.args]) for at in alpha.body]
+    atoms += [(at.relation, [loser if (j, i) in L
+                             else ("b", t) if isinstance(t, Variable) else t
+                             for i, t in enumerate(at.args)])
+              for j, at in enumerate(beta.body)]
+    value = {("a", keep): survivor, ("a", lose): loser}
+    value.update((("b", v), survivor) for v in M)
+    where = {}
+    for rel, terms in atoms:
+        for i, t in enumerate(terms):
+            if isinstance(t, tuple):
+                where.setdefault(t, set()).add(Position(rel, i + 1))
+    for n, (t, ps) in enumerate(where.items(), 3):
+        if t not in value:
+            value[t] = LabeledNull(f"q{n}", n) if ps <= P else Constant(f"q{n}")
+    I = _mk_instance(frozenset(
+        Atom(rel, tuple(value[t] if isinstance(t, tuple) else t for t in terms))
+        for rel, terms in atoms))
+    a = {v: value[("a", v)] for v in alpha.body_vars}
+    b = {v: value[("b", v)] for v in beta.body_vars}
+    got = ref_holds(I, alpha, a, beta, b, P, mode)
+    return None if got is None else (I, a, got[0], got[1])
+
+
 # A firing scenario found by planting facts, with no canonical enumeration.
 BF_DOMAIN = (Constant("k1"), Constant("k2"), LabeledNull("m1", 1),
              LabeledNull("m2", 2))
 
 
-def bf_firing(alpha, beta, P, mode):
+def bf_firing(alpha, beta, P, mode, cap=2):
     """A firing scenario (I, a, b, J) found by brute force, or None.
 
     a ranges over every assignment of alpha's body into BF_DOMAIN plus the
@@ -615,10 +688,10 @@ def bf_firing(alpha, beta, P, mode):
     the relations of beta's body: a scenario keeps every condition when I
     loses the facts that b's body does not use, and b's body needs at most
     one extra per atom, one fewer for a TGD alpha, whose step adds at least
-    one of its facts. Capped at two, which covers bodies of up to two
-    atoms. The step is ref_chase_step, every b is a body match of beta in J
-    (ref_match_conjunction), and each condition is checked with
-    bf_satisfies. P is used as given."""
+    one of its facts. Capped at cap, two by default, which covers bodies
+    of up to two atoms. The step is ref_chase_step, every b is a body match
+    of beta in J (ref_match_conjunction), and each condition is checked
+    with bf_satisfies. P is used as given."""
     named = {t for c in (alpha, beta) for f in c.body + c.head for t in f.args
              if isinstance(t, Constant)}
     dom = list(BF_DOMAIN) + sorted(named - set(BF_DOMAIN), key=value_key)
@@ -632,7 +705,7 @@ def bf_firing(alpha, beta, P, mode):
     rels = sorted({(f.relation, len(f.args)) for f in beta.body})
     facts = (Atom(rel, args) for rel, n in rels for args in product(dom, repeat=n))
     extras = [f for f in facts if allowed([f])]
-    most = max(0, min(2, len(beta.body) - (alpha.kind == TGD)))
+    most = max(0, min(cap, len(beta.body) - (alpha.kind == TGD)))
     frontier = [v for v in beta.head_vars() if v in beta.body_vars]
     for vals in product(dom, repeat=len(alpha.body_vars)):
         a = dict(zip(alpha.body_vars, vals))

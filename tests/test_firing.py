@@ -15,6 +15,7 @@ from chaseterm.firing import (
     PRECEDES, PRECEDES_P, Witness, can_cause, verify_witness,
 )
 from chaseterm.model import Position, egd, instance, position_key, tgd
+from chaseterm.syntax import parse_constraints
 
 from . import generators, oracles
 from .conftest import A, C, N, V, count_searches
@@ -201,11 +202,13 @@ class TestUnguardedReuse:
                     settled += 1
         assert settled and searched
 
-    def test_witness_is_reused_under_a_guard_it_passes(self, monkeypatch):
+    def test_built_witness_is_reused_under_a_guard_it_passes(self, monkeypatch):
         # the unpruned enumeration is the same in both modes, and each
         # candidate before the unguarded witness fails the weaker judge, so
-        # a guard that the witness passes has it as its first witness too
-        searched = count_searches(monkeypatch)
+        # a guard that the witness passes has it as its first witness too:
+        # building the guarded witness takes it, the same object, and runs
+        # no enumeration
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
         reused = 0
         for seed in range(30):
             rng = random.Random(f"unguarded/witness/{seed}")
@@ -218,16 +221,34 @@ class TestUnguardedReuse:
                         continue
                     for guard in generators.guards(sigma, rng):
                         passes = verify_witness(alpha, beta, w, guard)
-                        before = len(searched)
+                        before = len(enumerated)
                         got = can_cause(alpha, beta, guard, PRECEDES_P,
                                         dict(answers))
                         assert (got is w) == passes
-                        assert (len(searched) == before) == passes
+                        # an unguarded witness that fails the guard leaves
+                        # the guarded query to its own existence check
+                        built = not passes and got is not None
+                        assert (len(enumerated) > before) == built
                         if passes:
                             assert strict(got) == strict(oracles.ref_search(
                                 alpha, beta, guard, PRECEDES_P))
                             reused += 1
         assert reused
+
+    def test_unguarded_mark_is_built_only_when_read(self, feedback_sigma,
+                                                    monkeypatch):
+        # a guarded query reads the unguarded entry only for its "no"; a
+        # mark there is built when the guarded witness is, and reused
+        a1, a2 = feedback_sigma
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        answers = {}
+        assert firing.find_edge(a2, a1, frozenset(), PRECEDES, answers)
+        key = firing.find_edge(a2, a1, frozenset(), PRECEDES_P, answers)
+        assert key and enumerated == []
+        assert set(answers.values()) == {firing.EDGE}
+        w = firing._built(answers, key)
+        assert answers[(a2, a1, frozenset(), PRECEDES)] is w
+        assert [q[3] for q in enumerated] == [PRECEDES]
 
     def test_restriction_system_searches_no_unguarded_pair(
             self, feedback_sigma, monkeypatch):
@@ -287,6 +308,76 @@ class TestExistencePhase:
                             assert len(entered) == before, (alpha, beta, P)
                         edges += w is not None
         assert edges and entered
+
+
+class TestBuild:
+    def test_an_edge_without_a_witness_fails_loudly(self, feedback_sigma,
+                                                    monkeypatch):
+        # a mark that the enumeration cannot build is a fault of the search,
+        # not a "no": it must not turn into None
+        a1, a2 = feedback_sigma
+        answers = {}
+        key = firing.find_edge(a2, a1, frozenset(), PRECEDES, answers)
+        monkeypatch.setattr(firing, "_enumerate", lambda *key: None)
+        with pytest.raises(RuntimeError, match="a2.*a1.*precedes"):
+            firing._built(answers, key)
+        assert answers[key] is firing.EDGE
+
+
+class TestMergeOrientation:
+    # The enumeration gives the first pool null the lower creation index,
+    # so in its canonical pass the null of alpha's first variable always
+    # survives a merge of two pool nulls; here the other one must.
+    def test_the_later_null_survives(self):
+        d1, d3 = parse_constraints("""
+            d1: S(X3), T(X1, X3) -> X1 = X3.
+            d3: S(X1) -> R(Y2, X2), T(X1, Y2).
+        """).constraints
+        guard = d1.positions | d3.positions
+        assert len(guard) == 5
+        w = can_cause(d1, d3, guard, PRECEDES_P)
+        assert w is not None and verify_witness(d1, d3, w, guard)
+        assert strict(w) == strict(oracles.ref_search(d1, d3, guard, PRECEDES_P))
+        u0, u1 = N("u0", 1), N("u1", 2)
+        assert strict(w.instance) == strict(instance([A("S", u1), A("T", u0, u1)]))
+        assert strict(w.assignment_a) == strict((("X3", u1), ("X1", u0)))
+        assert oracles.bf_firing(d1, d3, guard, PRECEDES_P) is not None
+
+    def test_a_missed_edge_no_longer_reads_restricted(self):
+        # d2 -> d4 under f(d2) = {S^1, T^1, T^2} needs the merge of d2's
+        # X2 into its X3; without it the set read safely and inductively
+        # restricted
+        sigma = parse_constraints("""
+            d1: T(X3, X3) -> S(X3).
+            d2: S(X2), T(X3, X1) -> X2 = X3.
+            d3: true -> S(X1).
+            d4: S(X1) -> S(X1), T(X2, X2).
+        """).constraints
+        report = static.analyze(sigma)
+        system = report.restriction_system
+        assert system.f["d2"] == P(("S", 1), ("T", 1), ("T", 2))
+        assert ("d2", "d4") in system.edges
+        w = system.witnesses[("d2", "d4")]
+        assert verify_witness(sigma[1], sigma[3], w, system.f["d2"])
+        assert not report.safely_restricted
+        assert not report.inductively_restricted
+
+
+class TestMergeUnifiers:
+    def test_the_loser_takes_every_slot_it_may(self):
+        # I needs U(loser): with the loser in T(A, A)'s first slot alone,
+        # T(l, s) and U(s) leave b's body image T(s, s), U(s) in I, so the
+        # existence check must put the loser into every slot of A, not one
+        alpha, beta = parse_constraints("""
+            m: S(X), S(Y), T(X, X), T(Y, Y) -> X = Y.
+            b: T(A, A), U(A) -> W(A).
+        """).constraints
+        assert firing._exists(alpha, beta, frozenset(), PRECEDES) is firing.EDGE
+        w = can_cause(alpha, beta, mode=PRECEDES)
+        assert w is not None and verify_witness(alpha, beta, w, mode=PRECEDES)
+        assert strict(w) == strict(oracles.ref_search(alpha, beta, frozenset(),
+                                                      PRECEDES))
+        assert oracles.ref_egd_exists(alpha, beta, frozenset(), PRECEDES)
 
 
 class TestLongBodies:

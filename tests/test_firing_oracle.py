@@ -16,9 +16,12 @@ step's image of alpha's body image may reach the judge. A weaker prune
 would still find the same witnesses. Every set is asked twice, each time
 over a fresh answer table, with PRECEDES first and with it last, since a
 guarded query whose table holds the pair's unguarded "no" is answered at
-once and would compare nothing ("unguarded"). The sets with an instance's alpha_I appended hold the
-pairs that dynamic.irrelevant_constraints searches, body-less targets
-among them. On those sets the judge must also give every candidate the
+once and would compare nothing ("unguarded"). For an EGD alpha, the
+existence check must find an edge exactly when oracles.ref_egd_exists
+does, which judges a candidate for every loser slot set of every merge
+unifier, not only the largest, and exactly when ref_search does. The
+sets with an instance's alpha_I appended hold the pairs that
+dynamic.irrelevant_constraints searches, body-less targets among them. On those sets the judge must also give every candidate the
 generators yield, settled ones included, the verdict of oracles.ref_holds,
 and the same resolved b when both accept. Last, the chase graph and the
 minimal restriction system, which build each witness when it is read, must
@@ -36,7 +39,9 @@ from chaseterm.firing import (
     PRECEDES, PRECEDES_P, _holds, _witness, can_cause, chase_graph,
 )
 from chaseterm.fixtures import rotation_family
-from chaseterm.model import TGD, LabeledNull, Variable, instance, instantiate
+from chaseterm.model import (
+    EGD, TGD, Atom, LabeledNull, Variable, instance, instantiate, tgd,
+)
 from chaseterm.static import analyze, minimal_restriction_system
 from chaseterm.syntax import parse_constraints
 
@@ -66,6 +71,13 @@ def assert_same_witnesses(sigma, rng):
     queries = [(alpha, beta, P, mode)
                for alpha in sigma for beta in sigma for P, mode in cases]
     want = {q: strict(oracles.ref_search(*q)) for q in queries}
+    for q in queries:
+        if q[0].kind == EGD:
+            # the existence check against merge unifiers with every loser
+            # slot set, and against the enumeration
+            found = oracles.ref_egd_exists(*q) is not None
+            assert found == (want[q] is not None), q
+            assert (firing._exists(*q) is not None) == found, q
     guarded_first = sorted(queries, key=lambda q: q[3] == PRECEDES)
     for order in (queries, guarded_first):
         answers = {}
@@ -91,9 +103,8 @@ def assert_same_verdicts(sigma, rng, seen):
                             else firing._egd_candidates)
                 for P, mode in cases:
                     no_null_b = firing._no_null_vars(beta, P, mode)
-                    for a, pool, fc in firing._extensions(
-                            list(alpha.body_vars), {}, (), named, 0,
-                            firing._no_null_vars(alpha, P, mode)):
+                    for a, pool, fc in firing._alpha_assignments(
+                            alpha, named, firing._no_null_vars(alpha, P, mode)):
                         base = instantiate(alpha.body, a)
                         for b, B, after in generate(alpha, a, base, beta, pool,
                                                     named, fc, no_null_b, False):
@@ -187,6 +198,27 @@ def test_every_brute_force_scenario_has_a_witness(egd_rate):
                         assert can_cause(alpha, beta, P, mode), (alpha, beta, P, mode)
                     found[scenario is not None] += 1
     assert found[True] and found[False], found
+
+
+def test_three_planted_facts_complete_a_three_atom_body():
+    # beta's body shares no relation with the key EGD's, so every atom of
+    # it is planted: only a cap of three lets bf_firing see the merge that
+    # completes it
+    (key,) = parse_constraints("k: K(X, Y), K(X, Z) -> Y = Z.").constraints
+    xs = [Variable(f"X{i}") for i in range(1, 4)]
+    found = collections.Counter()
+    for seed in range(8):
+        rng = random.Random(f"firing-oracle/bf3/{seed}")
+        body = [Atom(rel, tuple(rng.choice(xs) for _ in range(n)))
+                for rel, n in (("S", 1), ("T", 2), ("U", 1))]
+        beta = tgd("b", body, [Atom("W", (rng.choice(body).args[0],))])
+        guard = key.positions | beta.body_positions
+        for P, mode in ((frozenset(), PRECEDES), (guard, PRECEDES_P)):
+            scenario = oracles.bf_firing(key, beta, P, mode, cap=3)
+            if scenario is not None:
+                assert can_cause(key, beta, P, mode), (beta, P, mode)
+            found[scenario is not None] += 1
+    assert found[True], found
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -6,7 +6,8 @@ import pytest
 
 from chaseterm import firing
 from chaseterm.firing import verify_witness
-from chaseterm.model import TGD, ModelError, Position, egd, tgd
+from chaseterm.model import EGD, TGD, ModelError, Position, egd, tgd
+from chaseterm.reports import analysis_report
 from chaseterm.static import (
     aff_cl, affected_positions, analyze, dependency_graph,
     is_inductively_restricted, is_safe, is_safely_restricted, is_stratified,
@@ -266,23 +267,40 @@ class TestNoStateOutlivesAnAnalysis:
 
 
 class TestWitnessesOnDemand:
-    def test_bare_check_builds_no_tgd_witness(
+    def test_bare_check_builds_no_witness(
             self, travel_sigma, feedback_sigma, seeded_feedback_sigma,
             monkeypatch):
-        # the rungs read edges alone; a TGD's edge comes from its existence
-        # check, and an EGD's existence check is the enumeration
+        # the rungs read edges alone, and every edge, a TGD's or an EGD's,
+        # comes from its existence check
         enumerated = count_searches(monkeypatch, ("_enumerate",))
         rng = random.Random("on-demand/bare")
         sets = [travel_sigma, feedback_sigma, seeded_feedback_sigma] + [
             generators.random_constraints(rng, egd_rate=0.5) for _ in range(30)]
-        tgd_edges = 0
+        edges = {TGD: 0, EGD: 0}
         for sigma in sets:
             is_inductively_restricted(sigma)
-            assert [q for q in enumerated if q[0].kind == TGD] == [], sigma
+            assert enumerated == [], sigma
             by_id = {c.id: c for c in sigma}
-            edges = minimal_restriction_system(sigma).edges
-            tgd_edges += sum(by_id[aid].kind == TGD for aid, _ in edges)
-        assert tgd_edges and enumerated
+            for aid, _ in minimal_restriction_system(sigma).edges:
+                edges[by_id[aid].kind] += 1
+        assert edges[TGD] and edges[EGD]
+        assert enumerated == []
+
+
+class TestWideDraw:
+    def test_the_set_with_the_long_guarded_no_is_decided_unenumerated(
+            self, monkeypatch):
+        # its EGD r4 has no edge to r2 under a three-position guard, which
+        # the canonical enumeration takes more than 15 minutes to establish
+        sigma = generators.wide_sets()[4]
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        report = analyze(sigma)
+        assert enumerated == []
+        r2, r4 = sigma[1], sigma[3]
+        assert [len(P) for (a, b, P, _), w in report.answers.items()
+                if (a, b) == (r4, r2) and w is None] == [0, 3]
+        payload = analysis_report(report)
+        assert payload["inductively_restricted"] == report.inductively_restricted
 
 
 class TestWidthFamily:
