@@ -33,6 +33,17 @@ deterministic policy reads its sets in value_key
 order up to the first violation, which is exactly the least violation a
 full rescan finds; the randomized policy validates every set and draws from
 the same ordered pool a rescan builds.
+
+The delta runs on a watch list, built once per run: for each (relation,
+arity), every body atom of every constraint over it, with the constraint's
+pending set, the rest of its body and its key getter (see model's compiled
+forms). A new fact is bound only against the body atoms of its own
+relation, and the rest of the body joined in the index. Each constraint's
+violation test on keys is built once per run too. The order in which the
+delta adds keys is not observable: adding a key that is already live does
+nothing, so the sets end up the same; a heap orders its entries by sort
+key, which holds every value's name and creation index and so is unique
+per key; and all() sorts.
 """
 
 from __future__ import annotations
@@ -42,9 +53,9 @@ from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.model import (
-    TGD, Assignment, Constant, Constraint, FactIndex, Instance, LabeledNull,
-    Value, body_matches, fact_key, head_holds, instantiate, occurrences,
-    replace_value, value_key,
+    EGD, TGD, Assignment, Atom, Constant, Constraint, FactIndex, Instance,
+    LabeledNull, Value, Variable, _bind, _new, _order, body_matches, fact_key,
+    instantiate, join, occurrences, replace_value, value_key,
 )
 from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
 
@@ -94,27 +105,26 @@ class ChaseResult(NamedTuple):
     monitor: Optional[MonitorGraph] = None  # the graph of a monitored run
 
 
-def _tgd_step(c: Constraint, a: Assignment, counter: int, taken,
+def _tgd_step(c: Constraint, key: Tuple[Value, ...], counter: int, taken,
               index: int) -> Tuple[ChaseStepRecord, int]:
-    """The record of step number index, a TGD step, and the next null
-    counter. Each existential variable gets null n<counter> with creation
-    index counter, in the order of c's existential variables; names in
-    taken (those of the nulls in the current instance) are skipped."""
-    ext = dict(a)
+    """The record of step number index, a TGD step on the body key key, and
+    the next null counter. Each existential variable gets null n<counter>
+    with creation index counter, in the order of c's existential
+    variables; names in taken (those of the nulls in the current instance)
+    are skipped."""
     fresh: List[LabeledNull] = []
-    for v in c.existential_vars:
+    for _ in c.existential_vars:
         while f"n{counter}" in taken:
             counter += 1
-        n = LabeledNull(f"n{counter}", counter)
+        fresh.append(LabeledNull(f"n{counter}", counter))
         counter += 1
-        ext[v] = n
-        fresh.append(n)
-    added = instantiate(c.head, ext)
+    ext = key + tuple(fresh)
+    added = frozenset([_new(Atom, (rel, args(ext))) for rel, args in c.head_key_program])
     nulls: Tuple[Tuple[LabeledNull, frozenset], ...] = ()
     if fresh:
         held = occurrences(added, LabeledNull)
         nulls = tuple((n, frozenset(held[n])) for n in fresh)
-    rec = ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
+    rec = ChaseStepRecord(index, c.id, tuple(zip(c.body_var_names, key)),
                           added, None, nulls)
     return rec, counter
 
@@ -134,20 +144,20 @@ def _merged_pair(c: Constraint, a: Assignment) -> Tuple[Value, Value]:
     return survivor, loser
 
 
-def _egd_step(c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
-    """The record of step number index, an EGD step, whose merged_pair is
-    _merged_pair's (survivor, loser)."""
-    return ChaseStepRecord(index, c.id, tuple((v.name, a[v]) for v in c.body_vars),
-                           frozenset(), _merged_pair(c, a), ())
+def _egd_step(c: Constraint, key: Tuple[Value, ...], index: int) -> ChaseStepRecord:
+    """The record of step number index, an EGD step on the body key key,
+    whose merged_pair is _merged_pair's (survivor, loser)."""
+    return ChaseStepRecord(index, c.id, tuple(zip(c.body_var_names, key)), frozenset(),
+                           _merged_pair(c, dict(zip(c.body_vars, key))), ())
 
 
 def chase_step(I: Instance, c: Constraint, a: Assignment) -> Tuple[Instance, ChaseStepRecord]:
     """Apply one chase step for a violated (c, a). Raises ChaseFailed when an
     EGD would equate two distinct constants."""
     if c.kind == TGD:
-        rec, _ = _tgd_step(c, a, I.null_counter, I.null_names(), 0)
+        rec, _ = _tgd_step(c, c.body_key(a), I.null_counter, I.null_names(), 0)
     else:
-        rec = _egd_step(c, a, 0)
+        rec = _egd_step(c, c.body_key(a), 0)
     return apply_record(I, rec), rec
 
 
@@ -178,7 +188,7 @@ class _Pending:
 
     def add(self, key: Tuple[Value, ...]) -> None:
         if key not in self.live:
-            sort_key = tuple(value_key(v) for v in key)
+            sort_key = tuple(map(_order, key))
             self.live[key] = sort_key
             heappush(self.heap, (sort_key, key))
 
@@ -212,15 +222,68 @@ class _Pending:
         return [key for _, key in kept]
 
 
+def _violation_test(c: Constraint, index: FactIndex):
+    """c's violation test on keys: does the trigger of a key, a body match
+    in index, violate c? It is head_holds on the key's assignment, negated
+    and compiled: an EGD compares its equated slots, a TGD with no
+    existential variable looks its head key program's atoms up, and only a
+    TGD with one builds an assignment, to join its head in index."""
+    if c.kind == EGD:
+        i, j = c.equated_slots
+        return lambda key: key[i] != key[j]
+    if c.existential_vars:
+        head, body_vars = c.head, c.body_vars
+        return lambda key: next(join(head, index, dict(zip(body_vars, key))),
+                                None) is None
+    facts, program = index.facts, c.head_key_program
+
+    def violated(key) -> bool:
+        for rel, args in program:
+            if _new(Atom, (rel, args(key))) not in facts:
+                return True
+        return False
+    return violated
+
+
+def _watch_list(sigma: Sequence[Constraint], pending: Sequence) -> Dict:
+    """(relation, arity) -> [(pending set, body atom's args, rest of the
+    body, key getter)], one entry per body atom of every constraint."""
+    watch: Dict[Tuple[str, int], List] = {}
+    for c, p in zip(sigma, pending):
+        for i, at in enumerate(c.body):
+            watch.setdefault((at.relation, len(at.args)), []).append(
+                (p, at.args, c.body[:i] + c.body[i + 1:], c.body_key))
+    return watch
+
+
+def _feed(watch: Dict, index: FactIndex, new: Sequence[Atom]) -> None:
+    """The semi-naive delta: bind each new fact against the body atoms of
+    its relation in watch, join the rest of the body in index, and add each
+    match's key to its pending set, with repeats."""
+    for f in new:
+        for p, args, rest, key in watch.get((f.relation, len(f.args)), ()):
+            b: Dict = {}
+            if _bind(args, f.args, b, Variable) is None:
+                continue
+            if rest:
+                for m in join(rest, index, b):
+                    p.add(key(m))
+            else:
+                p.add(key(b))
+
+
 class _Run:
     """The state of one chase run: the run-scoped fact index, the next null
-    creation index and one pending-violation set per constraint."""
+    creation index, one pending-violation set and one violation test per
+    constraint, and the watch list that feeds the sets."""
 
     def __init__(self, I: Instance, sigma: Sequence[Constraint]):
         self.sigma = sigma
         self.index = FactIndex(I.facts)
         self.counter = I.null_counter
         self.pending = [_Pending() for _ in sigma]
+        self.violated = [_violation_test(c, self.index) for c in sigma]
+        self.watch = _watch_list(sigma, self.pending)
         for c, p in zip(sigma, self.pending):
             for key in body_matches(self.index, c):
                 p.add(key)
@@ -228,47 +291,42 @@ class _Run:
     def instance(self) -> Instance:
         return Instance(frozenset(self.index.facts), self.counter)
 
-    def _violated(self, c: Constraint):
-        return lambda key: not head_holds(self.index, c, dict(zip(c.body_vars, key)))
-
     def next_det(self, pointer: int):
         """Round-robin from pointer: the least violation of the first
         constraint that has one."""
         n = len(self.sigma)
         for off in range(n):
             idx = (pointer + off) % n
-            c = self.sigma[idx]
-            key = self.pending[idx].first(self._violated(c))
+            if not self.pending[idx].heap:
+                continue
+            key = self.pending[idx].first(self.violated[idx])
             if key is not None:
-                return idx, dict(zip(c.body_vars, key))
+                return idx, key
         return None
 
     def next_rand(self, rng: random.Random):
         """A uniform draw from every violation, constraints in order."""
-        pool = [(idx, key) for idx, c in enumerate(self.sigma)
-                for key in self.pending[idx].all(self._violated(c))]
+        pool = [(idx, key) for idx, (p, violated)
+                in enumerate(zip(self.pending, self.violated))
+                for key in p.all(violated)]
         if not pool:
             return None
-        idx, key = pool[rng.randrange(len(pool))]
-        return idx, dict(zip(self.sigma[idx].body_vars, key))
+        return pool[rng.randrange(len(pool))]
 
-    def apply(self, c: Constraint, a: Assignment, index: int) -> ChaseStepRecord:
-        """Apply step number index to the fact index and feed the facts it
-        added or rewrote to every pending set. Raises ChaseFailed, leaving
-        the run unchanged, on a constant clash."""
+    def apply(self, c: Constraint, key: Tuple[Value, ...], index: int) -> ChaseStepRecord:
+        """Apply step number index, on the body key key, to the fact index
+        and feed the facts it added or rewrote to the pending sets. Raises
+        ChaseFailed, leaving the run unchanged, on a constant clash."""
         if c.kind == TGD:
-            rec, self.counter = _tgd_step(c, a, self.counter, self.index.nulls, index)
+            rec, self.counter = _tgd_step(c, key, self.counter, self.index.nulls, index)
             new = self.index.add(sorted(rec.added_facts, key=fact_key))
         else:
-            rec = _egd_step(c, a, index)
+            rec = _egd_step(c, key, index)
             survivor, loser = rec.merged_pair
             new = self.index.rename(loser, survivor)
             for p in self.pending:
                 p.rename(loser, survivor)
-        if new:
-            for c2, p in zip(self.sigma, self.pending):
-                for key in body_matches(self.index, c2, new):
-                    p.add(key)
+        _feed(self.watch, self.index, new)
         return rec
 
 
@@ -303,15 +361,15 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
             return result(TERMINATED)
         if policy.max_steps is not None and len(steps) >= policy.max_steps:
             return result(ABORTED, abort_reason=STEP_LIMIT)
-        idx, a = pick
+        idx, key = pick
         c = sigma[idx]
         try:
-            rec = run.apply(c, a, len(steps))
+            rec = run.apply(c, key, len(steps))
         except ChaseFailed as f:
             return result(FAILED, failed_step=len(steps), clash=f.clash)
         steps.append(rec)
         if monitor is not None:
-            monitor_update(monitor, rec, instantiate(c.body, a))
+            monitor_update(monitor, rec, instantiate(c.body, dict(zip(c.body_vars, key))))
             cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
             if cyc:
                 return result(ABORTED, abort_reason=K_CYCLIC,

@@ -62,7 +62,7 @@ the built witness. So a command that prints no witness, termcheck,
 irrelevant or a bare is_* check, runs no enumeration at all. A mark whose
 enumeration finds no witness is a fault of the search, and raises.
 
-Nine prunes skip whole subtrees of the enumeration, or the whole search,
+Ten prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
 candidate the validator would accept, and they keep the order of the rest,
 so the first witness found is the one the unpruned enumeration finds.
@@ -133,6 +133,12 @@ so the first witness found is the one the unpruned enumeration finds.
             the validator rejects it. An EGD beta is settled by a b that
             equates a value with itself. The check runs against one index
             built per a, before b's B or pre-images are built.
+  held      For an EGD alpha, every pre-image B of one b has the same J:
+            the merged base plus B renamed, which is b's body image. So
+            when beta's head holds in that J under b, every pre-image of
+            b is skipped: the validator asks each of them whether b
+            violates beta in J, on that same set, and rejects it. The
+            check runs once per b, before its pre-images are built.
   exists    In both modes, the search first decides whether any witness
             exists, and answers None at once when none does; otherwise it
             answers EDGE, and the enumeration runs, unchanged, when the
@@ -421,10 +427,10 @@ def _holds(I: Instance, after: frozenset, alpha: Constraint, a: Assignment,
     and b alone; "beta violated in J", read on after; "alpha violated in I".
     The judge takes no step: the search takes the accepted candidate's,
     once. Over the seed-1 analyze-batch inputs and their reports the judge
-    ran 507 times: 213 times on most general candidates ("exists"), 55 of
-    them for an EGD alpha and 200 of all of them accepted, and 294 times in
-    the enumeration, 159 accepted. An a that is no violation gives an image
-    all the same; the last check rejects it.
+    ran 398 times: 213 times on most general candidates ("exists"), 55 of
+    them for an EGD alpha and 200 of all of them accepted, and 185 times in
+    the enumeration, 159 accepted (294 before the "held" prune). An a that
+    is no violation gives an image all the same; the last check rejects it.
 
     The judge leaves out "beta not violated in I": the "new" filters drop
     every b whose body image lies in I before it is judged, and a b
@@ -504,9 +510,9 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
     body, and after is the step's image of I = base | B, the merged base
     plus b's body image, which is B renamed.
     A b whose body image lies in I = base | B is skipped (see "new"), so
-    is one whose beta head holds in the merged base (see "settled"), and,
-    when copying is set, so is one with no null on beta's frontier (see
-    "copying")."""
+    is one whose beta head holds in the merged base (see "settled") or in
+    J (see "held"), and, when copying is set, so is one with no null on
+    beta's frontier (see "copying")."""
     try:
         survivor, loser = _merged_pair(alpha, a)
     except (ChaseFailed, ValueError):
@@ -521,6 +527,9 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
         if head_holds(after, beta, b):
             continue
         image = instantiate(beta.body, b)
+        J = after.facts | image
+        if head_holds(Instance(J), beta, b):
+            continue  # see "held"
         old = image - base
         per_atom: List[List[Atom]] = []
         for f in sorted(image, key=fact_key):
@@ -532,7 +541,6 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     args[slot] = val
                 choices.append(Atom(f.relation, tuple(args)))
             per_atom.append(choices)
-        J = after.facts | image
         for combo in itertools.product(*per_atom):
             B = frozenset(combo)
             if not old <= B:

@@ -17,6 +17,11 @@ name can change the first character, two terms are equal exactly when kind
 and name agree. The name, and a null's creation index, live in the instance
 dict. So a term also equals its tagged string and orders under < like one;
 no code may rely on either. str() and format() give the same text as repr().
+Each constant and null also carries its order, its value_key tuple, built
+in __new__: (0, name) for a constant, (1, creation index, name) for a null.
+So value_key, fact_key and the chase's sort keys read one attribute per
+value, with no class test. A copy or an unpickled term is rebuilt from its
+name, and a null's creation index, so it carries its order too.
 Positions and atoms are NamedTuples over (relation, index) and
 (relation, args), for the same reason: tuple's hash, == and set and dict
 lookups run in C. tuple does not cache its hash, but hashing an atom only
@@ -26,9 +31,18 @@ and orders under < like it; no code may rely on either. An atom never
 equals a position: args is a tuple and index an int. Code on the hot paths
 tells term kinds apart by class identity rather than isinstance.
 Constraints and instances build on _Frozen. A constraint computes its hash
-once, and keeps an instance dict for its cached properties. An instance
-hashes on demand: the firing search builds throwaway instances by the
-thousand and hashes few of them.
+once, and keeps an instance dict for its cached properties. Among them are
+its compiled forms, built on first use from its atoms: slot programs
+(_program), each a callable that maps a source to an atom's arguments, an
+operator.itemgetter when all of them are variables and there are at least
+two, a template of slots and constants otherwise. body_key reads a body
+key, the tuple of a match's values over body_vars, off a match;
+head_key_program builds the head from a body key followed by any
+existentials' values; and an EGD's equated_slots are its two variables'
+places in the key. So the chase tests and fires a key without building a
+dict. The hot paths build atoms with tuple.__new__, with no NamedTuple
+frame. An instance hashes on demand: the firing search builds throwaway
+instances by the thousand and hashes few of them.
 The one mutable structure is FactIndex, the run-scoped index a chase keeps
 for its whole run: facts by relation and by (relation, position, value),
 plus the null names in use. A TGD step adds facts to it and an EGD step
@@ -55,6 +69,7 @@ nulls with the same name are the same null regardless of it.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -110,14 +125,20 @@ class _Named(str):
         return format(self.__repr__(), spec)
 
     def __reduce__(self):
-        # copy and every pickle protocol rebuild the term from its fields,
-        # which the dict holds in the order __new__ takes them; str's own
-        # reduction would pass the tagged string, or str(self)
-        return (self.__class__, tuple(self.__dict__.values()))
+        # copy and every pickle protocol rebuild the term from its name;
+        # str's own reduction would pass the tagged string, or str(self)
+        return (self.__class__, (self.name,))
 
 
 class Constant(_Named):
+    """A constant. Its order, (0, name), is its value_key."""
+
     _tag = "\x01"
+
+    def __new__(cls, name: str):
+        self = _Named.__new__(cls, name)
+        self.__dict__["order"] = (0, name)
+        return self
 
     def __repr__(self) -> str:
         return self.name
@@ -126,14 +147,20 @@ class Constant(_Named):
 class LabeledNull(_Named):
     """A labeled null. creation_index is 0 for nulls present in the initial
     instance and increases for chase-created ones; it does not take part in
-    equality or hashing."""
+    equality or hashing. Its order, (1, creation_index, name), is its
+    value_key."""
 
     _tag = "\x02"
 
     def __new__(cls, name: str, creation_index: int = 0):
         self = _Named.__new__(cls, name)
-        self.__dict__["creation_index"] = creation_index
+        fields = self.__dict__
+        fields["creation_index"] = creation_index
+        fields["order"] = (1, creation_index, name)
         return self
+
+    def __reduce__(self):
+        return (self.__class__, (self.name, self.creation_index))
 
     def __repr__(self) -> str:
         return "?" + self.name
@@ -155,12 +182,15 @@ def value_key(v: Value) -> Tuple:
 
     Ties between nulls of equal creation index fall back to the name. The
     order is total on values and fixes every enumeration in the package.
+    Each value carries its key as its order, built with it.
     """
-    if isinstance(v, Constant):
-        return (0, v.name)
-    if isinstance(v, LabeledNull):
-        return (1, v.creation_index, v.name)
-    raise ModelError(f"not a value: {v!r}")
+    try:
+        return v.order
+    except AttributeError:
+        raise ModelError(f"not a value: {v!r}") from None
+
+
+_order = attrgetter("order")
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +221,10 @@ class Atom(NamedTuple):
     @property
     def positions(self) -> Tuple[Position, ...]:
         return tuple(Position(self.relation, i + 1) for i in range(len(self.args)))
+
+
+# _new(Atom, (relation, args)) builds an atom in C, with no NamedTuple frame
+_new = tuple.__new__
 
 
 def occurrences(atoms: Iterable[Atom], kind: type) -> Dict[Term, Tuple[Position, ...]]:
@@ -244,6 +278,19 @@ def conjunction_vars(atoms: Sequence[Atom]) -> List[Variable]:
 
 TGD = "tgd"
 EGD = "egd"
+
+
+def _program(args: Sequence[Term], slot: Dict[Variable, object]):
+    """A slot program for args: a callable that maps a source, an
+    assignment or a key tuple, to args with each variable v replaced by
+    source[slot[v]]. An itemgetter when every argument is a variable and
+    there are at least two, since it then returns the tuple itself; else
+    a template of slots and constants."""
+    if len(args) >= 2 and all(t.__class__ is Variable for t in args):
+        return itemgetter(*[slot[t] for t in args])
+    template = tuple((True, slot[t]) if t.__class__ is Variable else (False, t)
+                     for t in args)
+    return lambda src: tuple([src[s] if var else s for var, s in template])
 
 
 class Constraint(_Frozen):
@@ -334,6 +381,34 @@ class Constraint(_Frozen):
             return self.equated
         return tuple(conjunction_vars(self.head))
 
+    # Compiled forms: what the chase reads on every step, built once per
+    # constraint from its atoms.
+
+    @cached_property
+    def body_key(self):
+        """The key getter: a body match, as an assignment, to its key, the
+        tuple of its values over body_vars."""
+        return _program(self.body_vars, {v: v for v in self.body_vars})
+
+    @cached_property
+    def head_key_program(self) -> Tuple:
+        """(relation, slot program) per head atom, over the body key
+        followed by the existential variables' values, in their order; a
+        TGD with none reads the key alone."""
+        slot = {v: i for i, v in enumerate(self.body_vars + self.existential_vars)}
+        return tuple((at.relation, _program(at.args, slot)) for at in self.head)
+
+    @cached_property
+    def body_var_names(self) -> Tuple[str, ...]:
+        """The body variables' names, as a step record pairs them with a key."""
+        return tuple(v.name for v in self.body_vars)
+
+    @cached_property
+    def equated_slots(self) -> Tuple[int, int]:
+        """An EGD's equated variables as slots of the body key."""
+        left, right = self.equated  # type: ignore[misc]
+        return self.body_vars.index(left), self.body_vars.index(right)
+
 
 def tgd(cid: str, body: Sequence[Atom], head: Sequence[Atom]) -> Constraint:
     body = _dedup(body)
@@ -411,7 +486,7 @@ class Instance(_Frozen):
 
 
 def fact_key(a: Atom) -> Tuple:
-    return (a.relation, len(a.args), tuple(value_key(t) for t in a.args))
+    return (a.relation, len(a.args), tuple(map(_order, a.args)))
 
 
 def instance(facts: Iterable[Atom]) -> Instance:
@@ -431,7 +506,7 @@ def instance(facts: Iterable[Atom]) -> Instance:
 
 
 def _substitute(a: Atom, old: Value, new: Value) -> Atom:
-    return Atom(a.relation, tuple(new if t == old else t for t in a.args))
+    return _new(Atom, (a.relation, tuple([new if t == old else t for t in a.args])))
 
 
 def replace_value(facts: Iterable[Atom], old: Value, new: Value) -> frozenset:
@@ -460,6 +535,7 @@ class FactIndex:
     def add(self, facts: Iterable[Atom]) -> List[Atom]:
         """Insert facts; returns those not present before, in order."""
         new = []
+        by_position = self.by_position
         for f in facts:
             if f in self.facts:
                 continue
@@ -468,8 +544,12 @@ class FactIndex:
             rel = (f.relation, len(f.args))
             self.by_relation.setdefault(rel, {})[f] = None
             for i, v in enumerate(f.args):
-                self.by_position.setdefault(rel + (i, v), {})[f] = None
-                if isinstance(v, LabeledNull):
+                bucket = by_position.get(rel + (i, v))
+                if bucket is None:
+                    by_position[rel + (i, v)] = {f: None}
+                else:
+                    bucket[f] = None
+                if v.__class__ is LabeledNull:
                     self.nulls.add(v.name)
         return new
 
@@ -499,7 +579,7 @@ class FactIndex:
         rel = (at.relation, len(at.args))
         best = self.by_relation.get(rel, ())
         for i, t in enumerate(at.args):
-            if isinstance(t, var_type):
+            if t.__class__ is var_type:
                 t = b.get(t)
                 if t is None:
                     continue
@@ -529,7 +609,7 @@ def instantiate(conjunction: Sequence[Atom], a: Assignment) -> frozenset:
         except KeyError as unbound:
             raise ModelError(
                 f"unbound variable {unbound.args[0].name} in {at!r}") from None
-        out.add(Atom(at.relation, args))
+        out.add(_new(Atom, (at.relation, args)))
     return frozenset(out)
 
 
@@ -569,6 +649,15 @@ def join(atoms: Sequence[Atom], facts, b: Dict,
     n = len(atoms)
     if n == 0:
         yield b
+        return
+    if n == 1:  # the stack machine below, unrolled: the chase's common case
+        at = atoms[0]
+        for f in facts.candidates(at, b, var_type):
+            new = _bind(at.args, f.args, b, var_type)
+            if new is not None:
+                yield b
+                for t in new:
+                    del b[t]
         return
     stack = [iter(facts.candidates(atoms[0], b, var_type))]
     trail: List[List] = [[]]  # terms bound at each level
@@ -637,34 +726,19 @@ def satisfies(I: Instance, c: Constraint, a: Assignment) -> bool:
     return head_holds(I, c, a)
 
 
-def body_matches(facts, c: Constraint,
-                 new: Optional[Sequence[Atom]] = None) -> Iterator[Tuple[Value, ...]]:
-    """The body matches of c in facts (an Instance or a FactIndex), as value
-    tuples over c.body_vars, with repeats. Given `new`, a subset of the
-    facts, only the matches that map some body atom onto a new fact: the
-    semi-naive delta of a step that added or rewrote those facts."""
-    if new is None:
-        for m in join(c.body, facts, {}):
-            yield tuple(m[v] for v in c.body_vars)
-        return
-    for i, at in enumerate(c.body):
-        rest = c.body[:i] + c.body[i + 1:]
-        for f in new:
-            if f.relation != at.relation or len(f.args) != len(at.args):
-                continue
-            b: Dict = {}
-            if _bind(at.args, f.args, b, Variable) is None:
-                continue
-            for m in join(rest, facts, b):
-                yield tuple(m[v] for v in c.body_vars)
+def body_matches(facts, c: Constraint) -> Iterator[Tuple[Value, ...]]:
+    """The body matches of c in facts (an Instance or a FactIndex), as keys,
+    value tuples over c.body_vars, with repeats."""
+    key = c.body_key
+    for m in join(c.body, facts, {}):
+        yield key(m)
 
 
 def find_violations(I: Instance, c: Constraint) -> List[Assignment]:
     """All assignments whose body image lies in I but which violate c, ordered
     lexicographically by value tuple (body variables in first-occurrence
     order) under the global value order."""
-    keys = sorted(set(body_matches(I, c)),
-                  key=lambda key: tuple(value_key(v) for v in key))
+    keys = sorted(set(body_matches(I, c)), key=lambda key: tuple(map(_order, key)))
     out = []
     for key in keys:
         a = dict(zip(c.body_vars, key))

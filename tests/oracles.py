@@ -4,7 +4,8 @@ Everything here trades efficiency for obviousness: exhaustive products
 instead of backtracking joins, subset enumeration instead of fixpoints.
 The main suite asserts library outputs against these on small inputs and
 freezes the agreed values. Four sections are different in kind: they keep
-the chase engine the package had before its run-scoped index, the
+the chase engine the package had before its run-scoped index (and the
+semi-naive delta and value order from before the chase compiled them), the
 firing-witness search as it was before it pruned, the firing graphs as they
 were before their witnesses were built on demand, and the monitor graph as
 it was before each run owned one graph, for differential tests that compare
@@ -29,8 +30,8 @@ from chaseterm.firing import (
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, Position,
-    Variable, conjunction_vars, fact_key, instantiate, replace_value,
-    satisfies, value_key,
+    Variable, _bind, conjunction_vars, fact_key, instantiate, join,
+    replace_value, satisfies, value_key,
 )
 from chaseterm.monitor import (
     MonitorEdge, MonitorGraph, MonitorNode, edge_class, edge_key,
@@ -258,6 +259,33 @@ def ref_find_violations(I, c):
             out.append(a)
     out.sort(key=lambda a: tuple(value_key(a[v]) for v in c.body_vars))
     return out
+
+
+def ref_delta_matches(facts, c, new):
+    """The semi-naive delta as model.body_matches computed it before the
+    chase compiled it into a watch list: the body matches of c in facts
+    that map some body atom onto a fact of new, as value tuples over
+    c.body_vars, with repeats. Body atom by body atom, each new fact of its
+    relation and arity is bound to it and the rest joined in facts."""
+    for i, at in enumerate(c.body):
+        rest = c.body[:i] + c.body[i + 1:]
+        for f in new:
+            if f.relation != at.relation or len(f.args) != len(at.args):
+                continue
+            b = {}
+            if _bind(at.args, f.args, b, Variable) is None:
+                continue
+            for m in join(rest, facts, b):
+                yield tuple(m[v] for v in c.body_vars)
+
+
+def old_value_key(v):
+    """value_key as it was before each value carried its order."""
+    if isinstance(v, Constant):
+        return (0, v.name)
+    if isinstance(v, LabeledNull):
+        return (1, v.creation_index, v.name)
+    raise ValueError(f"not a value: {v!r}")
 
 
 def ref_chase_step(I, c, a):

@@ -78,6 +78,19 @@ class TestTerms:
             assert oracles.strict(twin) == oracles.strict(term)
             assert repr(twin) == repr(term)
 
+    @pytest.mark.parametrize("value", [C("a"), N("n1", 3), N("n2")], ids=repr)
+    def test_copy_and_pickle_keep_the_order_key(self, value):
+        # a copy is rebuilt from the name, and a null's creation index, so
+        # it carries the order key built from them, not a stale one
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin.order == value.order == value_key(value)
+            if type(value) is LabeledNull:
+                assert twin.creation_index == value.creation_index
+                assert twin.order == (1, value.creation_index, value.name)
+
     def test_kinds_stay_disjoint_for_names_that_begin_with_a_tag(self):
         # the names are every tag and tag pair in front of "a"
         kinds = (Constant, LabeledNull, Variable)

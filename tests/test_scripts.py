@@ -42,3 +42,19 @@ def test_ladder_survey():
 
 def test_monitor_depths():
     assert run_script("monitor_depths.py", "--kmax", "4") == MONITOR_DEPTHS_4
+
+
+def test_chase_rate():
+    # rates vary from run to run; the shape of the table and the step
+    # count, n(n+1)/2 + 2n - 1, do not
+    src = os.path.join(ROOT, "src")
+    out = run_script("chase_rate.py", "--n", "4", "--rounds", "2", src, src)
+    lines = out.splitlines()
+    assert lines[0] == "chase-tc rules, order det, seed 1, 2 rounds; steps/s"
+    assert lines[1].split() == ["n", "steps", "src", "median", "q1", "q3", "ratio"]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:3] for row in rows] == [["4", "17", src]] * 2
+    assert rows[0][-1] == "1.00"
+    for row in rows:
+        median, q1, q3 = map(float, row[3:6])
+        assert 0 < q1 <= median <= q3
