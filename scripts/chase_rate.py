@@ -1,44 +1,42 @@
 #!/usr/bin/env python3
-"""Chase steps per second on the chase-tc rules, for one or more source trees.
+"""Chase steps per second on the chase-tc workload, for one or more source trees.
 
-    python3 scripts/chase_rate.py [--n N [N ...]] [--order det|rand]
-                                  [--seed S] [--rounds R] SRC [SRC ...]
+    PYTHONPATH=. python3 scripts/chase_rate.py [--n N [N ...]]
+        [--order det|rand] [--rounds R] SRC [SRC ...]
+
+Run it from the repository root, with the root on the path: the rules and
+the instance come from the chase-tc workload of perfbench/workloads.py
+(transitive closure, one existential rule and one merging EGD, on a path
+of n edges), drawn with the benchmark's seed 1, which the chase under
+--order rand also takes. A run takes n(n+1)/2 + 2n - 1 steps.
 
 Each SRC is a directory that holds the chaseterm package, such as this
-checkout's src/ or the src/ of another checkout. The rules are those of the
-chase-tc benchmark workload: transitive closure, one existential rule and
-one merging EGD, on a path of n edges through constants in seeded order.
-A run takes n(n+1)/2 + 2n - 1 steps whatever the seed.
-
-Every run is a fresh interpreter that imports the package from its SRC
-and nothing else, builds the inputs, and times one chase with the garbage
-collector on; set-up is not timed. The sides take turns within each round,
-so drift of the host meets every side alike. The table gives, per n and
-SRC, the median rate over the rounds, its quartiles (by the inclusive
-method, so they lie within the rates measured), and its ratio to the
-median of the first SRC: list the base first, and each ratio is a
-speed-up over it. Runs whose step counts or outcomes differ between sides
-stop the script with an error. Standard library only.
+checkout's src/ or the src/ of another checkout. Every run is a fresh
+interpreter that imports the package from its SRC and nothing else, reads
+the rules and the instance text on stdin, parses them, and times one chase
+with the garbage collector on; set-up is not timed. The sides take turns
+within each round, so drift of the host meets every side alike. The table
+gives, per n and SRC, the median rate over the rounds, its quartiles (by
+the inclusive method, so they lie within the rates measured), and its
+ratio to the median of the first SRC: list the base first, and each ratio
+is a speed-up over it. Runs whose step counts or outcomes differ between
+sides stop the script with an error. Standard library only.
 """
 
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
 
-RULES = """\
-t1: e(X, Y) -> t(X, Y).
-t2: t(X, Y), e(Y, Z) -> t(X, Z).
-m1: e(X, Y) -> m(X, Z), m(Y, Z).
-q1: m(X, Z1), m(X, Z2) -> Z1 = Z2.
-"""
+SEED = 1
 
 
-def child(src: str, n: int, order: str, seed: int) -> None:
-    """One timed chase; prints {"steps", "outcome", "seconds"} as JSON."""
-    import random
+def child(src: str, order: str) -> None:
+    """One timed chase of the rules and instance on stdin; prints
+    {"steps", "outcome", "seconds"} as JSON."""
     import time
 
     sys.path.insert(0, src)
@@ -47,14 +45,10 @@ def child(src: str, n: int, order: str, seed: int) -> None:
         sys.exit(f"chaseterm was imported from {chaseterm.__file__}, not {src}")
     from chaseterm.chase import ChasePolicy, chase
     from chaseterm.syntax import parse_constraints, parse_instance
-    rng = random.Random(seed)
-    names = [f"v{i}" for i in range(n + 1)]
-    rng.shuffle(names)
-    edges = [f"e({names[i]}, {names[i + 1]}).\n" for i in range(n)]
-    rng.shuffle(edges)
-    sigma = parse_constraints(RULES).constraints
-    I = parse_instance("".join(edges))
-    policy = ChasePolicy(order=order, seed=seed)
+    text = json.load(sys.stdin)
+    sigma = parse_constraints(text["rules"]).constraints
+    I = parse_instance(text["instance"])
+    policy = ChasePolicy(order=order, seed=SEED)
     start = time.perf_counter()
     res = chase(I, sigma, policy)
     seconds = time.perf_counter() - start
@@ -62,11 +56,18 @@ def child(src: str, n: int, order: str, seed: int) -> None:
                       "seconds": seconds}))
 
 
-def run(src: str, n: int, order: str, seed: int) -> dict:
+def inputs(n: int) -> str:
+    """The chase-tc rules and instance text at n edges, as the child reads them."""
+    from perfbench.workloads import gen_chase_tc
+    files, _ = gen_chase_tc(random.Random(f"chase-tc/{SEED}"), {"tc_edges": n})
+    return json.dumps({"rules": files["tc.rules"], "instance": files["tc.inst"]})
+
+
+def run(src: str, n: int, order: str, text: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-I", "-B", os.path.abspath(__file__), "--child", src,
-         str(n), order, str(seed)],
-        capture_output=True, text=True, check=False)
+         order],
+        input=text, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         sys.exit(f"the run of {src} at n={n} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
@@ -81,32 +82,31 @@ def quartiles(xs):
 
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
-        src, n, order, seed = sys.argv[2:6]
-        child(src, int(n), order, int(seed))
+        child(*sys.argv[2:4])
         return
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("srcs", nargs="+", metavar="SRC")
     ap.add_argument("--n", type=int, nargs="+", default=[120, 200])
     ap.add_argument("--order", choices=("det", "rand"), default="det")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=5)
     args = ap.parse_args()
     if args.rounds < 1 or min(args.n) < 1:
         ap.error("--rounds and every --n must be at least 1")
 
+    texts = {n: inputs(n) for n in args.n}
     rates = {(n, src): [] for n in args.n for src in args.srcs}
     shape = {}
     for _ in range(args.rounds):
         for n in args.n:
             for src in args.srcs:
-                r = run(src, n, args.order, args.seed)
+                r = run(src, n, args.order, texts[n])
                 seen = shape.setdefault(n, (r["steps"], r["outcome"]))
                 if seen != (r["steps"], r["outcome"]):
                     sys.exit(f"n={n}: {src} ran {r['steps']} steps to "
                              f"{r['outcome']}, another side {seen[0]} to {seen[1]}")
                 rates[n, src].append(r["steps"] / r["seconds"])
 
-    print(f"chase-tc rules, order {args.order}, seed {args.seed}, "
+    print(f"chase-tc rules, order {args.order}, seed {SEED}, "
           f"{args.rounds} rounds; steps/s")
     width = max(len(src) for src in args.srcs)
     print(f"{'n':>5} {'steps':>7}  {'src':<{width}} {'median':>8} {'q1':>8} "

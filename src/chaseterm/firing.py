@@ -132,7 +132,9 @@ so the first witness found is the one the unpruned enumeration finds.
             holds the loser. So the resolved b satisfies beta in J and
             the validator rejects it. An EGD beta is settled by a b that
             equates a value with itself. The check runs against one index
-            built per a, before b's B or pre-images are built.
+            built per a, before b's B is built. The enumeration for an EGD
+            alpha leaves it to "held": J holds the merged base, and a
+            head that holds in a set of facts holds in every superset.
   held      For an EGD alpha, every pre-image B of one b has the same J:
             the merged base plus B renamed, which is b's body image. So
             when beta's head holds in that J under b, every pre-image of
@@ -510,9 +512,8 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
     body, and after is the step's image of I = base | B, the merged base
     plus b's body image, which is B renamed.
     A b whose body image lies in I = base | B is skipped (see "new"), so
-    is one whose beta head holds in the merged base (see "settled") or in
-    J (see "held"), and, when copying is set, so is one with no null on
-    beta's frontier (see "copying")."""
+    is one whose beta head holds in J (see "held"), and, when copying is
+    set, so is one with no null on beta's frontier (see "copying")."""
     try:
         survivor, loser = _merged_pair(alpha, a)
     except (ChaseFailed, ValueError):
@@ -523,8 +524,6 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
         if loser in b.values():
             continue
         if copying and not _copies_null(b, beta.frontier):
-            continue
-        if head_holds(after, beta, b):
             continue
         image = instantiate(beta.body, b)
         J = after.facts | image

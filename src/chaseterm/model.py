@@ -650,15 +650,6 @@ def join(atoms: Sequence[Atom], facts, b: Dict,
     if n == 0:
         yield b
         return
-    if n == 1:  # the stack machine below, unrolled: the chase's common case
-        at = atoms[0]
-        for f in facts.candidates(at, b, var_type):
-            new = _bind(at.args, f.args, b, var_type)
-            if new is not None:
-                yield b
-                for t in new:
-                    del b[t]
-        return
     stack = [iter(facts.candidates(atoms[0], b, var_type))]
     trail: List[List] = [[]]  # terms bound at each level
     while stack:
