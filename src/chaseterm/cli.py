@@ -3,6 +3,15 @@
 Subcommands: analyze, chase, monitor, irrelevant, termcheck, fixture.
 Exit codes: 0 success, 2 chase failed on an EGD clash, 3 chase aborted
 (step limit or cycle monitor), 4 unusable input.
+
+_COMMANDS declares each command's help, handler and arguments once. A
+command line that starts with a command's name builds that command's
+parser alone: building the top-level parser and all six subparsers cost
+about as much as the command's own work on a small input. Any other
+command line (--help, no command, an unknown one, an option first) gets
+the top-level parser, with every subparser built from the same table, so
+usage lines, help texts, error messages and exit codes read the same
+either way.
 """
 
 from __future__ import annotations
@@ -74,10 +83,14 @@ def _load(args) -> Tuple[Tuple[Constraint, ...], Optional[Instance]]:
     I = None
     if getattr(args, "instance", None) is not None:
         I = parse_instance(_read(args.instance), getattr(args, "as_query", False))
-        # instance and rules must agree on arities
-        check_arities([f for c in doc.constraints
-                       for f in tuple(c.body) + tuple(c.head)]
-                      + sorted(I.facts, key=repr))
+        # instance and rules must agree on arities; on a clash, check again
+        # in repr order, so that the error names the same atom every run
+        arities = check_arities(f for c in doc.constraints
+                                for f in c.body + c.head)
+        try:
+            check_arities(I.facts, arities)
+        except ModelError:
+            check_arities(sorted(I.facts, key=repr), arities)
     return doc.constraints, I
 
 
@@ -237,74 +250,101 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _ArgumentParser:
-    top = _ArgumentParser(prog="chaseterm",
-                          description="chase and chase-termination toolbox")
-    sub = top.add_subparsers(dest="command", required=True)
+def _instance_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("constraints")
+    p.add_argument("instance", help="instance file")
+    p.add_argument("--as-query", action="store_true", dest="as_query",
+                   help="read uppercase identifiers as labeled nulls")
 
-    def common_instance_flags(p):
-        p.add_argument("instance", help="instance file")
-        p.add_argument("--as-query", action="store_true", dest="as_query",
-                       help="read uppercase identifiers as labeled nulls")
 
-    p = sub.add_parser("analyze", help="run the static termination ladder")
+def _order_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--order", choices=["det", "rand"], default="det")
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("constraints", help="rules file")
     p.add_argument("--check", choices=sorted(_RUNG_BY_KEY) + ["all"],
                    default="all")
     p.add_argument("--dot", metavar="DIR", help="write graph DOT files here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("chase", help="run the chase")
-    p.add_argument("constraints")
-    common_instance_flags(p)
+
+def _chase_args(p: argparse.ArgumentParser) -> None:
+    _instance_args(p)
     p.add_argument("--max-steps", type=_at_least(0), default=10000,
                    dest="max_steps")
-    p.add_argument("--order", choices=["det", "rand"], default="det")
-    p.add_argument("--seed", type=int, default=0)
+    _order_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_chase)
 
-    p = sub.add_parser("monitor", help="chase under the k-cycle monitor")
-    p.add_argument("constraints")
-    common_instance_flags(p)
+
+def _monitor_args(p: argparse.ArgumentParser) -> None:
+    _instance_args(p)
     p.add_argument("-k", type=_at_least(1), default=5)
-    p.add_argument("--order", choices=["det", "rand"], default="det")
-    p.add_argument("--seed", type=int, default=0)
+    _order_args(p)
     p.add_argument("--dot", metavar="DIR")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_monitor)
 
-    p = sub.add_parser("irrelevant",
-                       help="split rules by reachability from the instance")
-    p.add_argument("constraints")
-    common_instance_flags(p)
+
+def _irrelevant_args(p: argparse.ArgumentParser) -> None:
+    _instance_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_irrelevant)
 
-    p = sub.add_parser("termcheck",
-                       help="ladder, then pruning, then monitored chase")
-    p.add_argument("constraints")
-    common_instance_flags(p)
+
+def _termcheck_args(p: argparse.ArgumentParser) -> None:
+    _instance_args(p)
     p.add_argument("-k", type=_at_least(1), default=5)
-    p.add_argument("--order", choices=["det", "rand"], default="det")
-    p.add_argument("--seed", type=int, default=0)
+    _order_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_termcheck)
 
-    p = sub.add_parser("fixture", help="emit a generated fixture family")
+
+def _fixture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", help="family name (appendix-g)")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.set_defaults(func=cmd_fixture)
 
-    return top
+
+# name -> (help, handler, argument declarations), in the order --help lists
+_COMMANDS = {
+    "analyze": ("run the static termination ladder", cmd_analyze,
+                _analyze_args),
+    "chase": ("run the chase", cmd_chase, _chase_args),
+    "monitor": ("chase under the k-cycle monitor", cmd_monitor,
+                _monitor_args),
+    "irrelevant": ("split rules by reachability from the instance",
+                   cmd_irrelevant, _irrelevant_args),
+    "termcheck": ("ladder, then pruning, then monitored chase",
+                  cmd_termcheck, _termcheck_args),
+    "fixture": ("emit a generated fixture family", cmd_fixture,
+                _fixture_args),
+}
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv parsed by its command's parser alone, when it starts with a
+    command's name, else by the top-level one (see the module docstring)."""
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is not None:
+        _, func, declare = entry
+        p = _ArgumentParser(prog=f"chaseterm {argv[0]}")
+        declare(p)
+        p.set_defaults(func=func, command=argv[0])
+        return p.parse_args(argv[1:])
+    top = _ArgumentParser(prog="chaseterm",
+                          description="chase and chase-termination toolbox")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, (text, func, declare) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        declare(p)
+        p.set_defaults(func=func)
+    return top.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,7 +227,7 @@ from chaseterm.chase import ChaseFailed, _merged_pair, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
     Position, Value, Variable, _bind, fact_key, head_holds, instance,
-    instantiate, occurrences, replace_value, satisfies,
+    instantiate, occurrences, replace_value, satisfies, value_key,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -249,13 +249,10 @@ class Witness(NamedTuple):
 
 
 def _named_constants(alpha: Constraint, beta: Constraint) -> Tuple[Constant, ...]:
-    out = set()
-    for c in (alpha, beta):
-        for f in tuple(c.body) + tuple(c.head):
-            for t in f.args:
-                if isinstance(t, Constant):
-                    out.add(t)
-    return tuple(sorted(out, key=lambda c: c.name))
+    """The constants of alpha and beta, by name: a merge of their two
+    cached runs."""
+    return tuple(dict.fromkeys(sorted(alpha.constants + beta.constants,
+                                      key=value_key)))
 
 
 _POOL: Dict[int, Tuple[Constant, LabeledNull]] = {}
@@ -575,13 +572,19 @@ def _find(parent: Dict, t):
 
 def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
                   deferred: List[Atom], P: frozenset, taken: frozenset,
+                  existentials: Dict,
                   ) -> Optional[Tuple[Assignment, Assignment]]:
     """The most general candidate (a, b) of the unifier parent of beta's
     body less deferred with alpha's head, or None when it is no piece
-    unifier (see "exists")."""
+    unifier (see "exists"). existentials maps each existential v of alpha,
+    as the term (0, v), to its index. Only those that parent touches are
+    read: any other is a class of its own, which no body variable joins."""
     value: Dict = {}  # class representative -> the candidate's value
-    for i, v in enumerate(alpha.existential_vars):
-        r = _find(parent, (0, v))
+    for t in dict.fromkeys((*parent, *parent.values())):
+        i = existentials.get(t)
+        if i is None:
+            continue
+        r = _find(parent, t)
         if r in value or r.__class__ is Constant:
             return None  # two existentials, or an existential and a constant
         value[r] = _placeholder(i)
@@ -611,21 +614,31 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
     unifier of beta's body with alpha's head pass the judge? See "exists"."""
     copying = mode == PRECEDES_P
     taken = frozenset(c.name for c in _named_constants(alpha, beta))
+    existentials = {(0, v): i for i, v in enumerate(alpha.existential_vars)}
+    # a's values -> (base, the step's image of it), or None when a is no
+    # violation (see "satisfied"); a body-less alpha has one a
+    images: Dict[Tuple, Optional[Tuple[frozenset, Instance]]] = {}
     for parent, deferred, _ in _subset_matches(beta.body, alpha.head, _unify, {}):
-        candidate = _most_general(alpha, beta, parent, deferred, P, taken)
+        candidate = _most_general(alpha, beta, parent, deferred, P, taken,
+                                  existentials)
         if candidate is None:
             continue
         a, b = candidate
         if copying and not _copies_null(b, beta.frontier):
             continue  # see "copying"
-        base = instantiate(alpha.body, a)
-        if head_holds(Instance(base), alpha, a):
+        key = tuple(a.values())
+        if key not in images:
+            base = instantiate(alpha.body, a)
+            images[key] = None if head_holds(Instance(base), alpha, a) else (
+                base, Instance(base | _added(alpha, a)))
+        image = images[key]
+        if image is None:
             continue  # see "satisfied"
+        base, after = image
         B = instantiate(deferred, b)
         facts = base | B
         if instantiate(beta.body, b) <= facts:
             continue  # see "new"
-        after = Instance(base | _added(alpha, a))
         if head_holds(after, beta, b):
             continue  # see "settled"
         if _holds(instance(facts), after.facts | B, alpha, a, beta, b, P, mode):

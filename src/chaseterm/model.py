@@ -255,21 +255,13 @@ def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None)
 
 def _dedup(atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
     # conjunctions are sets; keep first-occurrence order for determinism
-    out: List[Atom] = []
-    for a in atoms:
-        if a not in out:
-            out.append(a)
-    return tuple(out)
+    return tuple(dict.fromkeys(atoms))
 
 
 def conjunction_vars(atoms: Sequence[Atom]) -> List[Variable]:
     """Variables of a conjunction in first-occurrence order."""
-    seen: List[Variable] = []
-    for a in atoms:
-        for t in a.args:
-            if isinstance(t, Variable) and t not in seen:
-                seen.append(t)
-    return seen
+    return list(dict.fromkeys(t for a in atoms for t in a.args
+                              if t.__class__ is Variable))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +314,14 @@ class Constraint(_Frozen):
 
     __hash__ = _Frozen.__hash__
 
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild the constraint from its
+        # fields, and its cached properties on first use; the default
+        # reduction would restore _hash through __setattr__, and the
+        # compiled programs hold lambdas
+        return (self.__class__,
+                (self.id, self.kind, self.body, self.head, self.equated))
+
     def __repr__(self) -> str:
         return f"<{self.id}>"
 
@@ -353,6 +353,12 @@ class Constraint(_Frozen):
             return ()
         bv = set(self.body_vars)
         return tuple(v for v in conjunction_vars(self.head) if v not in bv)
+
+    @cached_property
+    def constants(self) -> Tuple[Constant, ...]:
+        """The constants of the body and the head, by name."""
+        return tuple(sorted({t for a in self.body + self.head for t in a.args
+                             if t.__class__ is Constant}, key=_order))
 
     @cached_property
     def body_positions(self) -> frozenset:

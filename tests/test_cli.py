@@ -1,5 +1,6 @@
 """End-to-end command behavior: outputs, files, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -334,6 +335,60 @@ class TestInputErrors:
         inst.write_text("T(c1,c2).\n")
         assert main(["chase", str(rules), str(inst)]) == 4
         assert "arity mismatch" in capsys.readouterr().err
+
+    def test_arity_clash_names_the_first_atom_in_repr_order(self, tmp_path,
+                                                            capsys):
+        rules = tmp_path / "a.rules"
+        rules.write_text("a: S(X) -> T(X).\n")
+        inst = tmp_path / "a.inst"
+        inst.write_text("T(c2,c1). T(c1,c3). T(c1,c2).\n")
+        assert main(["chase", str(rules), str(inst)]) == 4
+        assert capsys.readouterr().err == (
+            "error: arity mismatch for T: saw 1, now 2 in T(c1, c2)\n")
+
+
+class TestParsers:
+    """A command line that names its command first is parsed by that
+    command's parser alone; any other by the top-level parser. Both read
+    and print what one top-level parser with six subparsers did."""
+
+    with open(os.path.join(GOLDEN, "cli_surface.json"), encoding="utf-8") as fh:
+        SURFACE = json.load(fh)
+
+    # argparse words and wraps its messages differently from one Python
+    # version to the next; the golden texts were recorded on 3.11
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="help and error texts recorded on Python 3.11")
+    @pytest.mark.parametrize("case", SURFACE, ids=lambda c: " ".join(c["argv"]) or "(none)")
+    def test_usage_help_and_errors_are_unchanged(self, files, capsys,
+                                                 monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [files.get(a, a) for a in case["argv"]]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+    def test_a_named_command_builds_one_parser(self, files, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["chase", files["tc.rules"], files["tc.inst"], "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == "terminated"
+        assert built == ["chaseterm chase"]
+        # --help lists every command, so it builds every parser
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["chaseterm"] + [f"chaseterm {name}" for name in (
+            "analyze", "chase", "monitor", "irrelevant", "termcheck", "fixture")]
 
 
 class TestHashSeed:

@@ -133,6 +133,34 @@ class TestValueTypes:
             assert oracles.strict(twin) == oracles.strict(value)
             assert repr(twin) == repr(value) == str(value)
 
+    CONSTRAINTS = [
+        tgd("t", [A("E", V("X"), V("Y")), A("S", C("a"))],
+            [A("E", V("Y"), V("Z")), A("S", V("Z")), A("R", C("b"), V("X"))]),
+        tgd("b", [], [A("R", C("a"), V("Z"))]),
+        egd("e", [A("E", V("X"), V("Y")), A("E", V("X"), V("Z"))], V("Y"), V("Z")),
+    ]
+
+    @pytest.mark.parametrize("c", CONSTRAINTS, ids=repr)
+    def test_copy_and_pickle_rebuild_the_constraint(self, c):
+        def compiled(c):
+            # the key of a match, and the head built from it
+            key = c.body_key({v: C(f"k{i}") for i, v in enumerate(c.body_vars)})
+            src = key + tuple(N(f"x{i}") for i in range(len(c.existential_vars)))
+            return key, [(rel, program(src)) for rel, program in c.head_key_program]
+
+        # the original's compiled forms, lambdas among them, are built first
+        expected = compiled(c)
+        copies = [copy.copy(c), copy.deepcopy(c)]
+        copies += [pickle.loads(pickle.dumps(c, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is type(c)
+            assert twin == c and hash(twin) == hash(c)
+            assert compiled(twin) == expected
+            assert twin.constants == c.constants
+            if c.equated:
+                assert twin.equated_slots == c.equated_slots
+
     def test_reprs_are_unchanged(self):
         assert [repr(a) for a in self.ATOMS] == ["E(a, ?n1, X)", "S()", "R(?n1, ?n1)"]
         assert [repr(p) for p in self.POSITIONS] == ["E^1", "E^2", "S^0"]
