@@ -752,13 +752,15 @@ def find_homomorphism(source: Instance, target: Instance) -> Optional[Dict[Value
     """A mapping h on dom(source), identity on constants, with
     h(facts(source)) contained in facts(target); None if there is none.
 
-    Backtracking over the source facts in fact_key order, with the nulls as
-    the bound terms; each fact's candidates come from a positional index of
-    the target. Exponential in the worst case, which is fine at the instance
-    sizes this package is for.
+    Backtracking over the source facts in _connected_order, with the nulls
+    as the bound terms; each fact's candidates come from a positional index
+    of the target. Each fact then meets an already bound null where it can,
+    which keeps a null chain linear whatever order its nulls' names sort in.
+    Exponential in the worst case, which is fine at the instance sizes this
+    package is for.
     """
-    facts = sorted(source.facts, key=fact_key)
-    h = next(join(facts, FactIndex(target.facts), {}, LabeledNull), None)
+    h = next(join(_connected_order(source.facts), FactIndex(target.facts), {},
+                  LabeledNull), None)
     if h is None:
         return None
     for v in source.domain():
@@ -797,10 +799,5 @@ def _connected_order(facts: Iterable[Atom]) -> List[Atom]:
 
 
 def hom_equivalent(I: Instance, J: Instance) -> bool:
-    """Homomorphisms both ways. Only their existence counts, so the search
-    binds the source facts in _connected_order: each fact then meets an
-    already bound null where it can, which keeps a null chain linear
-    whatever order its nulls' names sort in."""
-    return all(next(join(_connected_order(src.facts), FactIndex(tgt.facts), {},
-                         LabeledNull), None) is not None
-               for src, tgt in ((I, J), (J, I)))
+    """Homomorphisms both ways."""
+    return find_homomorphism(I, J) is not None and find_homomorphism(J, I) is not None

@@ -58,6 +58,10 @@ def _monitor_node_str(node) -> str:
     return f"{node.null.name}@{{{','.join(_positions(node.created_at))}}}"
 
 
+def _monitor_node_key(node):
+    return (node.null.creation_index, node.null.name)
+
+
 def export_dot(g) -> str:
     """Render any of the package's graphs as a DOT digraph. Special edges
     (fresh-null creators) carry a dashed style and a special=true comment."""
@@ -79,10 +83,8 @@ def export_dot(g) -> str:
         lines += [f'"{a}" -> "{b}";' for a, b in g.edges]
         return _dot(lines)
     if isinstance(g, MonitorGraph):
-        def node_key(n):
-            return (n.null.creation_index, n.null.name)
         lines = [f'"{_monitor_node_str(n)}";'
-                 for n in sorted(g.nodes, key=node_key)]
+                 for n in sorted(g.nodes, key=_monitor_node_key)]
         for e in sorted(g.edges, key=edge_key):
             label = f"{e.constraint_id} | {','.join(_positions(e.body_positions))}"
             lines.append(f'"{_monitor_node_str(e.source)}" -> '
@@ -251,12 +253,10 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
 
 
 def monitor_report(g: MonitorGraph, k: int) -> dict:
-    def node_key(n):
-        return (n.null.creation_index, n.null.name)
     out = {
         "nodes": [{"null": f"?{n.null.name}",
                    "created_at": _positions(n.created_at)}
-                  for n in sorted(g.nodes, key=node_key)],
+                  for n in sorted(g.nodes, key=_monitor_node_key)],
         "edges": [{"source": _monitor_node_str(e.source),
                    "target": _monitor_node_str(e.target),
                    "constraint": e.constraint_id,

@@ -9,8 +9,10 @@ semi-naive delta and value order from before the chase compiled them), the
 firing-witness search as it was before it pruned, the firing graphs as they
 were before their witnesses were built on demand, and the monitor graph as
 it was before each run owned one graph, for differential tests that compare
-results with strict(). The last one keeps the report JSON as the standard
-library writes it, for byte comparisons with the package's own writer.
+results with strict(). One more keeps the graph toolkit's Tarjan components
+and level-by-level shortest path from before one breadth-first search served
+them. The last one keeps the report JSON as the standard library writes it,
+for byte comparisons with the package's own writer.
 """
 
 import dataclasses
@@ -903,6 +905,121 @@ def library_graph(G: RefMonitorGraph) -> MonitorGraph:
     so that strict() compares it with a run's own graph."""
     return MonitorGraph(set(G.nodes), set(G.edges), dict(G.live), dict(G.chains),
                         max((len(c) for c in G.chains.values()), default=0))
+
+
+# ---------------------------------------------------------------------------
+# The graph toolkit as it was before one breadth-first search served it:
+# Tarjan's algorithm, iterative, over a deduplicated adjacency, and a
+# shortest path found level by level.
+# ---------------------------------------------------------------------------
+
+
+def adjacency(nodes, edges):
+    adj = {u: [] for u in nodes}
+    seen = set()
+    for u, v in edges:
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, [])
+    return adj
+
+
+def strongly_connected_components(nodes, edges):
+    """Tarjan's algorithm, iterative. Components come out in reverse
+    topological order of the condensation."""
+    adj = adjacency(nodes, edges)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    components = []
+    counter = 0
+
+    for root in list(adj):
+        if root in index:
+            continue
+        # frames: (node, iterator over successors)
+        frames = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while frames:
+            u, it = frames[-1]
+            advanced = False
+            for v in it:
+                if v not in index:
+                    index[v] = low[v] = counter
+                    counter += 1
+                    stack.append(v)
+                    on_stack.add(v)
+                    frames.append((v, iter(adj[v])))
+                    advanced = True
+                    break
+                if v in on_stack:
+                    low[u] = min(low[u], index[v])
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                low[parent] = min(low[parent], low[u])
+            if low[u] == index[u]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == u:
+                        break
+                components.append(frozenset(comp))
+    return components
+
+
+def ref_nontrivial_components(nodes, edges):
+    edge_set = set(edges)
+    return [comp for comp in strongly_connected_components(nodes, edge_set)
+            if len(comp) > 1 or any((u, u) in edge_set for u in comp)]
+
+
+def ref_shortest_path(start, goal, edges):
+    """A shortest path from start to goal, or None; ties break by edge
+    order."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+    prev = {}
+    seen = {start}
+    queue = [start]
+    while queue:
+        nxt = []
+        for u in queue:
+            if u == goal:
+                path = [u]
+                while path[-1] != start:
+                    path.append(prev[path[-1]])
+                path.reverse()
+                return path
+            for v in adj.get(u, ()):
+                if v not in seen:
+                    seen.add(v)
+                    prev[v] = u
+                    nxt.append(v)
+        queue = nxt
+    return None
+
+
+def ref_cycle_through(edges, marked):
+    all_edges = list(edges)
+    for u, v in marked:
+        if u == v:
+            return [u, u]
+        p = ref_shortest_path(v, u, all_edges)
+        if p is not None:
+            return [u] + p
+    return None
 
 
 # ---------------------------------------------------------------------------

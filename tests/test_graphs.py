@@ -1,26 +1,43 @@
-"""Graph toolkit sanity checks against a brute-force reachability oracle."""
+"""Graph toolkit checks against hand-worked graphs, and a seeded differential
+against the toolkit as it was before one search served it (Tarjan's
+components, a level-by-level shortest path) and a reachability fixpoint."""
 
 import itertools
 import random
 
 from chaseterm.graphs import (
-    nontrivial_components, reachable_from, strongly_connected_components,
+    cycle_through, nontrivial_components, reachable_from, shortest_path,
 )
+from . import oracles
 
 
-def bf_sccs(nodes, edges):
-    reach = {u: reachable_from([u], edges) for u in nodes}
-    comps = set()
-    for u in nodes:
-        comps.add(frozenset(v for v in nodes if v in reach[u] and u in reach[v]))
-    return comps
+def bf_reachable(start, edges):
+    seen = set(start)
+    while True:
+        new = {v for u, v in edges if u in seen} - seen
+        if not new:
+            return seen
+        seen |= new
+
+
+def random_graphs(count, seed):
+    """Graphs of 1-8 nodes in shuffled order, with self-loops, repeated
+    edges, and edges to two endpoints that nodes leaves out."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 9)
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        pool = list(itertools.product(range(n + 2), repeat=2))
+        edges = [rng.choice(pool) for _ in range(rng.randrange(3 * n + 2))]
+        yield nodes, edges, rng
 
 
 class TestSccs:
     def test_two_cycles_and_a_bridge(self):
         nodes = list(range(6))
         edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (5, 5)]
-        comps = strongly_connected_components(nodes, edges)
+        comps = oracles.strongly_connected_components(nodes, edges)
         assert set(comps) == {frozenset({0, 1}), frozenset({2, 3, 4}),
                               frozenset({5})}
         assert set(nontrivial_components(nodes, edges)) == {
@@ -31,24 +48,34 @@ class TestSccs:
         assert nontrivial_components(nodes, [("a", "a")]) == [frozenset({"a"})]
         assert nontrivial_components(nodes, []) == []
 
+    def test_endpoints_missing_from_nodes_still_count(self):
+        assert nontrivial_components([0], [(0, 1), (1, 0)]) == [frozenset({0, 1})]
+        assert nontrivial_components([], [(2, 2)]) == [frozenset({2})]
+
     def test_matches_oracle_on_random_graphs(self):
-        rng = random.Random(0)
-        for _ in range(40):
-            n = rng.randrange(1, 8)
-            nodes = list(range(n))
-            pool = list(itertools.product(nodes, nodes))
-            edges = rng.sample(pool, rng.randrange(len(pool) + 1))
-            got = set(strongly_connected_components(nodes, edges))
-            assert got == bf_sccs(nodes, edges)
+        for nodes, edges, _ in random_graphs(3000, "graphs/sccs"):
+            got = nontrivial_components(nodes, iter(edges))
+            want = oracles.ref_nontrivial_components(nodes, edges)
+            assert len(got) == len(want) and set(got) == set(want), (nodes, edges)
 
-    def test_reverse_topological_order(self):
-        nodes = [0, 1, 2, 3]
-        edges = [(0, 1), (1, 2), (2, 1), (2, 3)]
-        comps = strongly_connected_components(nodes, edges)
-        pos = {c: i for i, c in enumerate(comps)}
-        # every edge goes from a later component to an earlier one
-        comp_of = {u: c for c in comps for u in c}
-        for u, v in edges:
-            if comp_of[u] != comp_of[v]:
-                assert pos[comp_of[u]] > pos[comp_of[v]]
 
+class TestPaths:
+    def test_matches_oracle_on_random_graphs(self):
+        for nodes, edges, rng in random_graphs(3000, "graphs/paths"):
+            everything = sorted(set(nodes) | {u for e in edges for u in e})
+            for u in everything:
+                assert reachable_from([u], iter(edges)) == bf_reachable([u], edges)
+            start = rng.sample(everything, rng.randrange(len(everything) + 1))
+            assert reachable_from(start, edges) == bf_reachable(start, edges)
+            for s, g in itertools.product(everything, repeat=2):
+                assert shortest_path(s, g, iter(edges)) == \
+                    oracles.ref_shortest_path(s, g, edges), (s, g, edges)
+            marked = rng.sample(edges, rng.randrange(len(edges) + 1))
+            assert cycle_through(iter(edges), marked) == \
+                oracles.ref_cycle_through(edges, marked), (marked, edges)
+
+    def test_ties_break_by_edge_order(self):
+        assert shortest_path(0, 3, [(0, 2), (0, 1), (1, 3), (2, 3)]) == [0, 2, 3]
+        assert shortest_path(0, 3, [(0, 1), (0, 2), (2, 3), (1, 3)]) == [0, 1, 3]
+        assert shortest_path(0, 0, []) == [0]
+        assert shortest_path(0, 1, [(1, 0)]) is None

@@ -427,6 +427,9 @@ class TestHomomorphism:
         I = instance([A("e", u, v) for u, v in zip(nulls, nulls[1:])])
         assert len(I.facts) == 1000
         assert hom_equivalent(I, I)
+        h = find_homomorphism(I, I)
+        assert h is not None
+        assert {A("e", h[u], h[v]) for u, v in zip(nulls, nulls[1:])} <= I.facts
 
     def test_same_mapping_as_recursive_search(self, oneway_instance, roundtrip_instance):
         E = instance([A("E", N("n1"), N("n2"))])
