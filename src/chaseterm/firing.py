@@ -56,11 +56,11 @@ that the existence check (see "exists") found an edge, for a TGD or an
 EGD alpha, and no witness is built yet. chase_graph and
 minimal_restriction_system decide edges from the table and leave marks
 alone. Their witnesses mappings build a witness on first read, under the
-exact key under which the edge was found (see "unguarded" for a guarded
-key), and the witness replaces the mark in the table. can_cause returns
-the built witness. So a command that prints no witness, termcheck,
-irrelevant or a bare is_* check, runs no enumeration at all. A mark whose
-enumeration finds no witness is a fault of the search, and raises.
+exact key under which the edge was found, and the witness replaces the
+mark in the table. can_cause returns the built witness. So a command that
+prints no witness, termcheck, irrelevant or a bare is_* check, runs no
+enumeration at all. A mark whose enumeration finds no witness is a fault
+of the search, and raises.
 
 Ten prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
@@ -110,13 +110,7 @@ so the first witness found is the one the unpruned enumeration finds.
             any other entry leaves it to its own existence check. analyze
             builds the chase graph before the restriction system, over one
             table, so the answer is there when it helps, and a bare
-            restriction-system call searches no PRECEDES pair. Building a
-            PRECEDES_P witness first builds the pair's PRECEDES entry, when
-            the table holds one, and when verify_witness accepts that
-            witness under P, it is the answer: every candidate before it
-            in the common enumeration failed the PRECEDES validator, so it
-            fails the stricter one too, and the witness is the first that
-            the PRECEDES_P search would find.
+            restriction-system call searches no PRECEDES pair.
   copying   Under PRECEDES_P, a b that puts no null on beta's frontier,
             the head variables of beta that occur in its body, is skipped
             before its instance is built: the null-copying check reads b
@@ -425,11 +419,8 @@ def _holds(I: Instance, after: frozenset, alpha: Constraint, a: Assignment,
     rejects soonest: the guard scan and the null-copying test, which read I
     and b alone; "beta violated in J", read on after; "alpha violated in I".
     The judge takes no step: the search takes the accepted candidate's,
-    once. Over the seed-1 analyze-batch inputs and their reports the judge
-    ran 398 times: 213 times on most general candidates ("exists"), 55 of
-    them for an EGD alpha and 200 of all of them accepted, and 185 times in
-    the enumeration, 159 accepted (294 before the "held" prune). An a that
-    is no violation gives an image all the same; the last check rejects it.
+    once. An a that is no violation gives an image all the same; the last
+    check rejects it.
 
     The judge leaves out "beta not violated in I": the "new" filters drop
     every b whose body image lies in I before it is judged, and a b
@@ -785,19 +776,10 @@ def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
 
 def _built(answers: Answers, key: Key) -> Optional[Witness]:
     """answers[key], an EDGE replaced for good by the witness that the
-    enumeration under key finds. Under PRECEDES_P, a PRECEDES witness of
-    the table that passes the guard is that witness (see "unguarded"). An
-    EDGE whose enumeration finds nothing is an internal error."""
+    enumeration under key finds. An EDGE whose enumeration finds nothing is
+    an internal error."""
     if answers[key] is EDGE:
-        alpha, beta, P, mode = key
-        unguarded = (alpha, beta, frozenset(), PRECEDES)
-        w = None
-        if mode == PRECEDES_P and unguarded in answers:
-            w = _built(answers, unguarded)
-            if not verify_witness(alpha, beta, w, P, mode):
-                w = None
-        if w is None:
-            w = _enumerate(*key)
+        w = _enumerate(*key)
         if w is None:
             raise RuntimeError(f"internal error: the existence check found an "
                                f"edge under {key!r} that the enumeration misses")

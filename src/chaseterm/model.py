@@ -16,7 +16,9 @@ hashing, dict and set lookups and == run in C with no Python frame; as no
 name can change the first character, two terms are equal exactly when kind
 and name agree. The name, and a null's creation index, live in the instance
 dict. So a term also equals its tagged string and orders under < like one;
-no code may rely on either. str() and format() give the same text as repr().
+no code may rely on either. str() and format() give the same text as repr(),
+and the repr of a term or an atom is its surface syntax: `syntax` prints
+rules and instances, and `reports` writes every fact and value, as repr.
 Each constant and null also carries its order, its value_key tuple, built
 in __new__: (0, name) for a constant, (1, creation index, name) for a null.
 So value_key, fact_key and the chase's sort keys read one attribute per

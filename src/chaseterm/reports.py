@@ -21,7 +21,7 @@ from chaseterm.static import (
     AnalysisReport, PositionGraph, RestrictionSystem, dependency_graph,
     propagation_graph,
 )
-from chaseterm.syntax import _print_atom, _print_term, print_constraint
+from chaseterm.syntax import print_constraint
 
 
 class ReportIntegrityError(RuntimeError):
@@ -37,11 +37,11 @@ def _positions(ps) -> List[str]:
 
 
 def _facts(facts) -> List[str]:
-    return [_print_atom(a) for a in sorted(facts, key=fact_key)]
+    return list(map(repr, sorted(facts, key=fact_key)))
 
 
 def _assignment(pairs) -> Dict[str, str]:
-    return {name: _print_term(v) for name, v in pairs}
+    return {name: repr(v) for name, v in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def _step_dict(rec: ChaseStepRecord) -> dict:
         "assignment": _assignment(rec.assignment),
         "added": _facts(rec.added_facts),
         "merged": (None if rec.merged_pair is None
-                   else [_print_term(v) for v in rec.merged_pair]),
+                   else list(map(repr, rec.merged_pair))),
     }
 
 
@@ -243,7 +243,7 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
         "final": None if res.final is None else _facts(res.final.facts),
         "failed_step": res.failed_step,
         "clash": (None if res.clash is None
-                  else [_print_term(v) for v in res.clash]),
+                  else list(map(repr, res.clash))),
         "abort_reason": res.abort_reason,
         "abort_k": res.abort_k,
     }

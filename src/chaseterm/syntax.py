@@ -7,17 +7,28 @@ anything else is a constant, and `?name` is a labeled null (instances only).
 An optional `label:` prefix names a rule; unlabeled rules are numbered c1,
 c2, ... in file order.
 
+One regular expression scans the whole text before parsing starts, so a
+bad character anywhere is reported before any grammar error. A token is
+(kind, text, offset): a punctuation token is its own kind, and a null's
+text is its name without the `?`. A name is letters, digits and `_`, as
+str.isalnum() reads them, and must start with a letter or `_`. The offset
+becomes a line and a column only when a ParseError is raised; every
+character but a newline is one column. A comment that ends the text puts
+the end of input at its `#`.
+
 Printing inverts parsing as long as names obey the lexical convention
-(uppercase variables, lowercase constants and labels).
+(uppercase variables, lowercase constants and labels). Terms and atoms
+print as their repr, which is this syntax.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from chaseterm.model import (
     Atom, Constant, Constraint, EGD, Instance, LabeledNull, ModelError, Term,
-    Variable, check_arities, egd, fact_key, instance, tgd,
+    Variable, check_arities, egd, fact_key, tgd,
 )
 
 
@@ -32,190 +43,148 @@ class ParseError(ModelError):
 IDENT, NULL, LPAREN, RPAREN, COMMA, ARROW, EQUALS, DOT, COLON, EOF = (
     "ident", "null", "(", ")", ",", "->", "=", ".", ":", "eof")
 
-_PUNCT = {"(": LPAREN, ")": RPAREN, ",": COMMA, "=": EQUALS,
-          ".": DOT, ":": COLON}
+# layout matches no group; \w and \s agree with str.isalnum() (plus "_")
+# and str.isspace() on every code point
+_TOKEN = re.compile(r"""
+    \s+ | \#[^\n]*
+  | (?P<punct> -> | [(),=.:] )
+  | \? (?P<null> \w* )
+  | (?P<ident> \w+ )
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def _where(text: str, offset: int) -> Tuple[int, int]:
+    """The line and column of offset in text, both counted from 1."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
-def _ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def _tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == "-" and i + 1 < n and text[i + 1] == ">":
-            toks.append(Token(ARROW, "->", line, col))
-            i += 2
-            col += 2
-        elif ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-        elif ch == "?":
-            j = i + 1
-            while j < n and _ident_char(text[j]):
-                j += 1
-            if j == i + 1:
-                raise ParseError("'?' must be followed by a null name", line, col)
-            toks.append(Token(NULL, text[i + 1:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and _ident_char(text[j]):
-                j += 1
-            toks.append(Token(IDENT, text[i:j], line, col))
-            col += j - i
-            i = j
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    toks: List[Tuple[str, str, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        word = m[kind]
+        if kind == "punct":
+            toks.append((word, word, m.start()))
+        elif kind == IDENT and (word[0].isalpha() or word[0] == "_"):
+            toks.append((IDENT, word, m.start()))
+        elif kind == NULL and word:
+            toks.append((NULL, word, m.start()))
+        elif kind == NULL:
+            raise ParseError("'?' must be followed by a null name",
+                             *_where(text, m.start()))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token(EOF, "", line, col))
+            raise ParseError(f"unexpected character {word[0]!r}",
+                             *_where(text, m.start()))
+    last_line = text.rfind("\n") + 1
+    comment = text.find("#", last_line)
+    toks.append((EOF, "", len(text) if comment < 0 else comment))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.tok = self.toks[0]  # the current token
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        """The kind of the token after the current one, which is not EOF."""
+        return self.toks[self.pos + 1][0]
 
-    def peek(self, ahead: int = 1) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def advance(self) -> Token:
-        t = self.cur
+    def advance(self) -> Tuple[str, str, int]:
+        t = self.tok
         self.pos += 1
+        self.tok = self.toks[self.pos]
         return t
 
-    def expect(self, kind: str, what: str) -> Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+    def expect(self, kind: str, what: str) -> Tuple[str, str, int]:
+        if self.tok[0] != kind:
+            self.fail(f"expected {what}, found {self.tok[1] or 'end of input'!r}")
         return self.advance()
 
-    def fail(self, msg: str):
-        raise ParseError(msg, self.cur.line, self.cur.col)
+    def fail(self, msg: str, tok: Optional[Tuple[str, str, int]] = None):
+        raise ParseError(msg, *_where(self.text, (tok or self.tok)[2]))
 
     def atom(self, term) -> Atom:
         rel = self.expect(IDENT, "a relation name")
         self.expect(LPAREN, "'('")
         args = [term()]
-        while self.cur.kind == COMMA:
+        while self.tok[0] == COMMA:
             self.advance()
             args.append(term())
         self.expect(RPAREN, "')'")
-        return Atom(rel.text, tuple(args))
+        return Atom(rel[1], tuple(args))
 
     def atoms(self, term) -> List[Atom]:
         out = [self.atom(term)]
-        while self.cur.kind == COMMA:
+        while self.tok[0] == COMMA:
             self.advance()
             out.append(self.atom(term))
         return out
 
-
-def _rule_term(p: _Parser) -> Term:
-    if p.cur.kind == NULL:
-        p.fail("nulls cannot occur in rules")
-    t = p.expect(IDENT, "a variable or constant")
-    if t.text[0].isupper():
-        return Variable(t.text)
-    return Constant(t.text)
+    def rule_term(self) -> Term:
+        if self.tok[0] == NULL:
+            self.fail("nulls cannot occur in rules")
+        name = self.expect(IDENT, "a variable or constant")[1]
+        return Variable(name) if name[0].isupper() else Constant(name)
 
 
 class ConstraintDocument(NamedTuple):
-    """Rules in file order, with each rule's (line, column) for messages."""
+    """Rules in file order."""
 
     constraints: Tuple[Constraint, ...]
-    spans: Tuple[Tuple[int, int], ...] = ()
-
-    # equality and the hash read the rules only, wherever they sit in the
-    # file. __ne__ is defined too, or tuple's own would compare the spans.
-    def __eq__(self, other):
-        if other.__class__ is ConstraintDocument:
-            return self.constraints == other.constraints
-        return NotImplemented
-
-    def __ne__(self, other):
-        if other.__class__ is ConstraintDocument:
-            return self.constraints != other.constraints
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.constraints,))
 
 
 def parse_constraints(text: str) -> ConstraintDocument:
     p = _Parser(text)
     out: List[Constraint] = []
-    spans: List[Tuple[int, int]] = []
     arities: Dict[str, int] = {}
     used = set()
     serial = 0
-    while p.cur.kind != EOF:
-        start = p.cur
+    while p.tok[0] != EOF:
+        start = p.tok
         label: Optional[str] = None
-        if p.cur.kind == IDENT and p.peek().kind == COLON:
-            label = p.advance().text
+        if p.tok[0] == IDENT and p.peek() == COLON:
+            label = p.advance()[1]
             p.advance()
-        if p.cur.kind == IDENT and p.cur.text == "true" and p.peek().kind == ARROW:
+        if p.tok[0] == IDENT and p.tok[1] == "true" and p.peek() == ARROW:
             p.advance()
             body: List[Atom] = []
         else:
-            body = p.atoms(lambda: _rule_term(p))
+            body = p.atoms(p.rule_term)
         p.expect(ARROW, "'->'")
         if label is None:
             serial += 1
             label = f"c{serial}"
         if label in used:
-            raise ParseError(f"duplicate rule label {label!r}", start.line, start.col)
+            p.fail(f"duplicate rule label {label!r}", start)
         used.add(label)
 
         # an EGD head is exactly `Var = Var`
-        if p.cur.kind == IDENT and p.peek().kind == EQUALS:
-            left, right = p.advance(), None
+        if p.tok[0] == IDENT and p.peek() == EQUALS:
+            left = p.advance()
             p.advance()
             right = p.expect(IDENT, "a variable")
             for side in (left, right):
-                if not side.text[0].isupper():
-                    raise ParseError("an equality must relate two variables",
-                                     side.line, side.col)
-            maker = lambda: egd(label, body, Variable(left.text), Variable(right.text))
+                if not side[1][0].isupper():
+                    p.fail("an equality must relate two variables", side)
+            head = None
         else:
-            head = p.atoms(lambda: _rule_term(p))
-            maker = lambda: tgd(label, body, head)
+            head = p.atoms(p.rule_term)
         p.expect(DOT, "'.'")
         try:
-            c = maker()
-            arities = check_arities(tuple(c.body) + tuple(c.head), arities)
-        except ParseError:
-            raise
+            c = (tgd(label, body, head) if head is not None else
+                 egd(label, body, Variable(left[1]), Variable(right[1])))
+            arities = check_arities(c.body + c.head, arities)
         except ModelError as exc:
-            raise ParseError(str(exc), start.line, start.col) from exc
+            raise ParseError(str(exc), *_where(text, start[2])) from exc
         out.append(c)
-        spans.append((start.line, start.col))
-    return ConstraintDocument(tuple(out), tuple(spans))
+    return ConstraintDocument(tuple(out))
 
 
 def parse_instance(text: str, as_query: bool = False) -> Instance:
@@ -228,51 +197,43 @@ def parse_instance(text: str, as_query: bool = False) -> Instance:
         return nulls[name]
 
     def term() -> Term:
-        if p.cur.kind == NULL:
-            return null_for(p.advance().text)
+        if p.tok[0] == NULL:
+            return null_for(p.advance()[1])
         t = p.expect(IDENT, "a constant or null")
-        if t.text[0].isupper():
+        name = t[1]
+        if name[0].isupper():
             if not as_query:
-                raise ParseError(
-                    f"variable {t.text} in an instance (write ?{t.text.lower()},"
-                    " or read the file as a query)", t.line, t.col)
-            return null_for(t.text)
-        return Constant(t.text)
+                p.fail(f"variable {name} in an instance (write ?{name.lower()},"
+                       " or read the file as a query)", t)
+            return null_for(name)
+        return Constant(name)
 
     facts: List[Atom] = []
     arities: Dict[str, int] = {}
-    while p.cur.kind != EOF:
-        start = p.cur
+    while p.tok[0] != EOF:
+        start = p.tok
         facts.append(p.atom(term))
         p.expect(DOT, "'.'")
         try:
             arities = check_arities(facts[-1:], arities)
         except ModelError as exc:
-            raise ParseError(str(exc), start.line, start.col) from exc
-    return instance(facts)
+            raise ParseError(str(exc), *_where(text, start[2])) from exc
+    # the parser admits no variable and checks every arity, and the nulls
+    # are numbered 1, 2, ... in order of first appearance
+    return Instance(frozenset(facts), len(nulls) + 1)
 
 
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
-def _print_term(t: Term) -> str:
-    if isinstance(t, LabeledNull):
-        return f"?{t.name}"
-    return t.name
-
-
-def _print_atom(a: Atom) -> str:
-    return f"{a.relation}({', '.join(_print_term(t) for t in a.args)})"
-
-
 def print_constraint(c: Constraint) -> str:
-    body = ", ".join(_print_atom(a) for a in c.body) if c.body else "true"
+    body = ", ".join(map(repr, c.body)) if c.body else "true"
     if c.kind == EGD:
         left, right = c.equated
-        head = f"{left.name} = {right.name}"
+        head = f"{left!r} = {right!r}"
     else:
-        head = ", ".join(_print_atom(a) for a in c.head)
+        head = ", ".join(map(repr, c.head))
     return f"{c.id}: {body} -> {head}."
 
 
@@ -281,5 +242,4 @@ def print_constraints(doc: ConstraintDocument) -> str:
 
 
 def print_instance(I: Instance) -> str:
-    lines = [f"{_print_atom(a)}." for a in sorted(I.facts, key=fact_key)]
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(f"{a!r}.\n" for a in sorted(I.facts, key=fact_key))

@@ -11,8 +11,11 @@ were before their witnesses were built on demand, and the monitor graph as
 it was before each run owned one graph, for differential tests that compare
 results with strict(). One more keeps the graph toolkit's Tarjan components
 and level-by-level shortest path from before one breadth-first search served
-them. The last one keeps the report JSON as the standard library writes it,
-for byte comparisons with the package's own writer.
+them. Another keeps the character-by-character tokenizer and the parser
+from before one regular expression scanned the text, for differential
+tests on rule and instance texts. The last one keeps the report JSON as the
+standard library writes it, for byte comparisons with the package's own
+writer.
 """
 
 import dataclasses
@@ -20,7 +23,7 @@ import json
 import random
 from collections.abc import Mapping
 from itertools import combinations, product
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from chaseterm.chase import (
     ABORTED, FAILED, K_CYCLIC, STEP_LIMIT, TERMINATED, ChaseFailed,
@@ -31,14 +34,15 @@ from chaseterm.firing import (
     _added_pattern, _is_placeholder, _named_constants, _new_symbols, can_cause,
 )
 from chaseterm.model import (
-    EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, Position,
-    Variable, _bind, conjunction_vars, fact_key, instantiate, join,
-    replace_value, satisfies, value_key,
+    EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, ModelError,
+    Position, Variable, _bind, check_arities, conjunction_vars, egd, fact_key,
+    instance, instantiate, join, replace_value, satisfies, tgd, value_key,
 )
 from chaseterm.monitor import (
     MonitorEdge, MonitorGraph, MonitorNode, edge_class, edge_key,
 )
 from chaseterm.static import RestrictionSystem, aff_cl
+from chaseterm.syntax import ConstraintDocument, ParseError
 
 
 def strict(x):
@@ -1020,6 +1024,203 @@ def ref_cycle_through(edges, marked):
         if p is not None:
             return [u] + p
     return None
+
+
+# ---------------------------------------------------------------------------
+# The parser as it was before one regular expression scanned the text: a
+# character loop that tracks line and column by hand, and a second
+# validation pass over the parsed instance.
+# ---------------------------------------------------------------------------
+
+class _RefToken(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
+
+
+_REF_PUNCT = {"(": "(", ")": ")", ",": ",", "=": "=", ".": ".", ":": ":"}
+
+
+def _ref_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def _ref_tokenize(text: str) -> List[_RefToken]:
+    toks: List[_RefToken] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch == "-" and i + 1 < n and text[i + 1] == ">":
+            toks.append(_RefToken("->", "->", line, col))
+            i += 2
+            col += 2
+        elif ch in _REF_PUNCT:
+            toks.append(_RefToken(_REF_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+        elif ch == "?":
+            j = i + 1
+            while j < n and _ref_ident_char(text[j]):
+                j += 1
+            if j == i + 1:
+                raise ParseError("'?' must be followed by a null name", line, col)
+            toks.append(_RefToken("null", text[i + 1:j], line, col))
+            col += j - i
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and _ref_ident_char(text[j]):
+                j += 1
+            toks.append(_RefToken("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_RefToken("eof", "", line, col))
+    return toks
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.toks = _ref_tokenize(text)
+        self.pos = 0
+
+    @property
+    def cur(self) -> _RefToken:
+        return self.toks[self.pos]
+
+    def peek(self, ahead: int = 1) -> _RefToken:
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def advance(self) -> _RefToken:
+        t = self.cur
+        self.pos += 1
+        return t
+
+    def expect(self, kind: str, what: str) -> _RefToken:
+        if self.cur.kind != kind:
+            self.fail(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+        return self.advance()
+
+    def fail(self, msg: str):
+        raise ParseError(msg, self.cur.line, self.cur.col)
+
+    def atom(self, term) -> Atom:
+        rel = self.expect("ident", "a relation name")
+        self.expect("(", "'('")
+        args = [term()]
+        while self.cur.kind == ",":
+            self.advance()
+            args.append(term())
+        self.expect(")", "')'")
+        return Atom(rel.text, tuple(args))
+
+    def atoms(self, term) -> List[Atom]:
+        out = [self.atom(term)]
+        while self.cur.kind == ",":
+            self.advance()
+            out.append(self.atom(term))
+        return out
+
+
+def _ref_rule_term(p: _RefParser):
+    if p.cur.kind == "null":
+        p.fail("nulls cannot occur in rules")
+    t = p.expect("ident", "a variable or constant")
+    if t.text[0].isupper():
+        return Variable(t.text)
+    return Constant(t.text)
+
+
+def ref_parse_constraints(text: str) -> ConstraintDocument:
+    p = _RefParser(text)
+    out: List[Constraint] = []
+    arities: Dict[str, int] = {}
+    used = set()
+    serial = 0
+    while p.cur.kind != "eof":
+        start = p.cur
+        label = None
+        if p.cur.kind == "ident" and p.peek().kind == ":":
+            label = p.advance().text
+            p.advance()
+        if p.cur.kind == "ident" and p.cur.text == "true" and p.peek().kind == "->":
+            p.advance()
+            body: List[Atom] = []
+        else:
+            body = p.atoms(lambda: _ref_rule_term(p))
+        p.expect("->", "'->'")
+        if label is None:
+            serial += 1
+            label = f"c{serial}"
+        if label in used:
+            raise ParseError(f"duplicate rule label {label!r}", start.line, start.col)
+        used.add(label)
+        if p.cur.kind == "ident" and p.peek().kind == "=":
+            left = p.advance()
+            p.advance()
+            right = p.expect("ident", "a variable")
+            for side in (left, right):
+                if not side.text[0].isupper():
+                    raise ParseError("an equality must relate two variables",
+                                     side.line, side.col)
+            maker = lambda: egd(label, body, Variable(left.text), Variable(right.text))
+        else:
+            head = p.atoms(lambda: _ref_rule_term(p))
+            maker = lambda: tgd(label, body, head)
+        p.expect(".", "'.'")
+        try:
+            c = maker()
+            arities = check_arities(tuple(c.body) + tuple(c.head), arities)
+        except ModelError as exc:
+            raise ParseError(str(exc), start.line, start.col) from exc
+        out.append(c)
+    return ConstraintDocument(tuple(out))
+
+
+def ref_parse_instance(text: str, as_query: bool = False) -> Instance:
+    p = _RefParser(text)
+    nulls: Dict[str, LabeledNull] = {}
+
+    def null_for(name: str) -> LabeledNull:
+        if name not in nulls:
+            nulls[name] = LabeledNull(name, len(nulls) + 1)
+        return nulls[name]
+
+    def term():
+        if p.cur.kind == "null":
+            return null_for(p.advance().text)
+        t = p.expect("ident", "a constant or null")
+        if t.text[0].isupper():
+            if not as_query:
+                raise ParseError(
+                    f"variable {t.text} in an instance (write ?{t.text.lower()},"
+                    " or read the file as a query)", t.line, t.col)
+            return null_for(t.text)
+        return Constant(t.text)
+
+    facts: List[Atom] = []
+    arities: Dict[str, int] = {}
+    while p.cur.kind != "eof":
+        start = p.cur
+        facts.append(p.atom(term))
+        p.expect(".", "'.'")
+        try:
+            arities = check_arities(facts[-1:], arities)
+        except ModelError as exc:
+            raise ParseError(str(exc), start.line, start.col) from exc
+    return instance(facts)
 
 
 # ---------------------------------------------------------------------------

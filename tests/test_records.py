@@ -1,9 +1,8 @@
 """The record classes: immutable values that compare and hash by their
 fields, except the monitor graph, which is mutable and has no hash.
 
-Two records leave a field out: a document's spans and a report's firing
-table are bookkeeping, so equality and the hash ignore them, and the
-report's repr does not show its table.
+One record leaves a field out: a report's firing table is bookkeeping, so
+equality and the hash ignore it, and the report's repr does not show it.
 """
 
 import pytest
@@ -13,7 +12,7 @@ from chaseterm.dynamic import data_dependent_guarantee
 from chaseterm.model import Constraint, Instance
 from chaseterm.monitor import MonitorGraph, edge_key
 from chaseterm.static import analyze
-from chaseterm.syntax import _tokenize, parse_constraints, parse_instance
+from chaseterm.syntax import parse_constraints, parse_instance
 
 RULES = """
 a1: fly(X1, X2, Y) -> hasAirport(X1), hasAirport(X2).
@@ -22,12 +21,12 @@ a3: fly(X1, X2, Y1) -> fly(X2, X3, Y2).
 """
 INSTANCE = "rail(c1, ?x1, ?y1). fly(?x1, ?x2, ?y2)."
 
-LEFT_OUT = {"ConstraintDocument": "spans", "AnalysisReport": "answers"}
+LEFT_OUT = {"AnalysisReport": "answers"}
 
 RECORDS = (
     "ChaseStepRecord", "ChasePolicy", "ChaseResult", "Witness", "ChaseGraph",
     "PositionGraph", "RestrictionSystem", "AnalysisReport",
-    "TerminationGuarantee", "MonitorNode", "MonitorEdge", "Token",
+    "TerminationGuarantee", "MonitorNode", "MonitorEdge",
     "ConstraintDocument", "Constraint", "Instance",
 )
 
@@ -49,7 +48,7 @@ def records():
         "AnalysisReport": report,
         "TerminationGuarantee": data_dependent_guarantee(I, report),
         "MonitorNode": edge.source, "MonitorEdge": edge,
-        "Token": _tokenize("a.")[0], "ConstraintDocument": doc,
+        "ConstraintDocument": doc,
         "Constraint": doc.constraints[2], "Instance": run.final,
         "MonitorGraph": run.monitor,
     }
@@ -101,14 +100,6 @@ def test_constraint_hashes_its_fields(records):
     c = records["Constraint"]
     assert c.existential_vars  # the cached properties still work
     assert hash(c) == hash((c.id, c.kind, c.body, c.head, c.equated))
-
-
-def test_document_equality_ignores_spans(records):
-    doc = records["ConstraintDocument"]
-    moved = parse_constraints("\n\n" + RULES.replace("\n", "\n  "))
-    assert moved.spans != doc.spans
-    assert moved == doc and not moved != doc
-    assert hash(moved) == hash(doc)
 
 
 def test_report_equality_and_repr_ignore_answers(records):

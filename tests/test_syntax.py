@@ -1,5 +1,7 @@
 """Parser and printer behavior, including the golden surface forms."""
 
+import random
+
 import pytest
 
 from chaseterm.model import Constant, EGD, LabeledNull, TGD, Variable
@@ -8,6 +10,7 @@ from chaseterm.syntax import (
     print_constraints, print_instance,
 )
 
+from . import oracles
 from .conftest import A, C, N, V
 
 
@@ -44,8 +47,12 @@ class TestConstraintParsing:
         assert c.head[0].args[1] == Constant("berlin")
 
     def test_comments_and_spans(self):
-        doc = parse_constraints("# prologue\n\na: S(X) -> T(X).  # trailing\nb: T(X) -> U(X).")
-        assert doc.spans == ((3, 1), (4, 1))
+        text = "# prologue\n\na: S(X) -> T(X).  # trailing\nb: T(X) -> U(X)."
+        assert [c.id for c in parse_constraints(text).constraints] == ["a", "b"]
+        # a rule's errors point at its own line, past the comments
+        with pytest.raises(ParseError) as info:
+            parse_constraints(text.replace("U(X)", "U(X, X)") + "\nc: U(X) -> S(X).")
+        assert (info.value.line, info.value.col) == (5, 1)
 
     def test_relation_named_true_survives(self):
         (c,) = parse_constraints("true(X) -> S(X).").constraints
@@ -61,18 +68,34 @@ class TestConstraintParsing:
         ("a: S(X) -> T(X). a: T(X) -> U(X).", "duplicate rule label"),
         ("S(?n) -> T(X).", "nulls cannot occur in rules"),
         ("S(X) & T(X) -> U(X).", "unexpected character"),
+        # a name starts with a letter or "_", whatever str.isalnum() admits
+        ("S(1a) -> T(X).", "unexpected character '1'"),
+        ("S(\u00b2) -> T(X).", "unexpected character '\u00b2'"),
+        ("S(X) -> T(?).", "'?' must be followed by a null name"),
+        ("S(X) -> T(X) # no dot", "expected '.', found 'end of input'"),
+        # the whole text is scanned before any rule is parsed
+        ("S(X) T(X) -> U(X).\n&", "unexpected character '&'"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
             parse_constraints(text)
 
     def test_error_location(self):
-        try:
-            parse_constraints("a: S(X) -> T(X).\nb: T(X) -> U(X,).")
-        except ParseError as e:
-            assert (e.line, e.col) == (2, 16)
-        else:
-            pytest.fail("expected a parse error")
+        for text, where in [
+            ("a: S(X) -> T(X).\nb: T(X) -> U(X,).", (2, 16)),
+            ("S(1a) -> T(X).", (1, 3)),
+            ("S(\u00b2) -> T(X).", (1, 3)),
+            ("S(X) -> T(?).", (1, 11)),
+            # end of input sits at the "#" of a comment that ends the text
+            ("S(X) -> T(X) # no dot", (1, 14)),
+            ("S(X) -> T(X)\n# no dot", (2, 1)),
+            # every character but a newline is one column
+            ("S(X) ->\r\tT(X,).", (1, 14)),
+            ("S(X) T(X) -> U(X).\n  &", (2, 3)),
+        ]:
+            with pytest.raises(ParseError) as info:
+                parse_constraints(text)
+            assert (info.value.line, info.value.col) == where, text
 
 
 class TestInstanceParsing:
@@ -144,3 +167,58 @@ class TestPrinting:
     def test_empty_instance_prints_empty(self):
         from chaseterm.model import instance
         assert print_instance(instance([])) == ""
+
+
+RULE_TEXT = """# travel, with a key
+a1: fly(X1, X2, Y) -> hasAirport(X1), hasAirport(X2).
+rail(X1, X2, Y) -> rail(X2, X1, Y).  # unlabeled
+k: rail(X, Y, Z), rail(X, Y, W) -> Z = W.
+true -> S(c0), E(c0, _y).
+"""
+INSTANCE_TEXT = """rail(c1, ?x1, ?y1).\tfly(?x1, ?x2, ?y2).
+# a query reads uppercase names as nulls
+e(a, B_1). S(?b).\r\ne(?b, c2).
+"""
+# characters the grammar reads, letters and digits that str.isalnum()
+# admits but that cannot start a name, and layout
+MUTANTS = list("()?,.:=->#_ aXz1\n\r\t&") + ["\u00e9", "\u00b2", "\u0663"]
+
+
+def mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(MUTANTS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        elif op == 2:
+            text = text[:i] + rng.choice(MUTANTS) + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+def outcome(parse, text):
+    try:
+        return "parsed", oracles.strict(parse(text))
+    except Exception as exc:  # the message holds the line and column
+        return type(exc).__name__, str(exc)
+
+
+def test_parser_matches_the_character_loop_on_mutated_texts():
+    rng = random.Random("syntax/mutants")
+    entry_points = [
+        (parse_constraints, oracles.ref_parse_constraints),
+        (parse_instance, oracles.ref_parse_instance),
+        (lambda t: parse_instance(t, as_query=True),
+         lambda t: oracles.ref_parse_instance(t, as_query=True)),
+    ]
+    parsed = 0
+    for n in range(1500):
+        text = mutate(rng, (RULE_TEXT, INSTANCE_TEXT)[n % 2])
+        for parse, ref in entry_points:
+            got = outcome(parse, text)
+            assert got == outcome(ref, text), text
+            parsed += got[0] == "parsed"
+    assert parsed > 300
