@@ -4,14 +4,18 @@ Subcommands: analyze, chase, monitor, irrelevant, termcheck, fixture.
 Exit codes: 0 success, 2 chase failed on an EGD clash, 3 chase aborted
 (step limit or cycle monitor), 4 unusable input.
 
-_COMMANDS declares each command's help, handler and arguments once. A
-command line that starts with a command's name builds that command's
-parser alone: building the top-level parser and all six subparsers cost
-about as much as the command's own work on a small input. Any other
-command line (--help, no command, an unknown one, an option first) gets
-the top-level parser, with every subparser built from the same table, so
-usage lines, help texts, error messages and exit codes read the same
-either way.
+_COMMANDS declares each command's help, handler and arguments once, as
+the (flags, kwargs) pairs that add_argument takes. A well-formed command
+line (the command's name, then exact option strings with their values,
+and positionals) is read straight from that table: building even one
+argparse parser took a quarter to a third of a short chase, most of it in
+gettext's first translation of a section title, which imports locale.
+argparse is built only for help and errors, so it alone writes usage,
+help and error text. Such a line that starts with a command's name builds
+that command's parser alone; any other (--help, no command, an unknown
+one, an option first) gets the top-level parser, with every subparser
+built from the same table, so usage lines, help texts, error messages and
+exit codes read the same either way.
 """
 
 from __future__ import annotations
@@ -94,12 +98,14 @@ def _load(args) -> Tuple[Tuple[Constraint, ...], Optional[Instance]]:
     return doc.constraints, I
 
 
-def _write_dot(directory: str, name: str, graph) -> None:
+def _write_dot(directory: str, name: str, graph, stdout_is_json: bool) -> None:
+    """Write graph to directory/name.dot and say so: on stderr with --json,
+    so that stdout stays one JSON document."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, name + ".dot")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(export_dot(graph))
-    print(f"wrote {path}")
+    print(f"wrote {path}", file=sys.stderr if stdout_is_json else sys.stdout)
 
 
 def _chase_exit(res: ChaseResult) -> int:
@@ -135,10 +141,10 @@ def cmd_analyze(args) -> int:
         payload["check"] = args.check
         payload["verdict"] = getattr(report, rung.field)
     if args.dot:
-        _write_dot(args.dot, "dependency", report.dependency_graph)
-        _write_dot(args.dot, "propagation", report.propagation_graph)
-        _write_dot(args.dot, "chase_graph", report.chase_graph)
-        _write_dot(args.dot, "restriction_system", report.restriction_system)
+        _write_dot(args.dot, "dependency", report.dependency_graph, args.json)
+        _write_dot(args.dot, "propagation", report.propagation_graph, args.json)
+        _write_dot(args.dot, "chase_graph", report.chase_graph, args.json)
+        _write_dot(args.dot, "restriction_system", report.restriction_system, args.json)
     if args.json:
         sys.stdout.write(to_json(payload))
         return EXIT_OK
@@ -170,7 +176,7 @@ def cmd_monitor(args) -> int:
     payload = {"chase": chase_report(res, include_trace=False),
                "monitor": monitor_report(res.monitor, args.k)}
     if args.dot:
-        _write_dot(args.dot, "monitor", res.monitor)
+        _write_dot(args.dot, "monitor", res.monitor, args.json)
     if args.json:
         sys.stdout.write(to_json(payload))
     else:
@@ -250,92 +256,131 @@ def cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def _instance_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("constraints")
-    p.add_argument("instance", help="instance file")
-    p.add_argument("--as-query", action="store_true", dest="as_query",
-                   help="read uppercase identifiers as labeled nulls")
+def _arg(*flags: str, **kwargs) -> Tuple[Tuple[str, ...], dict]:
+    """One argument's declaration: what add_argument takes."""
+    return flags, kwargs
 
 
-def _order_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", choices=["det", "rand"], default="det")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("constraints", help="rules file")
-    p.add_argument("--check", choices=sorted(_RUNG_BY_KEY) + ["all"],
-                   default="all")
-    p.add_argument("--dot", metavar="DIR", help="write graph DOT files here")
-    p.add_argument("--json", action="store_true")
-
-
-def _chase_args(p: argparse.ArgumentParser) -> None:
-    _instance_args(p)
-    p.add_argument("--max-steps", type=_at_least(0), default=10000,
-                   dest="max_steps")
-    _order_args(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _monitor_args(p: argparse.ArgumentParser) -> None:
-    _instance_args(p)
-    p.add_argument("-k", type=_at_least(1), default=5)
-    _order_args(p)
-    p.add_argument("--dot", metavar="DIR")
-    p.add_argument("--json", action="store_true")
-
-
-def _irrelevant_args(p: argparse.ArgumentParser) -> None:
-    _instance_args(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _termcheck_args(p: argparse.ArgumentParser) -> None:
-    _instance_args(p)
-    p.add_argument("-k", type=_at_least(1), default=5)
-    _order_args(p)
-    p.add_argument("--json", action="store_true")
-
-
-def _fixture_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("family", help="family name (appendix-g)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--out", required=True, metavar="DIR")
-
+_JSON = _arg("--json", action="store_true")
+_DEPTH = _arg("-k", type=_at_least(1), default=5)
+_INSTANCE = (
+    _arg("constraints"),
+    _arg("instance", help="instance file"),
+    _arg("--as-query", action="store_true", dest="as_query",
+         help="read uppercase identifiers as labeled nulls"),
+)
+_ORDER = (
+    _arg("--order", choices=["det", "rand"], default="det"),
+    _arg("--seed", type=int, default=0),
+)
 
 # name -> (help, handler, argument declarations), in the order --help lists
 _COMMANDS = {
-    "analyze": ("run the static termination ladder", cmd_analyze,
-                _analyze_args),
-    "chase": ("run the chase", cmd_chase, _chase_args),
+    "analyze": ("run the static termination ladder", cmd_analyze, (
+        _arg("constraints", help="rules file"),
+        _arg("--check", choices=sorted(_RUNG_BY_KEY) + ["all"], default="all"),
+        _arg("--dot", metavar="DIR", help="write graph DOT files here"),
+        _JSON,
+    )),
+    "chase": ("run the chase", cmd_chase, _INSTANCE + (
+        _arg("--max-steps", type=_at_least(0), default=10000, dest="max_steps"),
+    ) + _ORDER + (_JSON,)),
     "monitor": ("chase under the k-cycle monitor", cmd_monitor,
-                _monitor_args),
+                _INSTANCE + (_DEPTH,) + _ORDER + (_arg("--dot", metavar="DIR"), _JSON)),
     "irrelevant": ("split rules by reachability from the instance",
-                   cmd_irrelevant, _irrelevant_args),
-    "termcheck": ("ladder, then pruning, then monitored chase",
-                  cmd_termcheck, _termcheck_args),
-    "fixture": ("emit a generated fixture family", cmd_fixture,
-                _fixture_args),
+                   cmd_irrelevant, _INSTANCE + (_JSON,)),
+    "termcheck": ("ladder, then pruning, then monitored chase", cmd_termcheck,
+                  _INSTANCE + (_DEPTH,) + _ORDER + (_JSON,)),
+    "fixture": ("emit a generated fixture family", cmd_fixture, (
+        _arg("family", help="family name (appendix-g)"),
+        _arg("-k", type=int, required=True),
+        _arg("--out", required=True, metavar="DIR"),
+    )),
 }
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """argv parsed by its command's parser alone, when it starts with a
-    command's name, else by the top-level one (see the module docstring)."""
+def _read_command_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse returns for argv, read straight from
+    _COMMANDS, when argv is well formed: a command's name, then exact
+    option strings, each valued one followed by its value, and the
+    positionals, no value or positional starting with "-". Each value goes
+    through its declared type and choices. Any other line, and any that
+    argparse would reject, gives None (see the module docstring). Each
+    argument is named by argparse's rule for one option string: dest, else
+    the string without its leading dashes and with "-" as "_"."""
     entry = _COMMANDS.get(argv[0]) if argv else None
-    if entry is not None:
-        _, func, declare = entry
-        p = _ArgumentParser(prog=f"chaseterm {argv[0]}")
-        declare(p)
-        p.set_defaults(func=func, command=argv[0])
-        return p.parse_args(argv[1:])
+    if entry is None:
+        return None
+    _, func, declared = entry
+    read, options, positionals, required = {}, {}, [], set()
+    for flags, kwargs in declared:
+        dest = kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+        store_true = kwargs.get("action") == "store_true"
+        read[dest] = kwargs.get("default", False if store_true else None)
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, kwargs)))
+        else:
+            positionals.append((dest, kwargs))
+        if kwargs.get("required") or not flags[0].startswith("-"):
+            required.add(dest)
+    rest = iter(argv[1:])
+    for token in rest:
+        if token.startswith("-"):
+            if token not in options:
+                return None
+            dest, kwargs = options[token]
+            if kwargs.get("action") == "store_true":
+                read[dest] = True
+                continue
+            token = next(rest, "-")  # a missing value reads as "-": None
+            if token.startswith("-"):
+                return None
+        elif positionals:
+            dest, kwargs = positionals.pop(0)
+        else:
+            return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        read[dest] = value
+        required.discard(dest)
+    if required:
+        return None
+    return argparse.Namespace(**read, func=func, command=argv[0])
+
+
+def _declare(p: argparse.ArgumentParser, declared) -> None:
+    for flags, kwargs in declared:
+        p.add_argument(*flags, **kwargs)
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The named command's parser alone."""
+    _, func, declared = _COMMANDS[name]
+    p = _ArgumentParser(prog=f"chaseterm {name}")
+    _declare(p, declared)
+    p.set_defaults(func=func, command=name)
+    return p
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """argv read from the command table when it is well formed, else by
+    argparse: by its command's parser alone, when it starts with a
+    command's name, or by the top-level one (see the module docstring)."""
+    args = _read_command_line(argv)
+    if args is not None:
+        return args
+    if argv and argv[0] in _COMMANDS:
+        return _command_parser(argv[0]).parse_args(argv[1:])
     top = _ArgumentParser(prog="chaseterm",
                           description="chase and chase-termination toolbox")
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (text, func, declare) in _COMMANDS.items():
+    for name, (text, func, declared) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        declare(p)
+        _declare(p, declared)
         p.set_defaults(func=func)
     return top.parse_args(argv)
 

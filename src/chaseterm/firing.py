@@ -607,8 +607,12 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
     taken = frozenset(c.name for c in _named_constants(alpha, beta))
     existentials = {(0, v): i for i, v in enumerate(alpha.existential_vars)}
     # a's values -> (base, the step's image of it), or None when a is no
-    # violation (see "satisfied"); a body-less alpha has one a
-    images: Dict[Tuple, Optional[Tuple[frozenset, Instance]]] = {}
+    # violation (see "satisfied"). A body-less alpha has one a, {}, whose
+    # entry no beta changes: its table is kept in alpha's instance dict, as
+    # Instance.candidates keeps its buckets, so that pruning builds alpha_I's
+    # image once, not once per beta
+    images: Dict[Tuple, Optional[Tuple[frozenset, Instance]]] = (
+        alpha.__dict__.setdefault("_images", {}) if not alpha.body else {})
     for parent, deferred, _ in _subset_matches(beta.body, alpha.head, _unify, {}):
         candidate = _most_general(alpha, beta, parent, deferred, P, taken,
                                   existentials)

@@ -1,14 +1,16 @@
 """End-to-end command behavior: outputs, files, and exit codes."""
 
 import argparse
+import functools
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaseterm.cli import main
+from chaseterm.cli import _COMMANDS, _command_parser, _read_command_line, main
 from chaseterm.syntax import parse_constraints, parse_instance
 
 from .conftest import count_searches
@@ -122,6 +124,20 @@ class TestAnalyze:
                          "propagation.dot", "restriction_system.dot"]
         assert (out / "dependency.dot").read_text().startswith("digraph g {")
 
+    def test_json_and_dot(self, files, capsys, tmp_path):
+        out = tmp_path / "dots"
+        notices = [f"wrote {out / name}.dot" for name in (
+            "dependency", "propagation", "chase_graph", "restriction_system")]
+        assert main(["analyze", files["travel.rules"], "--json", "--dot",
+                     str(out)]) == 0
+        text, err = capsys.readouterr()
+        assert json.loads(text)["inductively_restricted"] is False
+        assert err.splitlines() == notices
+        # without --json the notices stay on stdout
+        assert main(["analyze", files["travel.rules"], "--dot", str(out)]) == 0
+        text, err = capsys.readouterr()
+        assert text.splitlines()[:4] == notices and err == ""
+
 
 class TestChase:
     def test_terminates(self, files, capsys):
@@ -166,11 +182,12 @@ class TestMonitor:
         assert main(["monitor", files["travel.rules"], files["oneway.inst"],
                      "--as-query", "-k", "3", "--json", "--dot",
                      str(out)]) == 3
-        text = capsys.readouterr().out
-        payload = json.loads(text[text.index("{"):])
+        text, err = capsys.readouterr()
+        payload = json.loads(text)
         assert payload["chase"]["outcome"] == "aborted"
         assert payload["monitor"]["k_cyclic"] is True
         assert (out / "monitor.dot").exists()
+        assert err == f"wrote {out / 'monitor.dot'}\n"
 
     def test_json_exact(self, files, capsys):
         assert main(["monitor", files["travel.rules"], files["oneway.inst"],
@@ -347,10 +364,71 @@ class TestInputErrors:
             "error: arity mismatch for T: saw 1, now 2 in T(c1, c2)\n")
 
 
+@functools.lru_cache(maxsize=None)
+def command_parser(name):
+    """The named command's argparse parser, built once for the session."""
+    return _command_parser(name)
+
+
+# values that argparse reads as options, rejects, or reads as an odd
+# positional or value
+ODD = ["-x", "-h", "--json", "-", "-1", "", "nope", "1.5", "0", " 7", "1_0"]
+
+
+@functools.lru_cache(maxsize=None)
+def command_lines(name):
+    """Command lines for the named command: a well-formed one (its
+    positionals, its required options, and each other option one time in
+    two, in any order, each valued option with a value its declaration
+    takes), and, three times in four, one defect in it: an option's value
+    from ODD, a positional or an option left out, an option given twice,
+    or one more token, a stray value, an abbreviation, a --opt=value form,
+    -h, --help, -- or -k5."""
+    declared = _COMMANDS[name][2]
+    good = {}  # flag -> values it takes, or None for a store_true flag
+    positionals, required = [], []
+    for flags, kwargs in declared:
+        taken = kwargs.get("choices") or (
+            ["3", "10"] if "type" in kwargs else ["tc.rules", "appendix-g"])
+        if not flags[0].startswith("-"):
+            positionals.append(taken)
+            continue
+        if kwargs.get("required"):
+            required.append(flags[0])
+        for f in flags:
+            good[f] = None if kwargs.get("action") == "store_true" else taken
+    extra = st.sampled_from(
+        ODD + ["--help", "--", "-k5"]
+        + [f[:i] for f in good if f.startswith("--") for i in range(3, len(f))]
+        + [f"{f}={v}" for f in good for v in ("det", "3", "")])
+
+    @st.composite
+    def line(draw):
+        def option(f):
+            return [f] if good[f] is None else [f, draw(st.sampled_from(good[f]))]
+
+        chunks = [[draw(st.sampled_from(taken))] for taken in positionals]
+        chunks += [option(f) for f in good if f in required or draw(st.booleans())]
+        defect = draw(st.sampled_from(["none", "value", "drop", "extra"]))
+        valued = [c for c in chunks if len(c) == 2]  # options with a value
+        if defect == "value" and valued:
+            draw(st.sampled_from(valued))[-1] = draw(st.sampled_from(ODD))
+        elif defect == "drop" and chunks:
+            chunks.remove(draw(st.sampled_from(chunks)))
+        elif defect == "extra":  # a stray token, or an option given twice
+            chunks.append(draw(st.one_of(extra.map(lambda t: [t]),
+                                         st.sampled_from(list(good)).map(option))))
+        return [name] + [t for c in draw(st.permutations(chunks)) for t in c]
+
+    return line()
+
+
 class TestParsers:
-    """A command line that names its command first is parsed by that
-    command's parser alone; any other by the top-level parser. Both read
-    and print what one top-level parser with six subparsers did."""
+    """A well-formed command line is read from the command table with no
+    argparse parser. Any other is parsed by its command's parser alone
+    when it names its command first, else by the top-level parser. Every
+    way reads and prints what one top-level parser with six subparsers
+    did."""
 
     with open(os.path.join(GOLDEN, "cli_surface.json"), encoding="utf-8") as fh:
         SURFACE = json.load(fh)
@@ -371,7 +449,8 @@ class TestParsers:
         out, err = capsys.readouterr()
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
-    def test_a_named_command_builds_one_parser(self, files, capsys, monkeypatch):
+    def test_parsers_are_built_only_for_help_and_errors(self, files, capsys,
+                                                        monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -382,13 +461,40 @@ class TestParsers:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         assert main(["chase", files["tc.rules"], files["tc.inst"], "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["outcome"] == "terminated"
+        assert built == []
+        # a malformed line that names its command builds that parser alone
+        assert main(["chase", files["tc.rules"]]) == 4
+        assert "required: instance" in capsys.readouterr().err
         assert built == ["chaseterm chase"]
         # --help lists every command, so it builds every parser
         built.clear()
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert built == ["chaseterm"] + [f"chaseterm {name}" for name in (
-            "analyze", "chase", "monitor", "irrelevant", "termcheck", "fixture")]
+        assert built == ["chaseterm"] + [f"chaseterm {name}" for name in _COMMANDS]
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_every_declared_argument_is_read(self, name):
+        declared = _COMMANDS[name][2]
+        argv = [name]
+        for flags, kwargs in declared:
+            if not flags[0].startswith("-"):
+                argv.append("appendix-g")
+            elif kwargs.get("action") == "store_true":
+                argv.append(flags[0])
+            else:
+                argv += [flags[0], kwargs.get("choices", ["3"])[-1]]
+        read = _read_command_line(argv)
+        assert read is not None
+        assert read == command_parser(name).parse_args(argv[1:])
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_the_table_reads_what_argparse_reads(self, name, data):
+        argv = data.draw(command_lines(name), label="argv")
+        read = _read_command_line(argv)
+        if read is not None:
+            assert read == command_parser(name).parse_args(argv[1:])
 
 
 class TestHashSeed:

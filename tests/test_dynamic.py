@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from chaseterm import firing
 from chaseterm.dynamic import (
     ALL_INSTANCES, ALPHA_I, NO_GUARANTEE, THIS_INSTANCE, chase_graph,
     constraint_from_instance, data_dependent_guarantee, irrelevant_constraints,
@@ -132,6 +133,22 @@ class TestWitnessesOnDemand:
 
 
 class TestGuarantee:
+    def test_alpha_i_image_is_built_once(self, travel_sigma, oneway_instance,
+                                         monkeypatch):
+        # alpha_I has no body, so one image of its step serves every beta
+        # it is asked about
+        built = []
+
+        def counting(alpha, a, added=firing._added):
+            built.append(alpha.id)
+            return added(alpha, a)
+
+        monkeypatch.setattr(firing, "_added", counting)
+        g = data_dependent_guarantee(oneway_instance, analyze(travel_sigma))
+        assert g.level == NO_GUARANTEE
+        assert len([e for e in g.chase_graph.edges if e[0] == ALPHA_I]) > 1
+        assert built.count(ALPHA_I) == 1
+
     def test_pruning_recovers_termination(self, travel_sigma, roundtrip_instance):
         g = data_dependent_guarantee(roundtrip_instance, analyze(travel_sigma))
         assert g.level == THIS_INSTANCE
