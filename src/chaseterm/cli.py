@@ -11,11 +11,9 @@ and positionals) is read straight from that table: building even one
 argparse parser took a quarter to a third of a short chase, most of it in
 gettext's first translation of a section title, which imports locale.
 argparse is built only for help and errors, so it alone writes usage,
-help and error text. Such a line that starts with a command's name builds
-that command's parser alone; any other (--help, no command, an unknown
-one, an option first) gets the top-level parser, with every subparser
-built from the same table, so usage lines, help texts, error messages and
-exit codes read the same either way.
+help and error text: any other line (--help, a malformed command, no
+command, an unknown one) gets the top-level parser, with every subparser
+built from the same table.
 """
 
 from __future__ import annotations
@@ -352,35 +350,19 @@ def _read_command_line(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**read, func=func, command=argv[0])
 
 
-def _declare(p: argparse.ArgumentParser, declared) -> None:
-    for flags, kwargs in declared:
-        p.add_argument(*flags, **kwargs)
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The named command's parser alone."""
-    _, func, declared = _COMMANDS[name]
-    p = _ArgumentParser(prog=f"chaseterm {name}")
-    _declare(p, declared)
-    p.set_defaults(func=func, command=name)
-    return p
-
-
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """argv read from the command table when it is well formed, else by
-    argparse: by its command's parser alone, when it starts with a
-    command's name, or by the top-level one (see the module docstring)."""
+    the top-level argparse parser (see the module docstring)."""
     args = _read_command_line(argv)
     if args is not None:
         return args
-    if argv and argv[0] in _COMMANDS:
-        return _command_parser(argv[0]).parse_args(argv[1:])
     top = _ArgumentParser(prog="chaseterm",
                           description="chase and chase-termination toolbox")
     sub = top.add_subparsers(dest="command", required=True)
     for name, (text, func, declared) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        _declare(p, declared)
+        for flags, kwargs in declared:
+            p.add_argument(*flags, **kwargs)
         p.set_defaults(func=func)
     return top.parse_args(argv)
 

@@ -220,7 +220,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 from chaseterm.chase import ChaseFailed, _merged_pair, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
-    Position, Value, Variable, _bind, fact_key, head_holds, instance,
+    Position, Value, Variable, _bind, check_ids, fact_key, head_holds, instance,
     instantiate, occurrences, replace_value, satisfies, value_key,
 )
 
@@ -272,6 +272,27 @@ def _new_symbols(index: int, taken: frozenset) -> Tuple[Constant, LabeledNull]:
     return const, null
 
 
+def _depth_first(n: int, start, branches) -> Iterator:
+    """The nodes n levels below start, depth first: branches(i, node)
+    yields the children of a node i levels down, in order. The search keeps
+    one stack level per level, so a deep tree cannot exhaust the recursion
+    limit."""
+    if not n:
+        yield start
+        return
+    stack = [branches(0, start)]
+    while stack:
+        for node in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        if len(stack) < n:
+            stack.append(branches(len(stack), node))
+        else:
+            yield node
+
+
 def _extensions(vars_seq: Sequence[Variable], bound: Assignment,
                 pool: Tuple[Value, ...], named: Tuple[Constant, ...],
                 fresh_count: int, no_null: frozenset,
@@ -279,41 +300,22 @@ def _extensions(vars_seq: Sequence[Variable], bound: Assignment,
     """Canonical completions of bound over vars_seq, depth first. Each
     unbound variable reuses an available value or introduces the next pool
     symbol; a variable in no_null skips every null, so its subtrees holding
-    one are never built. The search keeps one stack level per unbound
-    variable, so a long body cannot exhaust the recursion limit."""
+    one are never built."""
     todo = [v for v in vars_seq if v not in bound]
-    if not todo:
-        yield bound, pool, fresh_count
-        return
     taken = frozenset(c.name for c in named)
 
-    def choices(v: Variable, pool: Tuple[Value, ...], fresh_count: int):
+    def branches(i: int, node):
+        b, pool, fresh_count = node
+        v = todo[i]
         nulls_ok = v not in no_null
-        options: List[Value] = []
-        for val in pool + named:
-            if val not in options and (nulls_ok or val.__class__ is Constant):
-                options.append(val)
-        out = [(val, pool, fresh_count) for val in options]
+        for val in dict.fromkeys(pool + named):
+            if nulls_ok or val.__class__ is Constant:
+                yield {**b, v: val}, pool, fresh_count
         const, null = _new_symbols(fresh_count, taken)
         for val in (const, null) if nulls_ok else (const,):
-            out.append((val, pool + (val,), fresh_count + 1))
-        return iter(out)
+            yield {**b, v: val}, pool + (val,), fresh_count + 1
 
-    last = len(todo) - 1
-    stack = [(bound, choices(todo[0], pool, fresh_count))]
-    while stack:
-        b, options = stack[-1]
-        for val, pool, fresh_count in options:
-            break
-        else:
-            stack.pop()
-            continue
-        i = len(stack) - 1
-        b = {**b, todo[i]: val}
-        if i == last:
-            yield b, pool, fresh_count
-        else:
-            stack.append((b, choices(todo[i + 1], pool, fresh_count)))
+    return _depth_first(len(todo), (bound, pool, fresh_count), branches)
 
 
 def _no_null_vars(c: Constraint, P: frozenset, mode: str) -> frozenset:
@@ -368,11 +370,9 @@ def _subset_matches(atoms: Sequence[Atom], targets: Sequence[Atom], match,
     atom, in order, each is first left out, then matched into each target
     of its relation and arity in turn; match(atom, target, state) returns
     the extended state, or None. Yields the final state, the atoms left out
-    and the targets matched into. The search keeps one stack level per
-    atom, so a long conjunction cannot exhaust the recursion limit."""
-    n = len(atoms)
-
-    def branches(i: int, state, deferred: List[Atom], hit: List[Atom]):
+    and the targets matched into."""
+    def branches(i: int, node):
+        state, deferred, hit = node
         at = atoms[i]
         yield state, deferred + [at], hit
         for t in targets:
@@ -381,17 +381,8 @@ def _subset_matches(atoms: Sequence[Atom], targets: Sequence[Atom], match,
                 if extended is not None:
                     yield extended, deferred, hit + [t]
 
-    stack = [branches(0, start, [], [])] if n else []
-    while stack:
-        for state, deferred, hit in stack[-1]:
-            break
-        else:
-            stack.pop()
-            continue
-        if len(stack) < n:
-            stack.append(branches(len(stack), state, deferred, hit))
-        elif hit:
-            yield state, deferred, hit
+    return (node for node in _depth_first(len(atoms), (start, [], []), branches)
+            if node[2])
 
 
 def _bound(at: Atom, f: Atom, b: Assignment) -> Optional[Assignment]:
@@ -599,6 +590,23 @@ def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
             {v: value[r] for v, r in zip(beta.body_vars, b_reps)})
 
 
+def _passes(alpha: Constraint, a: Assignment, base: frozenset, after: Instance,
+            beta: Constraint, b: Assignment, B: frozenset, P: frozenset,
+            mode: str) -> bool:
+    """Does the most general candidate (I = base | B, a, b) pass the "new"
+    and "settled" filters, then the judge? after is the step's image of
+    base; the judge's J is after plus b's body image, which for a TGD alpha
+    is after plus B, as the rest of that image lies in the added facts."""
+    image = instantiate(beta.body, b)
+    facts = base | B
+    if image <= facts:
+        return False  # see "new"
+    if head_holds(after, beta, b):
+        return False  # see "settled"
+    return _holds(instance(facts), after.facts | image, alpha, a, beta, b,
+                  P, mode)
+
+
 def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
               mode: str) -> bool:
     """For a TGD alpha: does the most general candidate of some piece
@@ -630,13 +638,8 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         if image is None:
             continue  # see "satisfied"
         base, after = image
-        B = instantiate(deferred, b)
-        facts = base | B
-        if instantiate(beta.body, b) <= facts:
-            continue  # see "new"
-        if head_holds(after, beta, b):
-            continue  # see "settled"
-        if _holds(instance(facts), after.facts | B, alpha, a, beta, b, P, mode):
+        if _passes(alpha, a, base, after, beta, b, instantiate(deferred, b),
+                   P, mode):
             return True
     return False
 
@@ -692,18 +695,11 @@ def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         if guarded and not _copies_null(b, beta.frontier):
             continue  # see "copying"
         base = instantiate(alpha.body, a)
-        image = instantiate(beta.body, b)
         B = frozenset(Atom(at.relation, tuple(loser if x else b.get(t, t)
                                               for t, x in zip(at.args, xs)))
                       for at, xs in zip(beta.body, lost))
-        facts = base | B
-        if image <= facts:
-            continue  # see "new"
         merged = Instance(replace_value(base, loser, survivor))
-        if head_holds(merged, beta, b):
-            continue  # see "settled"
-        if _holds(instance(facts), merged.facts | image, alpha, a, beta, b,
-                  P, mode):
+        if _passes(alpha, a, base, merged, beta, b, B, P, mode):
             return True
     return False
 
@@ -848,6 +844,7 @@ class ChaseGraph(NamedTuple):
 
 def chase_graph(sigma: Sequence[Constraint], answers: Optional[Answers] = None) -> ChaseGraph:
     sigma = tuple(sigma)
+    check_ids(sigma)
     answers = {} if answers is None else answers
     keys: Dict[Tuple[str, str], Key] = {}
     for a in sigma:

@@ -18,7 +18,7 @@ and name agree. The name, and a null's creation index, live in the instance
 dict. So a term also equals its tagged string and orders under < like one;
 no code may rely on either. str() and format() give the same text as repr(),
 and the repr of a term or an atom is its surface syntax: `syntax` prints
-rules and instances, and `reports` writes every fact and value, as repr.
+rules and instances, and `reports` writes facts, values and positions as repr.
 Each constant and null also carries its order, its value_key tuple, built
 in __new__: (0, name) for a constant, (1, creation index, name) for a null.
 So value_key, fact_key and the chase's sort keys read one attribute per
@@ -445,6 +445,16 @@ def egd(cid: str, body: Sequence[Atom], left: Variable, right: Variable) -> Cons
             raise ModelError(f"{cid}: equated variable {v.name} does not occur in the body")
     check_arities(body)
     return Constraint(id=cid, kind=EGD, body=body, equated=(left, right))
+
+
+def check_ids(sigma: Sequence[Constraint]) -> None:
+    """Fail when two constraints of sigma share an id: the graphs over
+    sigma key their nodes and edges by id, so the two would be one node."""
+    seen = set()
+    for c in sigma:
+        if c.id in seen:
+            raise ModelError(f"two constraints share the id {c.id!r}")
+        seen.add(c.id)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
-from chaseterm.model import LabeledNull, occurrences
+from chaseterm.model import LabeledNull, occurrences, position_key
 
 if TYPE_CHECKING:
     from chaseterm.chase import ChaseStepRecord
@@ -51,14 +51,15 @@ def edge_class(e: MonitorEdge) -> Tuple:
     return (e.source.created_at, e.constraint_id, e.body_positions, e.target.created_at)
 
 
-def _pos_key(ps) -> Tuple:
-    return tuple(sorted((p.relation, p.index) for p in ps))
+def node_key(n: MonitorNode) -> Tuple:
+    """A node's order: its null's, by creation index, then name."""
+    return n.null.order
 
 
 def edge_key(e: MonitorEdge) -> Tuple:
-    return (e.source.null.creation_index, e.source.null.name,
-            e.constraint_id, _pos_key(e.body_positions),
-            e.target.null.creation_index, e.target.null.name)
+    return (e.source.null.order, e.constraint_id,
+            tuple(sorted(map(position_key, e.body_positions))),
+            e.target.null.order)
 
 
 class MonitorGraph:

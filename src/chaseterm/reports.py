@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence
 from chaseterm.chase import ChaseResult, ChaseStepRecord
 from chaseterm.dynamic import TerminationGuarantee
 from chaseterm.firing import PRECEDES, PRECEDES_P, ChaseGraph, verify_witness
-from chaseterm.model import Constraint, Position, fact_key, position_key
-from chaseterm.monitor import MonitorGraph, edge_key, is_k_cyclic
+from chaseterm.model import Constraint, fact_key, position_key
+from chaseterm.monitor import MonitorGraph, edge_key, is_k_cyclic, node_key
 from chaseterm.static import (
     AnalysisReport, PositionGraph, RestrictionSystem, dependency_graph,
     propagation_graph,
@@ -28,12 +28,8 @@ class ReportIntegrityError(RuntimeError):
     """A negative verdict arrived without a witness that re-checks."""
 
 
-def position_str(p: Position) -> str:
-    return f"{p.relation}^{p.index}"
-
-
 def _positions(ps) -> List[str]:
-    return [position_str(p) for p in sorted(ps, key=position_key)]
+    return list(map(repr, sorted(ps, key=position_key)))
 
 
 def _facts(facts) -> List[str]:
@@ -58,18 +54,13 @@ def _monitor_node_str(node) -> str:
     return f"{node.null.name}@{{{','.join(_positions(node.created_at))}}}"
 
 
-def _monitor_node_key(node):
-    return (node.null.creation_index, node.null.name)
-
-
 def export_dot(g) -> str:
     """Render any of the package's graphs as a DOT digraph. Special edges
     (fresh-null creators) carry a dashed style and a special=true comment."""
     if isinstance(g, PositionGraph):
-        lines = [f'"{position_str(p)}";' for p in g.nodes]
-        lines += [f'"{position_str(s)}" -> "{position_str(t)}";'
-                  for s, t in g.regular]
-        lines += [f'"{position_str(s)}" -> "{position_str(t)}"'
+        lines = [f'"{p!r}";' for p in g.nodes]
+        lines += [f'"{s!r}" -> "{t!r}";' for s, t in g.regular]
+        lines += [f'"{s!r}" -> "{t!r}"'
                   ' [style=dashed]; /* special=true */'
                   for s, t in g.special]
         return _dot(lines)
@@ -84,7 +75,7 @@ def export_dot(g) -> str:
         return _dot(lines)
     if isinstance(g, MonitorGraph):
         lines = [f'"{_monitor_node_str(n)}";'
-                 for n in sorted(g.nodes, key=_monitor_node_key)]
+                 for n in sorted(g.nodes, key=node_key)]
         for e in sorted(g.edges, key=edge_key):
             label = f"{e.constraint_id} | {','.join(_positions(e.body_positions))}"
             lines.append(f'"{_monitor_node_str(e.source)}" -> '
@@ -131,9 +122,9 @@ def _check_graph_witnesses(constraints, witnesses, mode: str,
 
 def _position_graph_dict(g: PositionGraph) -> dict:
     return {
-        "nodes": [position_str(p) for p in g.nodes],
-        "regular": [[position_str(s), position_str(t)] for s, t in g.regular],
-        "special": [[position_str(s), position_str(t)] for s, t in g.special],
+        "nodes": list(map(repr, g.nodes)),
+        "regular": [[repr(s), repr(t)] for s, t in g.regular],
+        "special": [[repr(s), repr(t)] for s, t in g.special],
     }
 
 
@@ -158,12 +149,12 @@ def _constraint_graph_dict(constraints, edges, witnesses) -> dict:
 
 
 def _failures(failures) -> list:
-    return [{"component": list(ids), "cycle": [position_str(p) for p in cyc]}
+    return [{"component": list(ids), "cycle": list(map(repr, cyc))}
             for ids, cyc in failures]
 
 
 def _cycle(cyc) -> Optional[list]:
-    return None if cyc is None else [position_str(p) for p in cyc]
+    return None if cyc is None else list(map(repr, cyc))
 
 
 def analysis_report(r: AnalysisReport) -> dict:
@@ -254,9 +245,9 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
 
 def monitor_report(g: MonitorGraph, k: int) -> dict:
     out = {
-        "nodes": [{"null": f"?{n.null.name}",
+        "nodes": [{"null": repr(n.null),
                    "created_at": _positions(n.created_at)}
-                  for n in sorted(g.nodes, key=_monitor_node_key)],
+                  for n in sorted(g.nodes, key=node_key)],
         "edges": [{"source": _monitor_node_str(e.source),
                    "target": _monitor_node_str(e.target),
                    "constraint": e.constraint_id,

@@ -21,7 +21,9 @@ from chaseterm.firing import (
     find_edge,
 )
 from chaseterm.graphs import cycle_through, nontrivial_components
-from chaseterm.model import TGD, Constraint, Position, check_arities, position_key
+from chaseterm.model import (
+    TGD, Constraint, Position, check_arities, check_ids, position_key,
+)
 
 Cycle = Tuple[Position, ...]
 
@@ -204,6 +206,7 @@ def minimal_restriction_system(sigma: Sequence[Constraint],
     (the firing constraint's affected closure for TGDs, its own guard for
     EGDs, cut down to the target's body positions). Edges are decided from
     answers (see firing.find_edge); each witness is built when it is read."""
+    check_ids(sigma)
     answers = {} if answers is None else answers
     by_id = {c.id: c for c in sigma}
     f: Dict[str, frozenset] = {c.id: frozenset() for c in sigma}
@@ -298,8 +301,9 @@ class AnalysisReport(NamedTuple):
     part_failures: Tuple[Tuple[Tuple[str, ...], Cycle], ...]
     answers: Answers  # data_dependent_guarantee reuses it
 
-    # answers is bookkeeping: equality, the hash and repr leave it out.
-    # __ne__ is defined too, or tuple's own would compare it.
+    # answers is bookkeeping: equality and repr leave it out. __ne__ is
+    # defined too, or tuple's own would compare it. A report has no hash:
+    # its graphs' witness mappings have none.
     def __eq__(self, other):
         if other.__class__ is AnalysisReport:
             return self[:-1] == other[:-1]
@@ -309,9 +313,6 @@ class AnalysisReport(NamedTuple):
         if other.__class__ is AnalysisReport:
             return self[:-1] != other[:-1]
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))

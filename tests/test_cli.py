@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaseterm.cli import _COMMANDS, _command_parser, _read_command_line, main
+from chaseterm.cli import _COMMANDS, _ArgumentParser, _read_command_line, main
 from chaseterm.syntax import parse_constraints, parse_instance
 
 from .conftest import count_searches
@@ -280,6 +281,33 @@ class TestIrrelevantAndTermcheck:
         assert [q for q in checked if q[0].id == ALPHA_I]
         assert enumerated == []
 
+    def test_irrelevant_json_exact(self, files, capsys):
+        assert main(["irrelevant", files["travel.rules"], files["roundtrip.inst"],
+                     "--as-query", "--json"]) == 0
+        assert capsys.readouterr().out == golden("irrelevant_travel_roundtrip.json")
+
+    def test_termcheck_level_none_json_exact(self, files, capsys):
+        assert main(["termcheck", files["travel.rules"], files["oneway.inst"],
+                     "--as-query", "-k", "3", "--json"]) == 3
+        assert capsys.readouterr().out == golden("termcheck_travel_none.json")
+
+    @pytest.mark.parametrize("command", ["termcheck", "irrelevant"])
+    def test_a_rule_labelled_alpha_I_is_refused(self, tmp_path, capsys, command):
+        # alpha_I is the id of the rule that asserts the instance; a rule of
+        # that name would be one node with it in the chase graph
+        rules, inst = tmp_path / "a.rules", tmp_path / "a.inst"
+        inst.write_text("fly(a, b, c).\n")
+        rules.write_text("alpha_I: fly(X1, X2, Y1) -> fly(X2, X3, Y2).\n")
+        assert main([command, str(rules), str(inst)]) == 4
+        assert capsys.readouterr().err == (
+            "error: two constraints share the id 'alpha_I'\n")
+        assert main(["analyze", str(rules)]) == 0
+        capsys.readouterr()
+        if command == "termcheck":  # relabelled, it runs the monitor
+            rules.write_text("g: fly(X1, X2, Y1) -> fly(X2, X3, Y2).\n")
+            assert main([command, str(rules), str(inst)]) == 3
+            assert "k_cyclic" in capsys.readouterr().out
+
     def test_termcheck_json_levels(self, files, capsys):
         main(["termcheck", files["travel.rules"], files["roundtrip.inst"],
               "--as-query", "--json"])
@@ -366,8 +394,15 @@ class TestInputErrors:
 
 @functools.lru_cache(maxsize=None)
 def command_parser(name):
-    """The named command's argparse parser, built once for the session."""
-    return _command_parser(name)
+    """The named command's argparse parser alone, built once for the
+    session from its _COMMANDS entry: the reference that the table's
+    reader must agree with."""
+    _, func, declared = _COMMANDS[name]
+    p = _ArgumentParser(prog=f"chaseterm {name}")
+    for flags, kwargs in declared:
+        p.add_argument(*flags, **kwargs)
+    p.set_defaults(func=func, command=name)
+    return p
 
 
 # values that argparse reads as options, rejects, or reads as an odd
@@ -423,12 +458,36 @@ def command_lines(name):
     return line()
 
 
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every ArgumentParser built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+@functools.lru_cache(maxsize=None)
+def perfbench_workloads():
+    """The benchmark's workloads module, loaded from its file."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestParsers:
-    """A well-formed command line is read from the command table with no
-    argparse parser. Any other is parsed by its command's parser alone
-    when it names its command first, else by the top-level parser. Every
-    way reads and prints what one top-level parser with six subparsers
-    did."""
+    """Two routes: a well-formed command line is read from the command
+    table with no argparse parser, and any other is parsed by the
+    top-level parser, with its six subparsers. The first reads each line
+    as that parser does."""
 
     with open(os.path.join(GOLDEN, "cli_surface.json"), encoding="utf-8") as fh:
         SURFACE = json.load(fh)
@@ -450,27 +509,36 @@ class TestParsers:
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
     def test_parsers_are_built_only_for_help_and_errors(self, files, capsys,
-                                                        monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+                                                        built_parsers):
         assert main(["chase", files["tc.rules"], files["tc.inst"], "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["outcome"] == "terminated"
-        assert built == []
-        # a malformed line that names its command builds that parser alone
+        assert built_parsers == []
+        every = ["chaseterm"] + [f"chaseterm {name}" for name in _COMMANDS]
+        # a malformed line, like --help, builds every parser
         assert main(["chase", files["tc.rules"]]) == 4
-        assert "required: instance" in capsys.readouterr().err
-        assert built == ["chaseterm chase"]
-        # --help lists every command, so it builds every parser
-        built.clear()
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: instance\n")
+        assert built_parsers == every
+        built_parsers.clear()
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert built == ["chaseterm"] + [f"chaseterm {name}" for name in _COMMANDS]
+        assert built_parsers == every
+
+    @pytest.mark.parametrize("mode", ["full", "smoke"])
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("workload", ["chase-tc", "termcheck-travel"])
+    def test_benchmark_lines_build_no_parser(self, tmp_path, monkeypatch,
+                                             capsys, built_parsers,
+                                             workload, seed, mode):
+        files, spec = perfbench_workloads().generate(workload, seed, mode)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        for op in spec["ops"]:
+            assert _read_command_line(op["argv"]) is not None
+            assert main(op["argv"]) == op["exit"]
+            json.loads(capsys.readouterr().out)
+        assert built_parsers == []
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_every_declared_argument_is_read(self, name):

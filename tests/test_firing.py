@@ -14,7 +14,9 @@ from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import (
     PRECEDES, PRECEDES_P, Witness, can_cause, verify_witness,
 )
-from chaseterm.model import Position, egd, instance, position_key, tgd
+from chaseterm.model import (
+    LabeledNull, Position, egd, instance, position_key, tgd,
+)
 from chaseterm.syntax import parse_constraints
 
 from . import generators, oracles
@@ -397,6 +399,22 @@ class TestLongBodies:
                for b, deferred, _ in firing._subset_matches(atoms, facts,
                                                             firing._bound, {})]
         assert strict(got) == strict(list(oracles._subset_matches(atoms, facts)))
+        assert list(firing._subset_matches([], facts, firing._bound, {})) == []
+        # a no_null variable takes no null, from the pool or new; the other
+        # completions keep the unpruned order
+        pool = (firing._new_symbols(0, frozenset({"c0"}))[1],)
+        no_null = frozenset({xs[0], xs[3]})
+        got = list(firing._extensions(xs, {xs[2]: C("c0")}, pool, named, 1,
+                                      no_null))
+        every = list(oracles._ref_extensions(xs, {xs[2]: C("c0")}, pool, named, 1))
+        want = [(b, p, fc) for b, p, fc in every
+                if not any(isinstance(b[v], LabeledNull) for v in no_null)]
+        assert 0 < len(want) < len(every)
+        assert strict(got) == strict(want)
+        # nothing left to bind: the one completion is bound itself
+        bound = {x: C("c0") for x in xs}
+        assert list(firing._extensions(xs, bound, pool, named, 1,
+                                       no_null)) == [(bound, pool, 1)]
 
 
 class TestWitnessIntegrity:

@@ -1,8 +1,9 @@
 """The record classes: immutable values that compare and hash by their
-fields, except the monitor graph, which is mutable and has no hash.
+fields, except the monitor graph, which is mutable and has no hash, and
+the records that hold a witness mapping, which have none either.
 
 One record leaves a field out: a report's firing table is bookkeeping, so
-equality and the hash ignore it, and the report's repr does not show it.
+equality ignores it, and the report's repr does not show it.
 """
 
 import pytest

@@ -12,10 +12,10 @@ from chaseterm.chase import chase, monitored_chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
-from chaseterm.model import egd, instance, tgd
+from chaseterm.model import Position, egd, instance, tgd
 from chaseterm.reports import (
     ReportIntegrityError, analysis_report, chase_report, export_dot,
-    guarantee_report, monitor_report, position_str, to_json,
+    guarantee_report, monitor_report, to_json,
 )
 from chaseterm.static import PositionGraph, analyze, propagation_graph
 
@@ -87,6 +87,24 @@ class TestAnalysisReport:
         bad = r._replace(dependency_cycle=r.dependency_cycle[:-1])
         with pytest.raises(ReportIntegrityError, match="closed"):
             analysis_report(bad)
+
+    def test_cycle_over_absent_edges_refused(self, travel_sigma):
+        r = analyze(travel_sigma)
+        nowhere = Position("nope", 1)
+        bad = r._replace(dependency_cycle=(nowhere, nowhere))
+        with pytest.raises(ReportIntegrityError) as info:
+            analysis_report(bad)
+        assert str(info.value) == "cycle uses absent edges: (nope^1, nope^1)"
+
+    def test_cycle_without_a_special_edge_refused(self, travel_sigma):
+        # a2 swaps rail's first two arguments: a cycle of regular edges
+        r = analyze(travel_sigma)
+        rail1, rail2 = Position("rail", 1), Position("rail", 2)
+        bad = r._replace(dependency_cycle=(rail1, rail2, rail1))
+        with pytest.raises(ReportIntegrityError) as info:
+            analysis_report(bad)
+        assert str(info.value) == (
+            "cycle has no special edge: (rail^1, rail^2, rail^1)")
 
     def test_mismatched_witness_refused(self, travel_sigma):
         r = analyze(travel_sigma)
@@ -173,8 +191,8 @@ class TestGuaranteeAndMonitorReports:
         json.dumps(payload)
 
     def test_position_str(self):
-        from chaseterm.model import Position
-        assert position_str(Position("fly", 2)) == "fly^2"
+        # reports print a position as its repr
+        assert repr(Position("fly", 2)) == str(Position("fly", 2)) == "fly^2"
 
 
 def _leaves(x):

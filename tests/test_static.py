@@ -243,6 +243,18 @@ class TestAnalyze:
             analyze([t1, t2])
 
 
+    def test_repeated_ids_rejected(self):
+        # graphs key their nodes by id: as one node, the two rules below
+        # would pass every rung, though the first alone does not terminate
+        x, y, z = V("X"), V("Y"), V("Z")
+        sigma = [tgd("a", [A("E", x, y)], [A("E", y, z)]),
+                 tgd("a", [A("S", x)], [A("T", x)])]
+        assert not analyze(sigma[:1]).terminating
+        for check in (analyze, firing.chase_graph, minimal_restriction_system):
+            with pytest.raises(ModelError, match="share the id 'a'"):
+                check(sigma)
+
+
 class TestComponentOrdering:
     def test_components_sorted_by_smallest_id(self):
         # two disjoint self-firing rules give two singleton components
