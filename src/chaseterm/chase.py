@@ -55,7 +55,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from chaseterm.model import (
     EGD, TGD, Assignment, Atom, Constant, Constraint, FactIndex, Instance,
     LabeledNull, Value, Variable, _bind, _new, _order, body_matches, fact_key,
-    instantiate, join, occurrences, replace_value, value_key,
+    join, replace_value, value_key,
 )
 from chaseterm.monitor import MonitorGraph, is_k_cyclic, monitor_update
 
@@ -111,7 +111,9 @@ def _tgd_step(c: Constraint, key: Tuple[Value, ...], counter: int, taken,
     the next null counter. Each existential variable gets null n<counter>
     with creation index counter, in the order of c's existential
     variables; names in taken (those of the nulls in the current instance)
-    are skipped."""
+    are skipped. A fresh null sits in the added facts exactly where its
+    variable sits in the head, since no value of the key is fresh, so its
+    positions are read off c.head_var_positions."""
     fresh: List[LabeledNull] = []
     for _ in c.existential_vars:
         while f"n{counter}" in taken:
@@ -120,10 +122,8 @@ def _tgd_step(c: Constraint, key: Tuple[Value, ...], counter: int, taken,
         counter += 1
     ext = key + tuple(fresh)
     added = frozenset([_new(Atom, (rel, args(ext))) for rel, args in c.head_key_program])
-    nulls: Tuple[Tuple[LabeledNull, frozenset], ...] = ()
-    if fresh:
-        held = occurrences(added, LabeledNull)
-        nulls = tuple((n, frozenset(held[n])) for n in fresh)
+    nulls = tuple([(n, frozenset(c.head_var_positions[v]))
+                   for n, v in zip(fresh, c.existential_vars)]) if fresh else ()
     rec = ChaseStepRecord(index, c.id, tuple(zip(c.body_var_names, key)),
                           added, None, nulls)
     return rec, counter
@@ -369,7 +369,7 @@ def chase(I: Instance, sigma: Sequence[Constraint], policy: ChasePolicy = ChaseP
             return result(FAILED, failed_step=len(steps), clash=f.clash)
         steps.append(rec)
         if monitor is not None:
-            monitor_update(monitor, rec, instantiate(c.body, dict(zip(c.body_vars, key))))
+            monitor_update(monitor, rec, c)
             cyc, chain = is_k_cyclic(monitor, policy.monitor_k)
             if cyc:
                 return result(ABORTED, abort_reason=K_CYCLIC,

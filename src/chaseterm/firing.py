@@ -221,7 +221,7 @@ from chaseterm.chase import ChaseFailed, _merged_pair, chase_step
 from chaseterm.model import (
     TGD, Assignment, Atom, Constant, Constraint, Instance, LabeledNull,
     Position, Value, Variable, _bind, check_ids, fact_key, head_holds, instance,
-    instantiate, occurrences, replace_value, satisfies, value_key,
+    instantiate, replace_value, satisfies, value_key,
 )
 
 PRECEDES = "precedes"        # the firing conditions alone
@@ -574,8 +574,10 @@ def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
     where: Dict = {}  # representative -> its positions in I
     for v, r in zip(alpha.body_vars, a_reps):
         where.setdefault(r, set()).update(alpha.body_var_positions[v])
-    for v, occ in occurrences(deferred, Variable).items():
-        where.setdefault(_find(parent, (1, v)), set()).update(occ)
+    for at in deferred:
+        for t, p in zip(at.args, beta.atom_positions[at]):
+            if t.__class__ is Variable:
+                where.setdefault(_find(parent, (1, t)), set()).add(p)
     if any(r in value for r in where):
         return None  # an existential joined to alpha's body or to deferred
     b_reps = [_find(parent, (1, v)) for v in beta.body_vars]
@@ -653,7 +655,8 @@ def _merge_unifiers(alpha: Constraint, beta: Constraint, P: frozenset,
     beta's body, which slots hold the loser."""
     consts = sorted({t for at in beta.body for t in at.args
                      if t.__class__ is Constant})
-    free = [[not guarded or p in P for p in at.positions] for at in beta.body]
+    free = [[not guarded or p in P for p in beta.atom_positions[at]]
+            for at in beta.body]
     for keep, lose in (alpha.equated, alpha.equated[::-1]):
         if guarded and not P.issuperset(alpha.body_var_positions[lose]):
             continue  # the loser, a null, would sit outside P
@@ -686,7 +689,7 @@ def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         if const is None:
             survivor = fresh(0, set(a_where[keep]).union(
                 p for at, xs in zip(beta.body, lost)
-                for p, t, x in zip(at.positions, at.args, xs)
+                for p, t, x in zip(beta.atom_positions[at], at.args, xs)
                 if t in joined and not x))
         a = {keep: survivor, lose: loser}
         a.update((v, fresh(i, a_where[v])) for i, v in enumerate(others, 2))

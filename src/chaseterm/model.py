@@ -33,8 +33,10 @@ and orders under < like it; no code may rely on either. An atom never
 equals a position: args is a tuple and index an int. Code on the hot paths
 tells term kinds apart by class identity rather than isinstance.
 Constraints and instances build on _Frozen. A constraint computes its hash
-once, and keeps an instance dict for its cached properties. Among them are
-its compiled forms, built on first use from its atoms: slot programs
+once, and keeps an instance dict for its shape, filled by one walk over
+its atoms on the first read of any shape field (never when it is built),
+and its cached properties. Among them are its compiled forms, built on
+first use from its atoms: slot programs
 (_program), each a callable that maps a source to an atom's arguments, an
 operator.itemgetter when all of them are variables and there are at least
 two, a template of slots and constants otherwise. body_key reads a body
@@ -229,19 +231,6 @@ class Atom(NamedTuple):
 _new = tuple.__new__
 
 
-def occurrences(atoms: Iterable[Atom], kind: type) -> Dict[Term, Tuple[Position, ...]]:
-    """Each term of class kind in atoms, mapped to the positions at which it
-    occurs, in first-occurrence order and without repeats. Tuples, not sets:
-    a constraint keeps its maps for its lifetime, and a one-element
-    frozenset takes four times the memory."""
-    out: Dict[Term, Dict[Position, None]] = {}
-    for a in atoms:
-        for i, t in enumerate(a.args):
-            if t.__class__ is kind:
-                out.setdefault(t, {})[Position(a.relation, i + 1)] = None
-    return {t: tuple(ps) for t, ps in out.items()}
-
-
 def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None) -> Dict[str, int]:
     """Infer relation arities on first use and fail on later mismatches."""
     table = dict(table) if table else {}
@@ -258,12 +247,6 @@ def check_arities(atoms: Iterable[Atom], table: Optional[Dict[str, int]] = None)
 def _dedup(atoms: Sequence[Atom]) -> Tuple[Atom, ...]:
     # conjunctions are sets; keep first-occurrence order for determinism
     return tuple(dict.fromkeys(atoms))
-
-
-def conjunction_vars(atoms: Sequence[Atom]) -> List[Variable]:
-    """Variables of a conjunction in first-occurrence order."""
-    return list(dict.fromkeys(t for a in atoms for t in a.args
-                              if t.__class__ is Variable))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +270,20 @@ def _program(args: Sequence[Term], slot: Dict[Variable, object]):
     return lambda src: tuple([src[s] if var else s for var, s in template])
 
 
+# A constraint's shape: what one walk over its atoms finds (see _walk)
+_SHAPE = frozenset(("body_vars", "existential_vars", "frontier", "constants",
+                    "body_positions", "positions", "body_var_positions",
+                    "head_var_positions", "atom_positions"))
+
+
 class Constraint(_Frozen):
     """A TGD or an EGD. Build through tgd() / egd(), which validate.
 
     For a TGD the head is non-empty and head variables absent from the body
     are existential. For an EGD the head is the equated variable pair and
     both variables occur in the body. Equal fields make equal constraints,
-    hashed as the tuple of the fields. No __slots__: the cached properties
-    below live in the instance dict.
+    hashed as the tuple of the fields. No __slots__: the shape fields and
+    the cached properties below live in the instance dict.
     """
 
     def __init__(self, id: str, kind: str, body: Tuple[Atom, ...],
@@ -327,67 +316,69 @@ class Constraint(_Frozen):
     def __repr__(self) -> str:
         return f"<{self.id}>"
 
-    @cached_property
-    def body_vars(self) -> Tuple[Variable, ...]:
-        return tuple(conjunction_vars(self.body))
+    def __getattr__(self, name: str):
+        # reached only when name is missing from the instance dict
+        if name not in _SHAPE:
+            raise AttributeError(f"Constraint has no attribute {name!r}")
+        self._walk()
+        return self.__dict__[name]
 
-    @cached_property
-    def frontier(self) -> Tuple[Variable, ...]:
-        """The head variables that occur in the body: the ones an assignment
-        binds, and so the ones through which it copies a value into the
-        head. An EGD's frontier is its equated pair."""
-        body = set(self.body_vars)
-        return tuple(v for v in self.head_vars() if v in body)
+    def _walk(self) -> None:
+        """One pass over the body, then the head, fills every shape field:
+        each variable's positions on each side, first seen first; each
+        atom's positions, one tuple per relation; and the frontier, the head
+        variables (an EGD's pair) that occur in the body."""
+        atom_positions: Dict[Atom, Tuple[Position, ...]] = {}
+        shared: Dict[Tuple[str, int], Tuple[Position, ...]] = {}  # by relation
+        constants = set()
+        body_occ, head_occ = {}, {}  # variable -> its positions on that side
+        for atoms, where in ((self.body, body_occ), (self.head, head_occ)):
+            for at in atoms:
+                ps = shared.get((at.relation, len(at.args)))
+                if ps is None:
+                    ps = shared[at.relation, len(at.args)] = at.positions
+                atom_positions[at] = ps
+                for t, p in zip(at.args, ps):
+                    if t.__class__ is Variable:
+                        seen = where.get(t, ())
+                        if p not in seen:
+                            where[t] = seen + (p,)
+                    elif t.__class__ is Constant:
+                        constants.add(t)
+        head_vars = self.equated if self.kind == EGD else head_occ
+        body_positions = frozenset().union(*map(atom_positions.get, self.body))
+        self.__dict__.update(
+            body_vars=tuple(body_occ),
+            existential_vars=() if self.kind != TGD else tuple(
+                v for v in head_occ if v not in body_occ),
+            frontier=tuple(v for v in head_vars if v in body_occ),
+            constants=tuple(sorted(constants, key=_order)),
+            body_positions=body_positions,
+            positions=body_positions.union(*map(atom_positions.get, self.head)),
+            body_var_positions=body_occ,
+            head_var_positions=head_occ,
+            atom_positions=atom_positions)
 
     @cached_property
     def never_violated(self) -> bool:
         """Is this a TGD whose head maps into its own body, body variables
         fixed? Then every assignment's body image satisfies the head: it
-        never fires and is never violated."""
+        never fires and is never violated. A head atom with no existential
+        maps only onto itself, so the join runs only if each such is in the body."""
         if self.kind != TGD:
             return False
+        ex = self.existential_vars
+        for at in self.head:
+            if at not in self.body and not any(t in ex for t in at.args):
+                return False
         frozen = {v: LabeledNull(v.name) for v in self.body_vars}
         return head_holds(Instance(instantiate(self.body, frozen)), self, frozen)
-
-    @cached_property
-    def existential_vars(self) -> Tuple[Variable, ...]:
-        if self.kind != TGD:
-            return ()
-        bv = set(self.body_vars)
-        return tuple(v for v in conjunction_vars(self.head) if v not in bv)
-
-    @cached_property
-    def constants(self) -> Tuple[Constant, ...]:
-        """The constants of the body and the head, by name."""
-        return tuple(sorted({t for a in self.body + self.head for t in a.args
-                             if t.__class__ is Constant}, key=_order))
-
-    @cached_property
-    def body_positions(self) -> frozenset:
-        return frozenset(p for a in self.body for p in a.positions)
-
-    @cached_property
-    def body_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
-        """Each body variable's positions in the body."""
-        return occurrences(self.body, Variable)
-
-    @cached_property
-    def head_var_positions(self) -> Dict[Variable, Tuple[Position, ...]]:
-        """Each head variable's positions in the head; empty for an EGD."""
-        return occurrences(self.head, Variable)
-
-    @cached_property
-    def positions(self) -> frozenset:
-        ps = set(self.body_positions)
-        for a in self.head:
-            ps.update(a.positions)
-        return frozenset(ps)
 
     def head_vars(self) -> Tuple[Variable, ...]:
         if self.kind == EGD:
             assert self.equated is not None
             return self.equated
-        return tuple(conjunction_vars(self.head))
+        return tuple(self.head_var_positions)
 
     # Compiled forms: what the chase reads on every step, built once per
     # constraint from its atoms.
@@ -439,9 +430,8 @@ def egd(cid: str, body: Sequence[Atom], left: Variable, right: Variable) -> Cons
         for t in a.args:
             if isinstance(t, LabeledNull):
                 raise ModelError(f"{cid}: nulls cannot occur in constraints ({a!r})")
-    bv = set(conjunction_vars(body))
     for v in (left, right):
-        if v not in bv:
+        if not any(v in a.args for a in body):
             raise ModelError(f"{cid}: equated variable {v.name} does not occur in the body")
     check_arities(body)
     return Constraint(id=cid, kind=EGD, body=body, equated=(left, right))

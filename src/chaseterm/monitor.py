@@ -17,19 +17,19 @@ The monitor sits below the chase and reads only step records. A monitored
 run (`chase.monitored_chase`, or `chase` with a `monitor_k`) owns one
 graph: `chase` creates it, folds every step into it in place with
 `monitor_update` and returns it as `ChaseResult.monitor`. A merge moves one
-entry of `live`. A TGD step reads the source nulls and their positions off
-its own body instantiation, in one pass, and pays for its new edges, plus
-one copy of each chain it extends, since chains are tuples. `longest`
-tracks the longest chain, so `is_k_cyclic` answers "no" at once until some
-chain reaches k; the scan for the least witness then runs once, at the
-abort.
+entry of `live`. A TGD step reads the source nulls off its own assignment
+and their positions off its constraint's body_var_positions, with no body
+instantiation, and pays for its new edges, plus one copy of each chain it
+extends, since chains are tuples. `longest` tracks the longest chain, so
+`is_k_cyclic` answers "no" at once until some chain reaches k; the scan for
+the least witness then runs once, at the abort.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
-from chaseterm.model import LabeledNull, occurrences, position_key
+from chaseterm.model import Constraint, LabeledNull, position_key
 
 if TYPE_CHECKING:
     from chaseterm.chase import ChaseStepRecord
@@ -85,8 +85,11 @@ class MonitorGraph:
         return NotImplemented
 
 
-def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -> MonitorGraph:
-    """Fold one chase step into G in place, and return G."""
+def monitor_update(G: MonitorGraph, step: ChaseStepRecord,
+                   constraint: Constraint) -> MonitorGraph:
+    """Fold one chase step of constraint into G in place, and return G. A
+    source null sits in the instantiated body wherever the body variables
+    that the step's assignment maps to it sit in the body."""
     live = G.live
     if step.merged_pair is not None:
         survivor, loser = step.merged_pair
@@ -98,8 +101,11 @@ def monitor_update(G: MonitorGraph, step: ChaseStepRecord, body_instantiation) -
         return G
 
     new_nodes = [MonitorNode(n, ps) for n, ps in step.fresh_nulls]
-    sources = [(live[v], frozenset(ps)) for v, ps in
-               occurrences(body_instantiation, LabeledNull).items() if v in live]
+    where: Dict[LabeledNull, Set] = {}
+    for (_, v), ps in zip(step.assignment, constraint.body_var_positions.values()):
+        if v in live:
+            where.setdefault(v, set()).update(ps)
+    sources = [(live[v], frozenset(ps)) for v, ps in where.items()]
     new_edges = sorted(
         (MonitorEdge(src, step.constraint_id, ps, tgt)
          for src, ps in sources for tgt in new_nodes), key=edge_key)

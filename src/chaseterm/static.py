@@ -92,7 +92,7 @@ def aff_cl(alpha: Constraint, P) -> frozenset:
     if alpha.kind != TGD:
         raise ValueError("aff_cl is defined for TGDs only")
     P = frozenset(P)
-    out = {p for f in alpha.head for p in f.positions}
+    out = {p for f in alpha.head for p in alpha.atom_positions[f]}
     for v, occ in alpha.body_var_positions.items():
         if not P.issuperset(occ):
             out.difference_update(alpha.head_var_positions.get(v, ()))

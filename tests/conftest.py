@@ -9,7 +9,7 @@ import pytest
 
 from chaseterm import firing
 from chaseterm.model import (
-    Atom, Constant, LabeledNull, Variable, egd, instance, instantiate, tgd,
+    Atom, Constant, LabeledNull, Variable, instance, tgd,
 )
 from chaseterm.monitor import MonitorGraph, monitor_update
 
@@ -51,8 +51,7 @@ def monitor_steps(steps, sigma):
     by_id = {c.id: c for c in sigma}
     G = MonitorGraph()
     for rec in steps:
-        a = {Variable(name): val for name, val in rec.assignment}
-        yield monitor_update(G, rec, instantiate(by_id[rec.constraint_id].body, a))
+        yield monitor_update(G, rec, by_id[rec.constraint_id])
 
 
 @pytest.fixture

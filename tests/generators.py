@@ -94,6 +94,31 @@ def wide_sets() -> List[List[Constraint]]:
              for j in range(1, 5)] for _ in range(8)]
 
 
+def sparse_sets(n: int) -> List[Constraint]:
+    """The sparse set of n rules, r1 to r<n>, over n // 2 relations p0, p1,
+    ... of arity 1 to 3: one or two atoms a side, and about a tenth of the
+    rules EGDs. Drawn from the seed f"onto/{n}/{n // 2}", so each n has one
+    set."""
+    rng = random.Random(f"onto/{n}/{n // 2}")
+    schema = [(f"p{i}", rng.randint(1, 3)) for i in range(max(1, n // 2))]
+    xs = [Variable(f"X{i}") for i in range(1, 4)]
+
+    def atoms(pool: List[Variable]) -> List[Atom]:
+        return [Atom(rel, tuple(rng.choice(pool) for _ in range(arity)))
+                for rel, arity in (rng.choice(schema)
+                                   for _ in range(rng.randint(1, 2)))]
+
+    out = []
+    for j in range(1, n + 1):
+        body = atoms(xs)
+        body_vars = sorted({t for a in body for t in a.args}, key=lambda v: v.name)
+        if rng.random() < 0.1 and len(body_vars) >= 2:
+            out.append(egd(f"r{j}", body, *rng.sample(body_vars, 2)))
+        else:
+            out.append(tgd(f"r{j}", body, atoms(xs + [Variable("Y1"), Variable("Y2")])))
+    return out
+
+
 def random_instance(rng: random.Random, max_facts: int = 10,
                     n_constants: int = 1, n_nulls: int = 3,
                     null_names: Optional[Sequence[str]] = None) -> Instance:

@@ -13,9 +13,11 @@ results with strict(). One more keeps the graph toolkit's Tarjan components
 and level-by-level shortest path from before one breadth-first search served
 them. Another keeps the character-by-character tokenizer and the parser
 from before one regular expression scanned the text, for differential
-tests on rule and instance texts. The last one keeps the report JSON as the
+tests on rule and instance texts. Another keeps the report JSON as the
 standard library writes it, for byte comparisons with the package's own
-writer.
+writer. The last one keeps a constraint's shape as its fields were
+computed one by one, each with its own walk over the atoms, before one walk
+filled them all.
 """
 
 import dataclasses
@@ -35,7 +37,7 @@ from chaseterm.firing import (
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, ModelError,
-    Position, Variable, _bind, check_arities, conjunction_vars, egd, fact_key,
+    Position, Variable, _bind, check_arities, egd, fact_key,
     instance, instantiate, join, replace_value, satisfies, tgd, value_key,
 )
 from chaseterm.monitor import (
@@ -194,7 +196,7 @@ def affected_oracle(constraints):
 
 def term_positions(atoms, t):
     """The positions at which the term t occurs in atoms, one term at a
-    time: the reference for model.occurrences."""
+    time: the reference for occurrences below."""
     return frozenset(Position(a.relation, i + 1)
                      for a in atoms for i, u in enumerate(a.args) if u == t)
 
@@ -1230,3 +1232,60 @@ def ref_parse_instance(text: str, as_query: bool = False) -> Instance:
 def ref_to_json(payload) -> str:
     """The text reports.to_json must give for payload, byte for byte."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# A constraint's shape as it was computed before one walk filled it: each
+# field walked the atoms on its own, on its first read.
+# ---------------------------------------------------------------------------
+
+
+def conjunction_vars(atoms):
+    """Variables of a conjunction in first-occurrence order."""
+    return list(dict.fromkeys(t for a in atoms for t in a.args
+                              if t.__class__ is Variable))
+
+
+def occurrences(atoms, kind):
+    """Each term of class kind in atoms, mapped to the positions at which it
+    occurs, in first-occurrence order and without repeats."""
+    out = {}
+    for a in atoms:
+        for i, t in enumerate(a.args):
+            if t.__class__ is kind:
+                out.setdefault(t, {})[Position(a.relation, i + 1)] = None
+    return {t: tuple(ps) for t, ps in out.items()}
+
+
+def ref_shape(c):
+    """Every shape field of c, by its old definition."""
+    body_vars = tuple(conjunction_vars(c.body))
+    bv = set(body_vars)
+    head_vars = c.equated if c.kind == EGD else tuple(conjunction_vars(c.head))
+    body_positions = frozenset(p for a in c.body for p in a.positions)
+    positions = set(body_positions)
+    for a in c.head:
+        positions.update(a.positions)
+    return {
+        "body_vars": body_vars,
+        "existential_vars": () if c.kind != TGD else tuple(
+            v for v in conjunction_vars(c.head) if v not in bv),
+        "frontier": tuple(v for v in head_vars if v in bv),
+        "constants": tuple(sorted({t for a in c.body + c.head for t in a.args
+                                   if t.__class__ is Constant}, key=value_key)),
+        "body_positions": body_positions,
+        "positions": frozenset(positions),
+        "body_var_positions": occurrences(c.body, Variable),
+        "head_var_positions": occurrences(c.head, Variable),
+        "atom_positions": {a: a.positions for a in c.body + c.head},
+    }
+
+
+def ref_never_violated(c):
+    """Does c's head map into its own body, body variables fixed? Decided
+    by the join alone."""
+    if c.kind != TGD:
+        return False
+    frozen = {v: LabeledNull(v.name) for v in conjunction_vars(c.body)}
+    image = Instance(instantiate(c.body, frozen))
+    return next(ref_match_conjunction(c.head, image, frozen), None) is not None

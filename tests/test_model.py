@@ -9,9 +9,9 @@ import pytest
 
 from chaseterm import firing
 from chaseterm.model import (
-    Atom, Constant, LabeledNull, ModelError, Position, Variable,
-    egd, fact_key, find_homomorphism, find_violations, hom_equivalent,
-    instance, instantiate, match_conjunction, occurrences, satisfies, tgd,
+    TGD, Atom, Constant, Constraint, LabeledNull, ModelError, Position,
+    Variable, egd, find_homomorphism, find_violations,
+    hom_equivalent, instance, instantiate, match_conjunction, satisfies, tgd,
     value_key,
 )
 from .conftest import A, C, N, V
@@ -220,39 +220,38 @@ class TestConstruction:
 
 
 class TestOccurrences:
+    """A constraint's occurrence maps, body_var_positions and
+    head_var_positions, from its shape."""
+
     def test_agrees_with_term_positions(self):
         # oracles.term_positions, one term at a time, is the reference
         seen = collections.Counter()
         for seed in range(40):
             rng = random.Random(f"model/occurrences/{seed}")
-            I = generators.random_instance(rng, n_constants=2)
             sigma = generators.random_constraints(rng, max_atoms=3,
                                                   constant_rate=0.2)
-            conjunctions = ([sorted(I.facts, key=fact_key)]
-                            + [c.body for c in sigma] + [c.head for c in sigma])
-            for atoms in conjunctions:
-                for kind in (Variable, LabeledNull):
-                    got = occurrences(atoms, kind)
+            for c in sigma:
+                for atoms, got in ((c.body, c.body_var_positions),
+                                   (c.head, c.head_var_positions)):
                     assert set(got) == {t for a in atoms for t in a.args
-                                        if t.__class__ is kind}
+                                        if t.__class__ is Variable}
                     for t, ps in got.items():
                         assert len(ps) == len(set(ps)), (atoms, t)
                         assert frozenset(ps) == oracles.term_positions(atoms, t)
-                        seen[kind] += 1
+                        seen["variable"] += 1
                         if any(a.args.count(t) > 1 for a in atoms):
-                            seen["repeated in one atom", kind] += 1
-        assert all(seen[key] for key in (
-            Variable, LabeledNull, ("repeated in one atom", Variable),
-            ("repeated in one atom", LabeledNull))), seen
+                            seen["repeated in one atom"] += 1
+        assert seen["variable"] and seen["repeated in one atom"], seen
 
     def test_first_occurrence_order_without_repeats(self):
-        x, y, u = V("X"), V("Y"), N("u")
-        atoms = [A("R", x, x), A("T", y, x), A("R", x, x), A("S", u)]
-        assert occurrences(atoms, Variable) == {
-            x: (Position("R", 1), Position("R", 2), Position("T", 2)),
-            y: (Position("T", 1),)}
-        assert occurrences(atoms, LabeledNull) == {u: (Position("S", 1),)}
-        assert occurrences(atoms, Constant) == {}
+        x, y, z = V("X"), V("Y"), V("Z")
+        c = Constraint("c", TGD, (A("R", x, x), A("T", y, x), A("R", x, x)),
+                       (A("S", z, C("a"), x), A("S", z, C("a"), x)))
+        assert list(c.body_var_positions.items()) == [
+            (x, (Position("R", 1), Position("R", 2), Position("T", 2))),
+            (y, (Position("T", 1),))]
+        assert list(c.head_var_positions.items()) == [
+            (z, (Position("S", 1),)), (x, (Position("S", 3),))]
 
 
 class TestInstantiate:
