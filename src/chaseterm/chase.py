@@ -95,7 +95,7 @@ class ChasePolicy(NamedTuple):
 
 class ChaseResult(NamedTuple):
     outcome: str                        # terminated / failed / aborted
-    final: Optional[Instance]           # last instance reached
+    final: Instance                     # last instance reached
     steps: Tuple[ChaseStepRecord, ...]
     failed_step: Optional[int] = None
     clash: Optional[Tuple[Constant, Constant]] = None

@@ -122,10 +122,9 @@ def _print_chase_text(res: ChaseResult) -> None:
     elif res.outcome == ABORTED:
         detail = f"k={res.abort_k}" if res.abort_k is not None else "step limit"
         print(f"aborted: {res.abort_reason} ({detail})")
-    if res.final is not None:
-        print(f"final instance ({len(res.final.facts)} facts):")
-        for line in print_instance(res.final).splitlines():
-            print(f"  {line}")
+    print(f"final instance ({len(res.final.facts)} facts):")
+    for line in print_instance(res.final).splitlines():
+        print(f"  {line}")
 
 
 def cmd_analyze(args) -> int:

@@ -34,19 +34,22 @@ equals a position: args is a tuple and index an int. Code on the hot paths
 tells term kinds apart by class identity rather than isinstance.
 Constraints and instances build on _Frozen. A constraint computes its hash
 once, and keeps an instance dict for its shape, filled by one walk over
-its atoms on the first read of any shape field (never when it is built),
-and its cached properties. Among them are its compiled forms, built on
-first use from its atoms: slot programs
-(_program), each a callable that maps a source to an atom's arguments, an
-operator.itemgetter when all of them are variables and there are at least
-two, a template of slots and constants otherwise. body_key reads a body
-key, the tuple of a match's values over body_vars, off a match;
-head_key_program builds the head from a body key followed by any
-existentials' values; and an EGD's equated_slots are its two variables'
-places in the key. So the chase tests and fires a key without building a
-dict. The hot paths build atoms with tuple.__new__, with no NamedTuple
-frame. An instance hashes on demand: the firing search builds throwaway
-instances by the thousand and hashes few of them.
+its atoms on the first read of any shape field (never when it is built):
+its variables on each side with the positions each holds, the body
+variables' names, the existential variables and the head positions they
+hold, the frontier, the constants, each atom's positions, and an EGD's
+equated_slots, its two variables' places in the body key. Beside the
+shape sit three cached properties. never_violated is one join of the head
+into the body, which stands for its own image. The other two are the
+compiled forms, slot programs (_program), each a callable that maps a
+source to an atom's arguments, an operator.itemgetter when all of them are
+variables and there are at least two, a template of slots and constants
+otherwise. body_key reads a body key, the tuple of a match's values over
+body_vars, off a match; head_key_program builds the head from a body key
+followed by any existentials' values. So the chase tests and fires a key
+without building a dict. The hot paths build atoms with tuple.__new__,
+with no NamedTuple frame. An instance hashes on demand: the firing search
+builds throwaway instances by the thousand and hashes few of them.
 The one mutable structure is FactIndex, the run-scoped index a chase keeps
 for its whole run: facts by relation and by (relation, position, value),
 plus the null names in use. A TGD step adds facts to it and an EGD step
@@ -271,9 +274,10 @@ def _program(args: Sequence[Term], slot: Dict[Variable, object]):
 
 
 # A constraint's shape: what one walk over its atoms finds (see _walk)
-_SHAPE = frozenset(("body_vars", "existential_vars", "frontier", "constants",
-                    "body_positions", "positions", "body_var_positions",
-                    "head_var_positions", "atom_positions"))
+_SHAPE = frozenset(("body_vars", "body_var_names", "existential_vars",
+                    "existential_positions", "frontier", "equated_slots",
+                    "constants", "body_positions", "positions",
+                    "body_var_positions", "head_var_positions", "atom_positions"))
 
 
 class Constraint(_Frozen):
@@ -282,8 +286,9 @@ class Constraint(_Frozen):
     For a TGD the head is non-empty and head variables absent from the body
     are existential. For an EGD the head is the equated variable pair and
     both variables occur in the body. Equal fields make equal constraints,
-    hashed as the tuple of the fields. No __slots__: the shape fields and
-    the cached properties below live in the instance dict.
+    hashed as the tuple of the fields. No __slots__: the shape fields (see
+    _walk) and the three cached properties below, never_violated and the
+    two compiled programs, live in the instance dict.
     """
 
     def __init__(self, id: str, kind: str, body: Tuple[Atom, ...],
@@ -326,8 +331,10 @@ class Constraint(_Frozen):
     def _walk(self) -> None:
         """One pass over the body, then the head, fills every shape field:
         each variable's positions on each side, first seen first; each
-        atom's positions, one tuple per relation; and the frontier, the head
-        variables (an EGD's pair) that occur in the body."""
+        atom's positions, one tuple per relation; the existential
+        variables and the head positions they hold; the frontier, the head
+        variables (an EGD's pair) that occur in the body; and an EGD's
+        equated variables as slots of the body key (None for a TGD)."""
         atom_positions: Dict[Atom, Tuple[Position, ...]] = {}
         shared: Dict[Tuple[str, int], Tuple[Position, ...]] = {}  # by relation
         constants = set()
@@ -345,13 +352,20 @@ class Constraint(_Frozen):
                             where[t] = seen + (p,)
                     elif t.__class__ is Constant:
                         constants.add(t)
+        body_vars = tuple(body_occ)
+        existential_vars = () if self.kind != TGD else tuple(
+            v for v in head_occ if v not in body_occ)
         head_vars = self.equated if self.kind == EGD else head_occ
         body_positions = frozenset().union(*map(atom_positions.get, self.body))
         self.__dict__.update(
-            body_vars=tuple(body_occ),
-            existential_vars=() if self.kind != TGD else tuple(
-                v for v in head_occ if v not in body_occ),
+            body_vars=body_vars,
+            body_var_names=tuple(v.name for v in body_vars),
+            existential_vars=existential_vars,
+            existential_positions=frozenset().union(
+                *map(head_occ.get, existential_vars)),
             frontier=tuple(v for v in head_vars if v in body_occ),
+            equated_slots=None if self.kind == TGD else tuple(
+                map(body_vars.index, self.equated)),
             constants=tuple(sorted(constants, key=_order)),
             body_positions=body_positions,
             positions=body_positions.union(*map(atom_positions.get, self.head)),
@@ -363,22 +377,10 @@ class Constraint(_Frozen):
     def never_violated(self) -> bool:
         """Is this a TGD whose head maps into its own body, body variables
         fixed? Then every assignment's body image satisfies the head: it
-        never fires and is never violated. A head atom with no existential
-        maps only onto itself, so the join runs only if each such is in the body."""
-        if self.kind != TGD:
-            return False
-        ex = self.existential_vars
-        for at in self.head:
-            if at not in self.body and not any(t in ex for t in at.args):
-                return False
-        frozen = {v: LabeledNull(v.name) for v in self.body_vars}
-        return head_holds(Instance(instantiate(self.body, frozen)), self, frozen)
-
-    def head_vars(self) -> Tuple[Variable, ...]:
-        if self.kind == EGD:
-            assert self.equated is not None
-            return self.equated
-        return tuple(self.head_var_positions)
+        never fires and is never violated. One join decides it: the body is
+        its own image, each variable standing for itself."""
+        return self.kind == TGD and head_holds(
+            Instance(frozenset(self.body)), self, {v: v for v in self.body_vars})
 
     # Compiled forms: what the chase reads on every step, built once per
     # constraint from its atoms.
@@ -396,17 +398,6 @@ class Constraint(_Frozen):
         TGD with none reads the key alone."""
         slot = {v: i for i, v in enumerate(self.body_vars + self.existential_vars)}
         return tuple((at.relation, _program(at.args, slot)) for at in self.head)
-
-    @cached_property
-    def body_var_names(self) -> Tuple[str, ...]:
-        """The body variables' names, as a step record pairs them with a key."""
-        return tuple(v.name for v in self.body_vars)
-
-    @cached_property
-    def equated_slots(self) -> Tuple[int, int]:
-        """An EGD's equated variables as slots of the body key."""
-        left, right = self.equated  # type: ignore[misc]
-        return self.body_vars.index(left), self.body_vars.index(right)
 
 
 def tgd(cid: str, body: Sequence[Atom], head: Sequence[Atom]) -> Constraint:

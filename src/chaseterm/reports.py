@@ -231,7 +231,7 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
     out = {
         "outcome": res.outcome,
         "steps": len(res.steps),
-        "final": None if res.final is None else _facts(res.final.facts),
+        "final": _facts(res.final.facts),
         "failed_step": res.failed_step,
         "clash": (None if res.clash is None
                   else list(map(repr, res.clash))),

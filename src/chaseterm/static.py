@@ -67,10 +67,7 @@ def affected_positions(sigma: Sequence[Constraint]) -> frozenset:
     variables whose body occurrences are all affected. EGDs contribute
     nothing (they never create nulls)."""
     tgds = [c for c in sigma if c.kind == TGD]
-    aff = set()
-    for c in tgds:
-        for v in c.existential_vars:
-            aff.update(c.head_var_positions[v])
+    aff = set().union(*(c.existential_positions for c in tgds))
     changed = True
     while changed:
         changed = False
@@ -96,9 +93,7 @@ def aff_cl(alpha: Constraint, P) -> frozenset:
     for v, occ in alpha.body_var_positions.items():
         if not P.issuperset(occ):
             out.difference_update(alpha.head_var_positions.get(v, ()))
-    for v in alpha.existential_vars:
-        out.update(alpha.head_var_positions[v])
-    return frozenset(out)
+    return frozenset(out | alpha.existential_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +121,6 @@ def _position_graph(tgds: Sequence[Constraint], nodes,
                     restrict: Optional[frozenset]) -> PositionGraph:
     regular, special = set(), set()
     for c in tgds:
-        ex_positions = set()
-        for v in c.existential_vars:
-            ex_positions.update(c.head_var_positions[v])
         for v, occ in c.body_var_positions.items():
             if restrict is not None and not restrict.issuperset(occ):
                 continue
@@ -136,7 +128,7 @@ def _position_graph(tgds: Sequence[Constraint], nodes,
             for p in occ:
                 for q in head_occ:
                     regular.add((p, q))
-                for q in ex_positions:
+                for q in c.existential_positions:
                     special.add((p, q))
     return PositionGraph(tuple(sorted(nodes, key=position_key)),
                          tuple(sorted(regular, key=_edge_key)),
@@ -238,8 +230,7 @@ def nontrivial_sccs(constraints: Sequence[Constraint],
     """Strongly connected components holding at least one edge, as tuples of
     constraints sorted by id; components ordered by their smallest id."""
     by_id = {c.id: c for c in constraints}
-    id_edges = [(a, b) for a, b in edges]
-    comps = nontrivial_components(sorted(by_id), id_edges)
+    comps = nontrivial_components(sorted(by_id), edges)
     out = [tuple(by_id[i] for i in sorted(comp)) for comp in comps]
     out.sort(key=lambda comp: comp[0].id)
     return out

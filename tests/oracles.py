@@ -495,7 +495,7 @@ def ref_holds(I, alpha, a, beta, b, P, mode):
         return None
     if mode == PRECEDES_P:
         if not any(isinstance(rb[v], LabeledNull)
-                   for v in beta.head_vars() if v in rb):
+                   for v in head_vars(beta) if v in rb):
             return None
     return rb, J
 
@@ -742,7 +742,7 @@ def bf_firing(alpha, beta, P, mode, cap=2):
     facts = (Atom(rel, args) for rel, n in rels for args in product(dom, repeat=n))
     extras = [f for f in facts if allowed([f])]
     most = max(0, min(cap, len(beta.body) - (alpha.kind == TGD)))
-    frontier = [v for v in beta.head_vars() if v in beta.body_vars]
+    frontier = [v for v in head_vars(beta) if v in beta.body_vars]
     for vals in product(dom, repeat=len(alpha.body_vars)):
         a = dict(zip(alpha.body_vars, vals))
         base = instantiate(alpha.body, a)
@@ -1257,26 +1257,37 @@ def occurrences(atoms, kind):
     return {t: tuple(ps) for t, ps in out.items()}
 
 
+def head_vars(c):
+    """c's head variables in first-occurrence order; an EGD's equated pair."""
+    return c.equated if c.kind == EGD else tuple(conjunction_vars(c.head))
+
+
 def ref_shape(c):
     """Every shape field of c, by its old definition."""
     body_vars = tuple(conjunction_vars(c.body))
     bv = set(body_vars)
-    head_vars = c.equated if c.kind == EGD else tuple(conjunction_vars(c.head))
+    existential_vars = () if c.kind != TGD else tuple(
+        v for v in conjunction_vars(c.head) if v not in bv)
+    head_occ = occurrences(c.head, Variable)
     body_positions = frozenset(p for a in c.body for p in a.positions)
     positions = set(body_positions)
     for a in c.head:
         positions.update(a.positions)
     return {
         "body_vars": body_vars,
-        "existential_vars": () if c.kind != TGD else tuple(
-            v for v in conjunction_vars(c.head) if v not in bv),
-        "frontier": tuple(v for v in head_vars if v in bv),
+        "body_var_names": tuple(v.name for v in body_vars),
+        "existential_vars": existential_vars,
+        "existential_positions": frozenset(
+            p for v in existential_vars for p in head_occ[v]),
+        "frontier": tuple(v for v in head_vars(c) if v in bv),
+        "equated_slots": None if c.kind == TGD else (
+            body_vars.index(c.equated[0]), body_vars.index(c.equated[1])),
         "constants": tuple(sorted({t for a in c.body + c.head for t in a.args
                                    if t.__class__ is Constant}, key=value_key)),
         "body_positions": body_positions,
         "positions": frozenset(positions),
         "body_var_positions": occurrences(c.body, Variable),
-        "head_var_positions": occurrences(c.head, Variable),
+        "head_var_positions": head_occ,
         "atom_positions": {a: a.positions for a in c.body + c.head},
     }
 

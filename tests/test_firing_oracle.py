@@ -59,8 +59,9 @@ def judge_sees_only_new_triggers(monkeypatch):
         assert not oracles.settled_trigger(alpha, a, beta, b), (alpha, a, beta, b)
         if mode == PRECEDES_P:
             # the frontier: beta's head variables that b binds
-            assert any(isinstance(b[v], LabeledNull)
-                       for v in beta.head_vars() if v in b), (alpha, a, beta, b)
+            frontier = [v for v in oracles.head_vars(beta) if v in b]
+            assert any(isinstance(b[v], LabeledNull) for v in frontier), (
+                alpha, a, beta, b)
         return holds(I, after, alpha, a, beta, b, P, mode)
 
     monkeypatch.setattr(firing, "_holds", checked_holds)

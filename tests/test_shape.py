@@ -4,8 +4,9 @@ One walk over a constraint's atoms fills every shape field on the first
 read of any of them. tests.oracles.ref_shape keeps the old definitions,
 each its own walk; every field must come out equal, tuple and dict order
 included, on the generators' sets, the benchmark's analyze-batch sets,
-alpha_I of the travel instances and constraints built directly. The walk
-runs on first read only: parsing a rule file leaves it undone.
+alpha_I of the travel instances and constraints built directly. On the
+same inputs never_violated must agree with the join over fresh nulls. The
+walk runs on first read only: parsing a rule file leaves it undone.
 """
 
 import random
@@ -31,6 +32,7 @@ def _ordered(x):
 
 
 def assert_shape(c):
+    """Returns whether c is never violated."""
     ref = oracles.ref_shape(c)
     assert set(ref) == _SHAPE
     for field, want in ref.items():
@@ -38,6 +40,7 @@ def assert_shape(c):
         assert type(got) is type(want), (c, field)
         assert _ordered(got) == _ordered(want), (c, field)
     assert c.never_violated == oracles.ref_never_violated(c), c
+    return c.never_violated
 
 
 def _batch_sets(seed):
@@ -83,6 +86,13 @@ class TestShapeAgainstOracle:
             for c in generators.sparse_sets(n):
                 assert_shape(c)
         assert count > 400
+        rng = random.Random("shape/constants")
+        drawn = never = 0
+        for _ in range(2000):
+            for c in generators.random_constraints(rng, constant_rate=0.4):
+                never += assert_shape(c)
+                drawn += 1
+        assert 0 < never < drawn
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_analyze_batch_sets(self, seed):
@@ -96,6 +106,10 @@ class TestShapeAgainstOracle:
         files, spec = perfbench_workloads().generate("termcheck-travel", 1, "full")
         instances = [oneway_instance, roundtrip_instance] + [
             parse_instance(files[op["argv"][2]]) for op in spec["ops"]]
+        large, _ = perfbench_workloads().gen_termcheck_travel(
+            random.Random(1), {"rail": 1000, "airports": 250, "k": 10})
+        instances.append(parse_instance(large["travel.inst"]))
+        assert len(instances[-1].facts) == 1251
         for I in instances:
             alpha = constraint_from_instance(I)
             assert alpha.body == () and alpha.existential_vars
@@ -109,8 +123,6 @@ class TestShapeAgainstOracle:
             Position("T", 1), Position("T", 2))
         assert t2.constants == (C("a"), C("b"))
         assert e1.frontier == (V("Y"), V("X")) and e1.existential_vars == ()
-        # a head atom with no existential that is not in the body: settled
-        # without the join; one that is: decided by it
         assert not t3.never_violated and t4.never_violated
 
     def test_never_violated_needs_the_join(self):
