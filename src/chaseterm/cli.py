@@ -170,15 +170,14 @@ def cmd_monitor(args) -> int:
     sigma, I = _load(args)
     res = monitored_chase(I, sigma, args.k,
                           ChasePolicy(order=args.order, seed=args.seed))
-    payload = {"chase": chase_report(res, include_trace=False),
-               "monitor": monitor_report(res.monitor, args.k)}
+    m = monitor_report(res.monitor, args.k)
     if args.dot:
         _write_dot(args.dot, "monitor", res.monitor, args.json)
     if args.json:
-        sys.stdout.write(to_json(payload))
+        sys.stdout.write(to_json({"chase": chase_report(res, include_trace=False),
+                                  "monitor": m}))
     else:
         _print_chase_text(res)
-        m = payload["monitor"]
         print(f"monitor: {len(m['nodes'])} nodes, {len(m['edges'])} edges, "
               f"{args.k}-cyclic: {'yes' if m['k_cyclic'] else 'no'}")
     return _chase_exit(res)

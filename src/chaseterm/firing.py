@@ -62,6 +62,12 @@ prints no witness, termcheck, irrelevant or a bare is_* check, runs no
 enumeration at all. A mark whose enumeration finds no witness is a fault
 of the search, and raises.
 
+Reuse. A PRECEDES_P mark takes the pair's built PRECEDES witness when it
+passes the guard and null-copying: the guarded enumeration is the
+unguarded one with only subtrees cut whose candidates fail those two tests
+("guard", "copying"), in the same order, and its judge adds just those
+two, so that witness is the first it finds.
+
 Ten prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
 candidate the validator would accept, and they keep the order of the rest,
@@ -779,10 +785,16 @@ def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
 
 def _built(answers: Answers, key: Key) -> Optional[Witness]:
     """answers[key], an EDGE replaced for good by the witness that the
-    enumeration under key finds. An EDGE whose enumeration finds nothing is
-    an internal error."""
+    enumeration under key finds (see "reuse"). An EDGE whose enumeration
+    finds nothing is an internal error."""
     if answers[key] is EDGE:
-        w = _enumerate(*key)
+        alpha, beta, P, mode = key
+        w = answers.get((alpha, beta, frozenset(), PRECEDES))
+        if not (mode == PRECEDES_P and isinstance(w, Witness)
+                and _guarded(w.instance, P) and _copies_null(
+                    dict(zip(beta.body_vars, [v for _, v in w.assignment_b])),
+                    beta.frontier)):
+            w = _enumerate(*key)
         if w is None:
             raise RuntimeError(f"internal error: the existence check found an "
                                f"edge under {key!r} that the enumeration misses")

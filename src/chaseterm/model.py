@@ -485,7 +485,9 @@ class Instance(_Frozen):
 
 
 def fact_key(a: Atom) -> Tuple:
-    return (a.relation, len(a.args), tuple(map(_order, a.args)))
+    """(relation, arity, each value's order): one flat tuple, so a sort of
+    many facts allocates one key object per fact."""
+    return (a.relation, len(a.args), *map(_order, a.args))
 
 
 def instance(facts: Iterable[Atom]) -> Instance:

@@ -2,7 +2,9 @@
 
 Everything here is deterministic: nodes and edges are emitted in a fixed
 order and to_json sorts keys, so identical inputs give byte-identical
-output. Negative verdicts are re-validated against their witnesses before
+output. A chase report holds its final instance and trace as Rendered
+JSON text, which one StepWriter writes from the step records with no dict
+per step. Negative verdicts are re-validated against their witnesses before
 being rendered; a report that cannot back up a "no" with a checkable cycle
 or firing witness raises instead of printing.
 """
@@ -216,22 +218,77 @@ def guarantee_report(g: TerminationGuarantee) -> dict:
     }
 
 
-def _step_dict(rec: ChaseStepRecord) -> dict:
-    return {
-        "index": rec.index,
-        "constraint": rec.constraint_id,
-        "assignment": _assignment(rec.assignment),
-        "added": _facts(rec.added_facts),
-        "merged": (None if rec.merged_pair is None
-                   else list(map(repr, rec.merged_pair))),
-    }
+class Rendered:
+    """JSON text whose newlines are indented as nl; to_json indents them
+    to the depth where it meets the text."""
+
+    def __init__(self, text: str, nl: str):
+        self.text, self.nl = text, nl
+
+
+def _array(items: List[str], nl: str) -> str:
+    """The JSON texts items as an array whose newlines are indented as nl."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
+class StepWriter(dict):
+    """Writes chase steps from their records: the JSON text of a step's dict
+    (added facts by fact_key, assignment, constraint, index, merged pair),
+    as json.dumps(indent=2, sort_keys=True) writes it, each newline indented
+    as nl. It maps facts and values to their JSON strings, each encoded
+    once, and keeps one %-template per (nl, constraint id, variable names)."""
+
+    def __init__(self):
+        self.templates = {}
+
+    def __missing__(self, x) -> str:
+        text = self[x] = encode_basestring_ascii(repr(x))
+        return text
+
+    def facts(self, facts, nl: str) -> str:
+        """facts as a JSON array in fact_key order, each encoded and kept."""
+        facts = sorted(facts, key=fact_key)
+        texts = list(map(encode_basestring_ascii, map(repr, facts)))
+        self.update(zip(facts, texts))
+        return _array(texts, nl)
+
+    def step(self, rec: ChaseStepRecord, nl: str) -> str:
+        index, cid, assignment, added, merged, _ = rec
+        names, values = zip(*assignment) if assignment else ((), ())
+        key = (nl, cid, names)
+        if key not in self.templates:
+            i1, i2 = nl + "  ", nl + "    "
+            cid_text, *words = [encode_basestring_ascii(t).replace("%", "%%")
+                                for t in (cid,) + names]
+            order = sorted(range(len(names)), key=names.__getitem__)
+            slots = "".join(f"{i2}{words[k]}: %s," for k in order)[:-1]
+            self.templates[key] = order, i1, i2, "," + i2, (
+                f'{{{i1}"added": [%s],{i1}"assignment": '
+                f'{"{" + slots + i1 + "}" if names else "{}"},{i1}"constraint":'
+                f' {cid_text},{i1}"index": %d,{i1}"merged": %s{nl}}}')
+        order, i1, i2, sep, template = self.templates[key]
+        if len(added) == 1:  # most steps: no sort
+            [fact] = added
+            added = i2 + self[fact] + i1
+        elif added:
+            added = i2 + sep.join(
+                [self[f] for f in sorted(added, key=fact_key)]) + i1
+        else:
+            added = ""  # the template's brackets then read []
+        return template % (added, *[self[values[k]] for k in order],
+                           index, "null" if merged is None else
+                           f"[{i2}{self[merged[0]]}{sep}{self[merged[1]]}{i1}]")
 
 
 def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
+    """The run, with its final instance and steps as Rendered text at the
+    depth where chase --json prints them."""
+    w = StepWriter()
     out = {
         "outcome": res.outcome,
         "steps": len(res.steps),
-        "final": _facts(res.final.facts),
+        "final": Rendered(w.facts(res.final.facts, "\n  "), "\n  "),
         "failed_step": res.failed_step,
         "clash": (None if res.clash is None
                   else list(map(repr, res.clash))),
@@ -239,7 +296,8 @@ def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
         "abort_k": res.abort_k,
     }
     if include_trace:
-        out["trace"] = [_step_dict(rec) for rec in res.steps]
+        out["trace"] = Rendered(_array(
+            [w.step(rec, "\n    ") for rec in res.steps], "\n  "), "\n  ")
     return out
 
 
@@ -268,8 +326,9 @@ def to_json(payload: dict) -> str:
     """payload as JSON text plus a newline: the bytes that
     json.dumps(payload, indent=2, sort_keys=True) + "\n" gives, written
     here because any indent sends json.dumps to its pure-Python encoder.
-    It takes dicts with str keys, lists, tuples, str, int, bool and None;
-    any other type, a float included, raises TypeError."""
+    It takes dicts with str keys, lists, tuples, str, int, bool, None and
+    Rendered text, re-indented to its depth; any other type, a float
+    included, raises TypeError."""
     out: List[str] = []
     _write(payload, "\n", out)
     out.append("\n")
@@ -304,5 +363,7 @@ def _write(x, nl: str, out: List[str]) -> None:
         out.append("true" if x else "false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
+    elif isinstance(x, Rendered):
+        out.append(x.text if x.nl == nl else x.text.replace(x.nl, nl))
     else:
         raise TypeError(f"{type(x).__name__} is not a JSON type here")

@@ -14,8 +14,9 @@ and level-by-level shortest path from before one breadth-first search served
 them. Another keeps the character-by-character tokenizer and the parser
 from before one regular expression scanned the text, for differential
 tests on rule and instance texts. Another keeps the report JSON as the
-standard library writes it, for byte comparisons with the package's own
-writer. The last one keeps a constraint's shape as its fields were
+standard library writes it, and the chase report as the dict it was before
+its steps were written straight from their records, for byte comparisons
+with the package's own writers. The last one keeps a constraint's shape as its fields were
 computed one by one, each with its own walk over the atoms, before one walk
 filled them all.
 """
@@ -1232,6 +1233,44 @@ def ref_parse_instance(text: str, as_query: bool = False) -> Instance:
 def ref_to_json(payload) -> str:
     """The text reports.to_json must give for payload, byte for byte."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def ref_fact_key(a: Atom) -> Tuple:
+    """fact_key as it was: the values' orders in a tuple of their own."""
+    return (a.relation, len(a.args), tuple(map(value_key, a.args)))
+
+
+def _ref_facts(facts) -> List[str]:
+    return list(map(repr, sorted(facts, key=ref_fact_key)))
+
+
+def ref_step_dict(rec: ChaseStepRecord) -> dict:
+    """One step of a chase report as a dict."""
+    return {
+        "index": rec.index,
+        "constraint": rec.constraint_id,
+        "assignment": {name: repr(v) for name, v in rec.assignment},
+        "added": _ref_facts(rec.added_facts),
+        "merged": (None if rec.merged_pair is None
+                   else list(map(repr, rec.merged_pair))),
+    }
+
+
+def ref_chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
+    """What reports.chase_report renders, as plain JSON-ready values."""
+    out = {
+        "outcome": res.outcome,
+        "steps": len(res.steps),
+        "final": _ref_facts(res.final.facts),
+        "failed_step": res.failed_step,
+        "clash": (None if res.clash is None
+                  else list(map(repr, res.clash))),
+        "abort_reason": res.abort_reason,
+        "abort_k": res.abort_k,
+    }
+    if include_trace:
+        out["trace"] = [ref_step_dict(rec) for rec in res.steps]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -42,6 +43,13 @@ ROUNDTRIP_QUERY = "rail(c1,X1,Y1). fly(X1,X2,Y2). fly(X2,X1,Y2). rail(X1,c1,Y1).
 # the travel rules plus an EGD that merges the two airport nulls of ?x1
 TRAVEL_EGD_RULES = TRAVEL_RULES + "e1: hasAirport(X), airportOf(X,Y), airportOf(X,Z) -> Y = Z.\n"
 AIRPORTS_INST = "rail(c1,?x1,?y1). fly(?x1,?x2,?y2). airportOf(?x1,?p1). airportOf(?x1,?p2).\n"
+# words the parser reads but JSON escapes; ré2 merges the nulls ré1 makes
+ESCAPED_RULES = """\
+ré1: café(X, Y) -> crème(X, Zé), crème(Y, Zé).
+ré2: crème(X, Zé1), crème(X, Zé2) -> Zé1 = Zé2.
+東京: café(X, 𝒴) -> 駅(𝒴, W).
+"""
+ESCAPED_INST = "café(ünï, ?nül). café(ünï, ßtr). café(𝓪, ?nül).\n"
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -168,6 +176,17 @@ class TestChase:
         a = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == a
+
+    def test_json_trace_exact(self, tmp_path, capsys):
+        # the chase-tc workload at seed 1 and 10 edges, plus names that JSON
+        # must escape (non-ASCII, astral) and an EGD that merges nulls
+        files, _ = perfbench_workloads().gen_chase_tc(
+            random.Random("chase-tc/1"), {"tc_edges": 10})
+        rules, inst = tmp_path / "r.rules", tmp_path / "r.inst"
+        rules.write_text(files["tc.rules"] + ESCAPED_RULES, encoding="utf-8")
+        inst.write_text(files["tc.inst"] + ESCAPED_INST, encoding="utf-8")
+        assert main(["chase", str(rules), str(inst), "--json"]) == 0
+        assert capsys.readouterr().out == golden("chase_trace.json")
 
 
 class TestMonitor:

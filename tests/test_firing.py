@@ -15,7 +15,7 @@ from chaseterm.firing import (
     PRECEDES, PRECEDES_P, Witness, can_cause, verify_witness,
 )
 from chaseterm.model import (
-    LabeledNull, Position, egd, instance, position_key, tgd,
+    Instance, LabeledNull, Position, egd, instance, position_key, tgd,
 )
 from chaseterm.syntax import parse_constraints
 
@@ -204,10 +204,12 @@ class TestUnguardedReuse:
                     settled += 1
         assert settled and searched
 
-    def test_guarded_witness_is_the_reference_witness(self):
-        # a guarded witness is built by its own enumeration, whatever the
-        # table holds for the pair without the guard
-        checked = 0
+    def test_guarded_witness_is_the_reference_witness(self, monkeypatch):
+        # a guarded witness is the pair's built unguarded one when that one
+        # passes the guard and null-copying (see "reuse"), else the one its
+        # own enumeration finds; either way the reference search finds it
+        enumerated = count_searches(monkeypatch, ("_enumerate",))
+        checked = reused = 0
         for seed in range(30):
             rng = random.Random(f"unguarded/witness/{seed}")
             sigma = generators.random_constraints(rng, egd_rate=0.5)
@@ -218,12 +220,45 @@ class TestUnguardedReuse:
                                  answers=answers) is None:
                         continue
                     for guard in generators.guards(sigma, rng):
+                        before = len(enumerated)
                         got = can_cause(alpha, beta, guard, PRECEDES_P,
                                         dict(answers))
                         assert strict(got) == strict(oracles.ref_search(
                             alpha, beta, guard, PRECEDES_P))
                         checked += got is not None
-        assert checked
+                        reused += got is not None and len(enumerated) == before
+        assert checked > reused > 0
+
+    def test_a_built_witness_outside_the_guard_is_not_taken(self):
+        # the built unguarded witness, with one more null at a position
+        # outside the guard, still copies a null, but is no guarded witness
+        planted = 0
+        for seed in range(30):
+            rng = random.Random(f"unguarded/witness/{seed}")
+            sigma = generators.random_constraints(rng, egd_rate=0.5)
+            for alpha in sigma:
+                for beta in sigma:
+                    answers = {}
+                    w = can_cause(alpha, beta, mode=PRECEDES, answers=answers)
+                    if w is None or not firing._copies_null(
+                            dict(zip(beta.body_vars,
+                                     [v for _, v in w.assignment_b])),
+                            beta.frontier):
+                        continue
+                    for guard in generators.guards(sigma, rng):
+                        table = dict(answers)
+                        key = firing.find_edge(alpha, beta, guard, PRECEDES_P,
+                                               table)
+                        if key is None or not firing._guarded(w.instance, guard):
+                            continue
+                        off = w._replace(instance=Instance(
+                            w.instance.facts | {A("off_guard", N("off"))}))
+                        table[(alpha, beta, frozenset(), PRECEDES)] = off
+                        got = firing._built(table, key)
+                        assert strict(got) == strict(oracles.ref_search(
+                            alpha, beta, guard, PRECEDES_P))
+                        planted += 1
+        assert planted
 
     def test_unguarded_mark_is_built_only_when_read(self, feedback_sigma,
                                                     monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 
 from chaseterm.chase import chase
 from chaseterm.dynamic import constraint_from_instance, data_dependent_guarantee
+from chaseterm.reports import chase_report, to_json
 from chaseterm.static import analyze
 from chaseterm.syntax import parse_constraints, parse_instance
 
@@ -43,6 +44,13 @@ def _chase_tc(n):
     return parse_constraints(files["tc.rules"]).constraints, parse_instance(files["tc.inst"])
 
 
+@functools.lru_cache(maxsize=None)
+def _chase_tc_result(n):
+    """The chase-tc run on a path of n edges."""
+    sigma, I = _chase_tc(n)
+    return (chase(I, sigma),)
+
+
 # name, input builder, the two sizes, the timed call, runs per size (five
 # for the shortest call, whose readings spread the most)
 ROWS = [
@@ -54,6 +62,8 @@ ROWS = [
      lambda sigma, text, I: constraint_from_instance(I), 5),
     ("chase_tc", _chase_tc, (30, 60),
      lambda sigma, I: chase(I, sigma), 3),
+    ("chase_report_to_json", _chase_tc_result, (30, 60),
+     lambda res: to_json(chase_report(res)), 3),
 ]
 
 

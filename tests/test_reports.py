@@ -8,20 +8,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaseterm import firing
-from chaseterm.chase import chase, monitored_chase
+from chaseterm.chase import ChaseResult, ChaseStepRecord, chase, monitored_chase
 from chaseterm.dynamic import (
     chase_graph, constraint_from_instance, data_dependent_guarantee,
 )
-from chaseterm.model import Position, egd, instance, tgd
+from chaseterm.model import Instance, Position, egd, instance, tgd
 from chaseterm.reports import (
-    ReportIntegrityError, analysis_report, chase_report, export_dot,
-    guarantee_report, monitor_report, to_json,
+    ReportIntegrityError, StepWriter, analysis_report, chase_report,
+    export_dot, guarantee_report, monitor_report, to_json,
 )
 from chaseterm.static import PositionGraph, analyze, propagation_graph
 
 from . import generators
 from .conftest import A, C, N, V
-from .oracles import ref_to_json
+from .oracles import ref_chase_report, ref_step_dict, ref_to_json
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -152,26 +152,43 @@ class TestWitnessesOnDemand:
 
 
 class TestChaseReport:
+    """chase_report writes, byte for byte, the dict tests/oracles keeps."""
+
     def test_terminated(self, travel_sigma, roundtrip_instance):
-        payload = chase_report(chase(roundtrip_instance, travel_sigma))
+        res = chase(roundtrip_instance, travel_sigma)
+        text = to_json(chase_report(res))
+        assert text == ref_to_json(ref_chase_report(res))
+        payload = json.loads(text)
         assert payload["outcome"] == "terminated"
         assert payload["steps"] == 1
         assert "hasAirport(?x1)" in payload["final"]
         assert payload["trace"][0]["constraint"] == "a1"
+        # a fragment taken out of the report is written at depth 0
+        assert to_json(chase_report(res)["trace"]) == ref_to_json(payload["trace"])
 
     def test_failed_carries_clash(self):
         from chaseterm.model import egd
         e = egd("e", [A("R", V("X"), V("Y"))], V("X"), V("Y"))
-        I = instance([A("R", C("a"), C("b"))])
-        payload = chase_report(chase(I, [e]))
+        res = chase(instance([A("R", C("a"), C("b"))]), [e])
+        text = to_json(chase_report(res))
+        assert text == ref_to_json(ref_chase_report(res))
+        payload = json.loads(text)
         assert payload["outcome"] == "failed"
         assert payload["clash"] == ["a", "b"]
         assert payload["failed_step"] == 0
 
     def test_trace_optional(self, travel_sigma, roundtrip_instance):
-        payload = chase_report(chase(roundtrip_instance, travel_sigma),
-                               include_trace=False)
+        res = chase(roundtrip_instance, travel_sigma)
+        payload = chase_report(res, include_trace=False)
         assert "trace" not in payload
+        # nested, as monitor and termcheck print it
+        assert to_json({"chase": payload}) == ref_to_json(
+            {"chase": ref_chase_report(res, include_trace=False)})
+
+    def test_empty_run(self):
+        res = chase(instance([]), [])
+        assert res.steps == () and not res.final.facts
+        assert to_json(chase_report(res)) == ref_to_json(ref_chase_report(res))
 
 
 class TestGuaranteeAndMonitorReports:
@@ -241,10 +258,12 @@ class TestNoTermInPayloads:
                          A("e", C("v2"), N("u", 1))])
         res = chase(path, merging_sigma)
         assert any(rec.merged_pair for rec in res.steps)
-        self.assert_plain(chase_report(res))
-        self.assert_plain(chase_report(chase(roundtrip_instance, travel_sigma)))
         e = egd("e", [A("R", V("X"), V("Y"))], V("X"), V("Y"))
-        self.assert_plain(chase_report(chase(instance([A("R", C("a"), C("b"))]), [e])))
+        # the report is written text; the dict it must match holds plain strs
+        for r in (res, chase(roundtrip_instance, travel_sigma),
+                  chase(instance([A("R", C("a"), C("b"))]), [e])):
+            self.assert_plain(ref_chase_report(r))
+            assert to_json(chase_report(r)) == ref_to_json(ref_chase_report(r))
 
     def test_guarantee_reports(self, travel_sigma, roundtrip_instance,
                                oneway_instance):
@@ -290,10 +309,11 @@ class TestToJson:
         r = analyze(travel_sigma)
         res = monitored_chase(oneway_instance, travel_sigma, 3)
         payloads = [analysis_report(r), analysis_report(analyze(seeded_feedback_sigma)),
-                    chase_report(res), monitor_report(res.monitor, 3),
+                    monitor_report(res.monitor, 3),
                     guarantee_report(data_dependent_guarantee(roundtrip_instance, r))]
         for payload in payloads:
             assert to_json(payload) == ref_to_json(payload)
+        assert to_json(chase_report(res)) == ref_to_json(ref_chase_report(res))
 
     @settings(max_examples=300, deadline=None)
     @given(_payload)
@@ -315,3 +335,54 @@ class TestToJson:
     def test_other_types_raise(self, payload):
         with pytest.raises(TypeError):
             to_json(payload)
+
+
+# Names for the step writer: JSON escapes, the writer's own % and braces,
+# and a small pool so that records share constraint ids and variable names.
+_word = st.one_of(st.sampled_from(["X", "Y", "c1", "%s", "%%", "{0}", 'q"1']),
+                  st.text(st.one_of(st.sampled_from('"\\%{}\x00\x1f\x7f\xe9\u2028'
+                                                    '\U0001f600\ud800'),
+                                    st.characters(exclude_categories=())),
+                          max_size=5))
+_value = st.one_of(st.builds(C, _word), st.builds(N, _word, st.integers(0, 3)))
+_fact = st.builds(lambda rel, args: A(rel, *args), _word,
+                  st.lists(_value, max_size=3))
+_record = st.builds(
+    ChaseStepRecord, index=st.integers(0, 10 ** 6), constraint_id=_word,
+    assignment=st.lists(st.tuples(_word, _value), max_size=4,
+                        unique_by=lambda pair: pair[0]).map(tuple),
+    added_facts=st.frozensets(_fact, max_size=4),
+    merged_pair=st.one_of(st.none(), st.tuples(_value, _value)),
+    fresh_nulls=st.just(()))
+
+
+class TestStepWriter:
+    """A step's text is json.dumps of its dict, indented where it sits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_record, max_size=4),
+           st.sampled_from(["\n", "\n  ", "\n      "]))
+    @example([ChaseStepRecord(0, "t", (), frozenset({A("R", C("a"))}), None, ()),
+              ChaseStepRecord(1, "e", (("Z2", N("n2", 2)), ("Z1", N("n1", 1))),
+                              frozenset(), (N("n1", 1), N("n2", 2)), ())], "\n  ")
+    @example([ChaseStepRecord(3, "t", (("Y", C("b")), ("X", C("a"))),
+                              frozenset({A("S", C("b")), A("R", C("a"))}), None, ()),
+              ChaseStepRecord(4, "t", (("X", C("a")), ("Y", C("b"))),
+                              frozenset(), None, ())], "\n")
+    def test_agrees_with_the_standard_library(self, records, nl):
+        # one writer for all: records share its templates and its texts
+        w = StepWriter()
+        for rec in records:
+            want = json.dumps(ref_step_dict(rec), indent=2, sort_keys=True)
+            assert w.step(rec, nl) == want.replace("\n", nl)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.frozensets(_fact, max_size=8), st.sampled_from(["\n", "\n  "]))
+    @example(frozenset({A("R", N("a", 2), C("b")), A("R", N("a", 1), C("c")),
+                        A("R", C("a"), N("b", 1)), A("S", N("a", 1))}), "\n")
+    def test_facts_in_fact_key_order(self, facts, nl):
+        # the reference sorts by the nested key fact_key was; equal nulls
+        # with two creation indices have two orders
+        want = json.dumps(ref_chase_report(ChaseResult(
+            "terminated", Instance(facts), ()))["final"], indent=2)
+        assert StepWriter().facts(facts, nl) == want.replace("\n", nl)

@@ -51,10 +51,32 @@ def test_chase_rate():
     out = run_script("chase_rate.py", "--n", "4", "--rounds", "2", src, src)
     lines = out.splitlines()
     assert lines[0] == "chase-tc rules, order det, seed 1, 2 rounds; steps/s"
-    assert lines[1].split() == ["n", "steps", "src", "median", "q1", "q3", "ratio"]
+    assert lines[1].split() == ["n", "steps", "src", "median", "q1", "q3",
+                                "ratio", "write_ms", "w_ratio"]
     rows = [line.split() for line in lines[2:]]
     assert [row[:3] for row in rows] == [["4", "17", src]] * 2
-    assert rows[0][-1] == "1.00"
+    assert rows[0][6] == rows[0][-1] == "1.00"
     for row in rows:
         median, q1, q3 = map(float, row[3:6])
         assert 0 < q1 <= median <= q3
+        assert float(row[7]) > 0
+
+
+def test_chase_rate_stops_on_other_text(tmp_path):
+    # a tree whose reports write one more space must not be timed against
+    # this one
+    import shutil
+    other = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), other,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    reports = other / "chaseterm" / "reports.py"
+    reports.write_text(reports.read_text() + "\n_to_json = to_json\n"
+                       "def to_json(payload):\n    return _to_json(payload) + ' '\n")
+    path = [os.path.join(ROOT, "src"), ROOT]
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "chase_rate.py"),
+         "--n", "3", "--rounds", "1", os.path.join(ROOT, "src"), str(other)],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert proc.returncode != 0
+    assert f"n=3: {other} wrote JSON text with SHA-256" in proc.stderr
