@@ -62,11 +62,10 @@ prints no witness, termcheck, irrelevant or a bare is_* check, runs no
 enumeration at all. A mark whose enumeration finds no witness is a fault
 of the search, and raises.
 
-Reuse. A PRECEDES_P mark takes the pair's built PRECEDES witness when it
+Reuse. A PRECEDES_P mark takes the pair's built PRECEDES witness if it
 passes the guard and null-copying: the guarded enumeration is the
-unguarded one with only subtrees cut whose candidates fail those two tests
-("guard", "copying"), in the same order, and its judge adds just those
-two, so that witness is the first it finds.
+unguarded one, in its order, with only subtrees cut that fail those two
+tests, and its judge adds just them, so that witness is its first.
 
 Ten prunes skip whole subtrees of the enumeration, or the whole search,
 in which every candidate fails a check of the validator. They never skip a
@@ -338,8 +337,9 @@ def _is_placeholder(v: Value) -> bool:
     return isinstance(v, LabeledNull) and v.creation_index >= _PLACEHOLDER_BASE
 
 
-def _copies_null(b: Assignment, frontier: Sequence[Variable]) -> bool:
-    """Does b put a null, a placeholder included, on a frontier variable?"""
+def _copies_null(b: dict, frontier: Sequence) -> bool:
+    """Does b put a null, a placeholder included, on a frontier variable?
+    b and frontier name the variables alike: as Variables, or by name."""
     return any(isinstance(b[v], LabeledNull) for v in frontier)
 
 
@@ -792,8 +792,7 @@ def _built(answers: Answers, key: Key) -> Optional[Witness]:
         w = answers.get((alpha, beta, frozenset(), PRECEDES))
         if not (mode == PRECEDES_P and isinstance(w, Witness)
                 and _guarded(w.instance, P) and _copies_null(
-                    dict(zip(beta.body_vars, [v for _, v in w.assignment_b])),
-                    beta.frontier)):
+                    dict(w.assignment_b), [v.name for v in beta.frontier])):
             w = _enumerate(*key)
         if w is None:
             raise RuntimeError(f"internal error: the existence check found an "

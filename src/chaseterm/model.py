@@ -485,8 +485,7 @@ class Instance(_Frozen):
 
 
 def fact_key(a: Atom) -> Tuple:
-    """(relation, arity, each value's order): one flat tuple, so a sort of
-    many facts allocates one key object per fact."""
+    """One flat tuple: a sort of many facts makes one key object per fact."""
     return (a.relation, len(a.args), *map(_order, a.args))
 
 

@@ -233,11 +233,10 @@ def _array(items: List[str], nl: str) -> str:
 
 
 class StepWriter(dict):
-    """Writes chase steps from their records: the JSON text of a step's dict
-    (added facts by fact_key, assignment, constraint, index, merged pair),
-    as json.dumps(indent=2, sort_keys=True) writes it, each newline indented
-    as nl. It maps facts and values to their JSON strings, each encoded
-    once, and keeps one %-template per (nl, constraint id, variable names)."""
+    """Writes a chase step's dict from its record as json.dumps(indent=2,
+    sort_keys=True) does, each newline indented as nl. It maps facts and
+    values to their JSON strings, each encoded once, and keeps one
+    %-template per (nl, constraint id, variable names)."""
 
     def __init__(self):
         self.templates = {}
@@ -247,38 +246,28 @@ class StepWriter(dict):
         return text
 
     def facts(self, facts, nl: str) -> str:
-        """facts as a JSON array in fact_key order, each encoded and kept."""
-        facts = sorted(facts, key=fact_key)
-        texts = list(map(encode_basestring_ascii, map(repr, facts)))
-        self.update(zip(facts, texts))
-        return _array(texts, nl)
+        """facts as a JSON array in fact_key order."""
+        return _array([self[f] for f in sorted(facts, key=fact_key)], nl)
 
     def step(self, rec: ChaseStepRecord, nl: str) -> str:
         index, cid, assignment, added, merged, _ = rec
         names, values = zip(*assignment) if assignment else ((), ())
         key = (nl, cid, names)
         if key not in self.templates:
-            i1, i2 = nl + "  ", nl + "    "
+            i1 = nl + "  "
             cid_text, *words = [encode_basestring_ascii(t).replace("%", "%%")
                                 for t in (cid,) + names]
             order = sorted(range(len(names)), key=names.__getitem__)
-            slots = "".join(f"{i2}{words[k]}: %s," for k in order)[:-1]
-            self.templates[key] = order, i1, i2, "," + i2, (
-                f'{{{i1}"added": [%s],{i1}"assignment": '
+            slots = "".join(f"{i1}  {words[k]}: %s," for k in order)[:-1]
+            self.templates[key] = order, i1, (
+                f'{{{i1}"added": %s,{i1}"assignment": '
                 f'{"{" + slots + i1 + "}" if names else "{}"},{i1}"constraint":'
                 f' {cid_text},{i1}"index": %d,{i1}"merged": %s{nl}}}')
-        order, i1, i2, sep, template = self.templates[key]
-        if len(added) == 1:  # most steps: no sort
-            [fact] = added
-            added = i2 + self[fact] + i1
-        elif added:
-            added = i2 + sep.join(
-                [self[f] for f in sorted(added, key=fact_key)]) + i1
-        else:
-            added = ""  # the template's brackets then read []
-        return template % (added, *[self[values[k]] for k in order],
-                           index, "null" if merged is None else
-                           f"[{i2}{self[merged[0]]}{sep}{self[merged[1]]}{i1}]")
+        order, i1, template = self.templates[key]
+        return template % (self.facts(added, i1),
+                           *[self[values[k]] for k in order], index,
+                           "null" if merged is None else
+                           _array([self[v] for v in merged], i1))
 
 
 def chase_report(res: ChaseResult, include_trace: bool = True) -> dict:
