@@ -16,7 +16,10 @@ checkout's src/ or the src/ of another checkout. Every run is a fresh
 interpreter that imports the package from its SRC and nothing else, reads
 the rules and the instance text on stdin, parses them, and times one chase
 and then the writing of its `chase --json` text (chase_report, then
-to_json), with the garbage collector on; set-up is not timed. The sides
+to_json), with the garbage collector on; set-up is not timed. A full
+collection runs before each of the two timed parts, so neither pays for
+garbage that the part before it left, and whether a collection falls
+inside a part depends on that part's own allocations. The sides
 take turns within each round, so drift of the host meets every side alike. The table
 gives, per n and SRC, the median rate over the rounds, its quartiles (by
 the inclusive method, so they lie within the rates measured), and its
@@ -42,6 +45,7 @@ def child(src: str, order: str) -> None:
     """One timed chase of the rules and instance on stdin, and one timed
     write of its report; prints {"steps", "outcome", "seconds", "write_s",
     "sha256"} as JSON."""
+    import gc
     import hashlib
     import time
 
@@ -56,9 +60,11 @@ def child(src: str, order: str) -> None:
     sigma = parse_constraints(text["rules"]).constraints
     I = parse_instance(text["instance"])
     policy = ChasePolicy(order=order, seed=SEED)
+    gc.collect()
     start = time.perf_counter()
     res = chase(I, sigma, policy)
     seconds = time.perf_counter() - start
+    gc.collect()
     start = time.perf_counter()
     written = to_json(chase_report(res))
     write_s = time.perf_counter() - start

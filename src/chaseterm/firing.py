@@ -10,8 +10,8 @@ of a set, the chase graph of Deutsch, Nash and Remmel ("The chase
 revisited", PODS 2008).
 
 The search enumerates candidates and hands each to a concrete validator,
-the judge, that checks every condition with the ordinary satisfaction test,
-so the enumeration may overapproximate freely. Candidates are built
+the judge, that checks every condition on the candidate's facts, so the
+enumeration may overapproximate freely. Candidates are built
 canonically: assignment values are either constants named in the two
 constraints or pool symbols introduced in first-use order, each new symbol
 tried both as a constant and as a null (a restricted-growth enumeration, so
@@ -33,13 +33,14 @@ order that the step reads, so the step of its witness merges the way they
 assumed. A witness of the first pass ends the search before the second
 pass starts, so the second changes no witness the first finds.
 
-The judge takes no step. The candidate generators build the step's image
+The judge, _passes, takes no step. _step_image builds the step's image
 of alpha's body image base once per assignment a: for a TGD alpha, base
 plus the instantiated head with placeholders for the fresh nulls; for an
-EGD alpha, base with the loser renamed to the survivor. "b violates beta
-in J" is checked on that image plus B, for an EGD alpha plus B renamed,
-with b unresolved. This is exact. For an EGD alpha the set is J itself,
-since the renaming distributes over base | B. For a TGD alpha, J is
+EGD alpha, base with the loser renamed to the survivor. The judge checks
+"b violates beta in J" on that image plus b's body image, with b
+unresolved. This is exact. For an EGD alpha the set is J itself, since
+the renaming distributes over base | B and maps B onto b's body image.
+For a TGD alpha, b's body image is B plus facts of the image, J is
 I = base | B plus the added facts, and the set is I plus the added facts
 with placeholders. Mapping placeholder i to the step's fresh null i maps
 one onto the other and fixes every value of I, since neither kind of null
@@ -67,9 +68,16 @@ passes the guard and null-copying: the guarded enumeration is the
 unguarded one, in its order, with only subtrees cut that fail those two
 tests, and its judge adds just them, so that witness is its first.
 
-Ten prunes skip whole subtrees of the enumeration, or the whole search,
-in which every candidate fails a check of the validator. They never skip a
-candidate the validator would accept, and they keep the order of the rest,
+The judge runs one chain of checks, cheapest first, for both searches,
+the existence check and the enumeration: copying, new and settled below,
+which read b, base | B and the step's image; then the guard scan of I; then
+"b violates beta in J"; then "a violates alpha in I". Every other entry
+below skips a whole subtree of the enumeration, or the whole search, in
+which the judge rejects every candidate: the guard, satisfied (in
+_step_image), never, body-less, unguarded, held and exists, and the two
+subtree cuts named under "new". So does one more cut for an EGD alpha: a
+b that holds the loser, whose body image no J holds. They never skip a
+candidate the judge would accept, and they keep the order of the rest,
 so the first witness found is the one the unpruned enumeration finds.
 
   guard     Under PRECEDES_P, a variable with a body position outside P never
@@ -80,8 +88,10 @@ so the first witness found is the one the unpruned enumeration finds.
             merge pre-image keeps a null in every slot where b's body
             image has one, since a null survivor means a null loser.
   satisfied For a TGD alpha, an assignment a whose body image already
-            satisfies alpha's head is skipped: each I contains that image,
-            so alpha is satisfied in I and a is no violation.
+            satisfies alpha's head has no step image and is skipped: each
+            I contains that image, so alpha is satisfied in I and a is no
+            violation. So is an a of an EGD alpha whose step does not
+            apply, one that equates a value with itself or two constants.
   never     A pair whose alpha or beta is a TGD with a head that maps into
             its own body, body variables fixed, has no witness: the map
             satisfies that head wherever the body image lies, so alpha
@@ -92,19 +102,19 @@ so the first witness found is the one the unpruned enumeration finds.
             always survives; two constants fail the step). So beta's head
             image in I, composed with the step, lies in J, and a beta that
             holds in I holds in J.
-  new       A candidate (b, B) whose beta-body image under b already lies in
-            I = base | B is skipped: b is not new, whatever the step does.
-            If b violates beta in I, it is no witness. Otherwise
-            it stays satisfied in J, since the step maps I into J by a
-            homomorphism that fixes b's values: the identity for a TGD
-            alpha, and for an EGD alpha a renaming of the loser, which b
-            never holds. For a TGD alpha the images of the beta atoms
-            matched into the added facts are fixed before B is chosen: if
-            one holds a placeholder, nothing is skipped; otherwise, with
-            old the images outside base, a subtree with no old image is
-            skipped whole, and else each B that contains them all. For an
-            EGD alpha, each pre-image B that contains the part of b's
-            body image outside base is skipped.
+  new       The judge rejects a candidate (b, B) whose beta-body image
+            under b already lies in I = base | B: b is not new, whatever
+            the step does. If b violates beta in I, it is no witness.
+            Otherwise it stays satisfied in J, since the step maps I into
+            J by a homomorphism that fixes b's values: the identity for a
+            TGD alpha, and for an EGD alpha a renaming of the loser, which
+            b never holds. For a TGD alpha the images of the beta atoms
+            matched into the added facts are fixed before B is chosen, so
+            the generator cuts two subtrees whole: one whose match binds a
+            variable of an unmatched atom to a placeholder, since its B
+            would hold a fresh null of the step, which no I holds; and one
+            whose matched images hold no placeholder and all lie in base,
+            since every b below it has its body image in I.
   unguarded A PRECEDES_P query is answered None at once when the table
             of the analysis asking (see can_cause) already holds None for
             the same pair under PRECEDES. The unpruned enumeration is the
@@ -116,24 +126,25 @@ so the first witness found is the one the unpruned enumeration finds.
             builds the chase graph before the restriction system, over one
             table, so the answer is there when it helps, and a bare
             restriction-system call searches no PRECEDES pair.
-  copying   Under PRECEDES_P, a b that puts no null on beta's frontier,
-            the head variables of beta that occur in its body, is skipped
-            before its instance is built: the null-copying check reads b
-            alone, and counts a placeholder as the null it resolves to.
-            A beta with no frontier variable has no edge at all.
-  settled   A b under which beta's head already holds in the step's image
-            of alpha's body image is skipped. For a TGD alpha that image
-            is base plus the added facts, placeholders in place of the
-            fresh nulls; for an EGD alpha it is base with the loser
+  copying   Under PRECEDES_P, the judge rejects a b that puts no null on
+            beta's frontier, the head variables of beta that occur in its
+            body, before any other check: the null-copying check reads b
+            alone, and counts a placeholder as the null it resolves to. A
+            beta with no frontier variable has no edge at all.
+  settled   The judge rejects a b under which beta's head already holds in
+            the step's image of alpha's body image. For a TGD alpha that
+            image is base plus the added facts, placeholders in place of
+            the fresh nulls; for an EGD alpha it is base with the loser
             renamed to the survivor. Every J holds the image: resolving
             the placeholders to the step's fresh nulls, in b and in the
             image alike, maps it into J, and a merge fixes b, which never
-            holds the loser. So the resolved b satisfies beta in J and
-            the validator rejects it. An EGD beta is settled by a b that
-            equates a value with itself. The check runs against one index
-            built per a, before b's B is built. The enumeration for an EGD
-            alpha leaves it to "held": J holds the merged base, and a
-            head that holds in a set of facts holds in every superset.
+            holds the loser. So the resolved b satisfies beta in J, and
+            the check spares "b violates beta in J" a fact set per
+            candidate: it reads the one index built per a. An EGD beta is
+            settled by a b that equates a value with itself. For an EGD
+            alpha, "held" has already cut every such b: J holds the
+            merged base, and a head that holds in a set of facts holds in
+            every superset.
   held      For an EGD alpha, every pre-image B of one b has the same J:
             the merged base plus B renamed, which is b's body image. So
             when beta's head holds in that J under b, every pre-image of
@@ -154,10 +165,9 @@ so the first witness found is the one the unpruned enumeration finds.
             constant takes it, an existential's class takes its
             placeholder, and every other class a distinct fresh value, a
             null exactly when all its positions in I = base | B lie in P
-            (never under PRECEDES, where P is empty), else a constant. The
-            candidate passes the satisfied, copying, new and settled
-            filters, which drop only what the validator rejects, before
-            the validator judges it.
+            (never under PRECEDES, where P is empty), else a constant. A
+            candidate whose a has no step image (see "satisfied") is
+            dropped, and any other goes to the judge.
             Complete: take a witness (I, a, b). Dropping from I every fact
             outside base and the body image of b keeps each condition
             (alpha's head and beta's head fail in less, b's body image still
@@ -197,7 +207,7 @@ so the first witness found is the one the unpruned enumeration finds.
             of M, and of that constant, at a position the guard allows
             (every one under PRECEDES). A choice with no loser slot has
             b's body image in I and is skipped (see "new"). The candidate
-            passes the copying, new and settled filters before the judge.
+            goes to the judge.
             Complete: take a witness (I, a, b) with survivor s' and loser
             l', and drop from I every fact outside base and one pre-image
             of each atom of b's body image, as above. Take the orientation
@@ -397,40 +407,61 @@ def _bound(at: Atom, f: Atom, b: Assignment) -> Optional[Assignment]:
     return b if _bind(at.args, f.args, b, Variable) is not None else None
 
 
-def _guarded(I: Instance, P: frozenset) -> bool:
-    """Does every null of I sit at a position in P?"""
-    for f in I.facts:
+def _guarded(facts: frozenset, P: frozenset) -> bool:
+    """Does every null of facts sit at a position in P?"""
+    for f in facts:
         for i, t in enumerate(f.args):
             if isinstance(t, LabeledNull) and Position(f.relation, i + 1) not in P:
                 return False
     return True
 
 
-def _holds(I: Instance, after: frozenset, alpha: Constraint, a: Assignment,
-           beta: Constraint, b: Assignment, P: frozenset, mode: str) -> bool:
-    """Do all conditions hold for the candidate (I, a, b)? after is the
-    step's image: J with placeholders for the fresh nulls, which b may
-    still hold (see the module docstring).
+def _step_image(alpha: Constraint, a: Assignment,
+                ) -> Optional[Tuple[frozenset, Instance]]:
+    """(base, after): alpha's body image base under a, and the step's image
+    of it, after (see the module docstring). None when a is no violation in
+    any I that holds base (see "satisfied"), or when the step does not
+    apply: an EGD alpha whose equated values are equal, or two constants."""
+    base = instantiate(alpha.body, a)
+    if alpha.kind == TGD:
+        if head_holds(Instance(base), alpha, a):
+            return None  # see "satisfied"
+        return base, Instance(base | _added(alpha, a))
+    try:
+        survivor, loser = _merged_pair(alpha, a)
+    except (ChaseFailed, ValueError):
+        return None
+    return base, Instance(replace_value(base, loser, survivor))
 
-    The checks are pure and all must pass, so they run in the order that
-    rejects soonest: the guard scan and the null-copying test, which read I
-    and b alone; "beta violated in J", read on after; "alpha violated in I".
-    The judge takes no step: the search takes the accepted candidate's,
-    once. An a that is no violation gives an image all the same; the last
-    check rejects it.
 
-    The judge leaves out "beta not violated in I": the "new" filters drop
-    every b whose body image lies in I before it is judged, and a b
-    holding a placeholder has a fresh null of the step, which is not in I,
-    in its body image. verify_witness, which judges witnesses from
-    elsewhere, checks it itself. A placeholder is a null that resolves to
-    a null, so b answers the null-copying test as the resolved b does."""
-    if mode == PRECEDES_P:
-        if not _guarded(I, P) or not _copies_null(b, beta.frontier):
-            return False
-    if satisfies(Instance(after), beta, b):
-        return False
-    return not satisfies(I, alpha, a)
+def _passes(alpha: Constraint, a: Assignment, base: frozenset, after: Instance,
+            beta: Constraint, b: Assignment, B: frozenset, P: frozenset,
+            mode: str) -> Optional[Instance]:
+    """The judge: the candidate's I = base | B when (I, a, b) is a witness,
+    else None. after is the step's image of base (see _step_image). b may
+    still hold placeholders, and each answers null-copying as the null it
+    resolves to. The checks run cheapest first (see the module docstring).
+    Each head is tested on a set that holds its body image, so head_holds
+    decides it. "new" stands in for "beta not violated in I": a b whose
+    body image is not inside I satisfies beta there, and a b with a
+    placeholder has a fresh null of the step in its body image;
+    verify_witness, which judges witnesses from elsewhere, checks that
+    condition itself. The judge takes no step: the search takes the
+    accepted candidate's, once."""
+    if mode == PRECEDES_P and not _copies_null(b, beta.frontier):
+        return None  # see "copying"
+    image = instantiate(beta.body, b)
+    facts = base | B
+    if image <= facts:
+        return None  # see "new"
+    if head_holds(after, beta, b):
+        return None  # see "settled"
+    if mode == PRECEDES_P and not _guarded(facts, P):
+        return None
+    if head_holds(Instance(after.facts | image), beta, b):
+        return None  # b does not violate beta in J
+    I = instance(facts)
+    return None if head_holds(I, alpha, a) else I
 
 
 def _witness(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
@@ -448,73 +479,47 @@ def _witness(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
 def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                     beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
-                    no_null: frozenset, copying: bool,
-                    ) -> Iterator[Tuple[Assignment, frozenset, frozenset]]:
-    """(b, B, after) for a TGD alpha: b matches part of beta's body into the
-    step's added facts, B holds the rest, to be planted in I = base | B,
-    and after is the step's image of I, the judge's J (see the module
-    docstring).
-    A match that binds a variable of the rest to a placeholder is dropped
-    with its whole subtree: the placeholders come from the match alone, so
-    every B below it would hold a fresh null of the step, which no I holds.
-    A b whose body image lies in I is skipped (see "new"), so is one whose
-    beta head holds in base plus the added facts (see "settled"), and,
-    when copying is set, so is one with no null on beta's frontier (see
-    "copying")."""
+                    no_null: frozenset,
+                    ) -> Iterator[Tuple[Assignment, frozenset]]:
+    """(b, B) for a TGD alpha: b matches part of beta's body into the
+    step's added facts, and B holds the rest, to be planted in
+    I = base | B. Two cuts drop a match with its whole subtree: one that
+    binds a variable of the rest to a placeholder, since the placeholders
+    come from the match alone, so every B below it would hold a fresh null
+    of the step, which no I holds; and one whose matched atoms hold no
+    placeholder and all lie in base, since every b below it then has its
+    body image in I (see "new")."""
     pattern = _added_pattern(alpha, a)
     fresh = {f for f in pattern if any(_is_placeholder(t) for t in f.args)}
-    after = Instance(base.union(pattern))
     for b0, deferred, hit in _subset_matches(beta.body, pattern, _bound, {}):
         if any(_is_placeholder(b0.get(t)) for at in deferred for t in at.args):
-            continue  # every B of this subtree holds a fresh null
-        # hit is the body image of the matched atoms, fixed by b0
-        if fresh.intersection(hit):
-            old = None  # a fact with a placeholder is never in I
-        else:
-            old = frozenset(hit) - base
-            if not old:
-                continue  # every b of this subtree has its body image in I
+            continue
+        if not fresh.intersection(hit) and base.issuperset(hit):
+            continue
         remaining = [v for v in beta.body_vars if v not in b0]
         for b, _, _ in _extensions(remaining, b0, pool, named, fresh_count,
                                    no_null):
-            if copying and not _copies_null(b, beta.frontier):
-                continue
-            if head_holds(after, beta, b):
-                continue
-            B = instantiate(deferred, b)
-            if old is not None and old <= B:
-                continue
-            yield b, B, after.facts | B
+            yield b, instantiate(deferred, b)
 
 
-def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
+def _egd_candidates(alpha: Constraint, a: Assignment, after: Instance,
                     beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
-                    no_null: frozenset, copying: bool,
-                    ) -> Iterator[Tuple[Assignment, frozenset, frozenset]]:
-    """(b, B, after) for an EGD alpha: B ranges over the pre-images of b's
-    body image under the merge, so the merge itself can complete beta's
-    body, and after is the step's image of I = base | B, the merged base
-    plus b's body image, which is B renamed.
-    A b whose body image lies in I = base | B is skipped (see "new"), so
-    is one whose beta head holds in J (see "held"), and, when copying is
-    set, so is one with no null on beta's frontier (see "copying")."""
-    try:
-        survivor, loser = _merged_pair(alpha, a)
-    except (ChaseFailed, ValueError):
-        return  # the step does not apply
-    after = Instance(replace_value(base, loser, survivor))
+                    no_null: frozenset,
+                    ) -> Iterator[Tuple[Assignment, frozenset]]:
+    """(b, B) for an EGD alpha: B ranges over the pre-images of b's body
+    image under the merge, so the merge itself can complete beta's body;
+    after is the merged base. A b that holds the loser is skipped, since
+    no J does, and so are the pre-images of a b whose beta head holds in J
+    (see "held")."""
+    survivor, loser = _merged_pair(alpha, a)
     for b, _, _ in _extensions(list(beta.body_vars), {}, pool, named,
                                fresh_count, no_null):
         if loser in b.values():
             continue
-        if copying and not _copies_null(b, beta.frontier):
-            continue
         image = instantiate(beta.body, b)
-        J = after.facts | image
-        if head_holds(Instance(J), beta, b):
+        if head_holds(Instance(after.facts | image), beta, b):
             continue  # see "held"
-        old = image - base
         per_atom: List[List[Atom]] = []
         for f in sorted(image, key=fact_key):
             slots = [i for i, t in enumerate(f.args) if t == survivor]
@@ -526,9 +531,7 @@ def _egd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
                 choices.append(Atom(f.relation, tuple(args)))
             per_atom.append(choices)
         for combo in itertools.product(*per_atom):
-            B = frozenset(combo)
-            if not old <= B:
-                yield b, B, J
+            yield b, frozenset(combo)
 
 
 def _unify(at: Atom, hd: Atom, parent: Dict) -> Optional[Dict]:
@@ -598,35 +601,16 @@ def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
             {v: value[r] for v, r in zip(beta.body_vars, b_reps)})
 
 
-def _passes(alpha: Constraint, a: Assignment, base: frozenset, after: Instance,
-            beta: Constraint, b: Assignment, B: frozenset, P: frozenset,
-            mode: str) -> bool:
-    """Does the most general candidate (I = base | B, a, b) pass the "new"
-    and "settled" filters, then the judge? after is the step's image of
-    base; the judge's J is after plus b's body image, which for a TGD alpha
-    is after plus B, as the rest of that image lies in the added facts."""
-    image = instantiate(beta.body, b)
-    facts = base | B
-    if image <= facts:
-        return False  # see "new"
-    if head_holds(after, beta, b):
-        return False  # see "settled"
-    return _holds(instance(facts), after.facts | image, alpha, a, beta, b,
-                  P, mode)
-
-
 def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
               mode: str) -> bool:
     """For a TGD alpha: does the most general candidate of some piece
     unifier of beta's body with alpha's head pass the judge? See "exists"."""
-    copying = mode == PRECEDES_P
     taken = frozenset(c.name for c in _named_constants(alpha, beta))
     existentials = {(0, v): i for i, v in enumerate(alpha.existential_vars)}
-    # a's values -> (base, the step's image of it), or None when a is no
-    # violation (see "satisfied"). A body-less alpha has one a, {}, whose
-    # entry no beta changes: its table is kept in alpha's instance dict, as
-    # Instance.candidates keeps its buckets, so that pruning builds alpha_I's
-    # image once, not once per beta
+    # a's values -> _step_image(alpha, a). A body-less alpha has one a, {},
+    # whose entry no beta changes: its table is kept in alpha's instance
+    # dict, as Instance.candidates keeps its buckets, so that pruning builds
+    # alpha_I's image once, not once per beta
     images: Dict[Tuple, Optional[Tuple[frozenset, Instance]]] = (
         alpha.__dict__.setdefault("_images", {}) if not alpha.body else {})
     for parent, deferred, _ in _subset_matches(beta.body, alpha.head, _unify, {}):
@@ -635,19 +619,13 @@ def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         if candidate is None:
             continue
         a, b = candidate
-        if copying and not _copies_null(b, beta.frontier):
-            continue  # see "copying"
         key = tuple(a.values())
         if key not in images:
-            base = instantiate(alpha.body, a)
-            images[key] = None if head_holds(Instance(base), alpha, a) else (
-                base, Instance(base | _added(alpha, a)))
+            images[key] = _step_image(alpha, a)
         image = images[key]
-        if image is None:
-            continue  # see "satisfied"
-        base, after = image
-        if _passes(alpha, a, base, after, beta, b, instantiate(deferred, b),
-                   P, mode):
+        if image is not None and _passes(alpha, a, *image, beta, b,
+                                         instantiate(deferred, b), P,
+                                         mode) is not None:
             return True
     return False
 
@@ -701,14 +679,12 @@ def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         a.update((v, fresh(i, a_where[v])) for i, v in enumerate(others, 2))
         b = {v: survivor if v in joined else fresh(i, b_where[v])
              for i, v in enumerate(beta.body_vars, len(a))}
-        if guarded and not _copies_null(b, beta.frontier):
-            continue  # see "copying"
-        base = instantiate(alpha.body, a)
         B = frozenset(Atom(at.relation, tuple(loser if x else b.get(t, t)
                                               for t, x in zip(at.args, xs)))
                       for at, xs in zip(beta.body, lost))
-        merged = Instance(replace_value(base, loser, survivor))
-        if _passes(alpha, a, base, merged, beta, b, B, P, mode):
+        # the step applies: the loser is a null, and the survivor differs
+        if _passes(alpha, a, *_step_image(alpha, a), beta, b, B, P,
+                   mode) is not None:
             return True
     return False
 
@@ -762,23 +738,23 @@ def _alpha_assignments(alpha: Constraint, named: Tuple[Constant, ...],
 def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
                mode: str) -> Optional[Witness]:
     """The canonical enumeration: its first witness, or None."""
-    copying = mode == PRECEDES_P
     named = _named_constants(alpha, beta)
     no_null_b = _no_null_vars(beta, P, mode)
     for a, pool, fc in _alpha_assignments(alpha, named,
                                           _no_null_vars(alpha, P, mode)):
-        base = instantiate(alpha.body, a)
+        image = _step_image(alpha, a)
+        if image is None:
+            continue
+        base, after = image
         if alpha.kind == TGD:
-            if head_holds(Instance(base), alpha, a):
-                continue  # alpha is satisfied in every I containing base
             candidates = _tgd_candidates(alpha, a, base, beta, pool, named, fc,
-                                         no_null_b, copying)
+                                         no_null_b)
         else:
-            candidates = _egd_candidates(alpha, a, base, beta, pool, named, fc,
-                                         no_null_b, copying)
-        for b, B, after in candidates:
-            I = instance(base | B)
-            if _holds(I, after, alpha, a, beta, b, P, mode):
+            candidates = _egd_candidates(alpha, a, after, beta, pool, named,
+                                         fc, no_null_b)
+        for b, B in candidates:
+            I = _passes(alpha, a, base, after, beta, b, B, P, mode)
+            if I is not None:
                 return _witness(I, alpha, a, beta, b)
     return None
 
@@ -791,7 +767,7 @@ def _built(answers: Answers, key: Key) -> Optional[Witness]:
         alpha, beta, P, mode = key
         w = answers.get((alpha, beta, frozenset(), PRECEDES))
         if not (mode == PRECEDES_P and isinstance(w, Witness)
-                and _guarded(w.instance, P) and _copies_null(
+                and _guarded(w.instance.facts, P) and _copies_null(
                     dict(w.assignment_b), [v.name for v in beta.frontier])):
             w = _enumerate(*key)
         if w is None:
@@ -895,7 +871,7 @@ def verify_witness(alpha: Constraint, beta: Constraint, w: Witness,
     a, b = assignments
     I = w.instance
     if mode == PRECEDES_P and not (_copies_null(b, beta.frontier)
-                                   and _guarded(I, P)):
+                                   and _guarded(I.facts, P)):
         return False
     if satisfies(I, alpha, a) or not satisfies(I, beta, b):
         return False  # a is no violation in I, or b is one already

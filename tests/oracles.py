@@ -443,8 +443,8 @@ def ref_find_homomorphism(source, target):
 
 
 def old_trigger(I, beta, b):
-    """Does b hold no placeholder and map beta's body into I? The search's
-    "new" prune must keep every such b from the judge."""
+    """Does b hold no placeholder and map beta's body into I? The judge
+    must reject every such b (see "new")."""
     return (not any(_is_placeholder(v) for v in b.values())
             and instantiate(beta.body, b) <= I.facts)
 
@@ -453,8 +453,8 @@ def settled_trigger(alpha, a, beta, b):
     """Does beta's head under b hold in the step's image of alpha's body
     image: for a TGD alpha the body image plus the added facts, with
     placeholders for the fresh nulls, and for an EGD alpha the body image
-    with the loser renamed to the survivor? The search's "settled" prune
-    must keep every such b from the judge."""
+    with the loser renamed to the survivor? The judge must reject every
+    such b (see "settled")."""
     base = {_ground(at, a) for at in alpha.body}
     if alpha.kind == TGD:
         image = base | set(_added_pattern(alpha, a))
@@ -468,6 +468,19 @@ def settled_trigger(alpha, a, beta, b):
     bound = {v: b[v] for v in beta.body_vars}
     matches = ref_match_conjunction(beta.head, Instance(frozenset(image)), bound)
     return next(matches, None) is not None
+
+
+def no_step(alpha, a):
+    """Is a no violation of alpha in any instance that holds its body
+    image, or does its step fail? For a TGD alpha, does the head hold in
+    the body image alone; for an EGD alpha, are the equated values equal,
+    or two constants? The search must skip exactly these a."""
+    if alpha.kind == EGD:
+        u, v = (a[x] for x in alpha.equated)
+        return u == v or isinstance(u, Constant) and isinstance(v, Constant)
+    base = Instance(frozenset(_ground(at, a) for at in alpha.body))
+    bound = {v: a[v] for v in alpha.body_vars}
+    return next(ref_match_conjunction(alpha.head, base, bound), None) is not None
 
 
 def ref_holds(I, alpha, a, beta, b, P, mode):

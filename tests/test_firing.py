@@ -141,13 +141,13 @@ class TestBodylessTarget:
                       A("airportOf", C("c0"), N("p1", 3)),
                       A("fly", C("c0"), N("x2", 4), N("y2", 5))])
         alpha_I = constraint_from_instance(I)
-        holds, judged = firing._holds, []
+        passes, judged = firing._passes, []
 
-        def counting_holds(*args):
+        def counting_passes(*args):
             judged.append(args)
-            return holds(*args)
+            return passes(*args)
 
-        monkeypatch.setattr(firing, "_holds", counting_holds)
+        monkeypatch.setattr(firing, "_passes", counting_passes)
         for alpha in travel_sigma + [e1]:
             assert can_cause(alpha, alpha_I, mode=PRECEDES) is None
         assert judged == []
@@ -156,15 +156,17 @@ class TestBodylessTarget:
 
 class TestNewPrune:
     def test_no_judged_trigger_lies_in_the_instance(self, monkeypatch):
-        # a settled b whose body image lies in I is no new violation, so
-        # the search must not hand it to the judge
-        holds, judged = firing._holds, []
+        # a b whose body image lies in I is no new violation, so the
+        # judge must reject it
+        passes, judged = firing._passes, []
 
-        def recording_holds(I, after, alpha, a, beta, b, P, mode):
-            judged.append(oracles.old_trigger(I, beta, b))
-            return holds(I, after, alpha, a, beta, b, P, mode)
+        def recording_passes(alpha, a, base, after, beta, b, B, P, mode):
+            I = passes(alpha, a, base, after, beta, b, B, P, mode)
+            old = oracles.old_trigger(instance(base | B), beta, b)
+            judged.append((old, I is not None))
+            return I
 
-        monkeypatch.setattr(firing, "_holds", recording_holds)
+        monkeypatch.setattr(firing, "_passes", recording_passes)
         answers = {}
         for seed in range(40):
             rng = random.Random(f"new-prune/{seed}")
@@ -178,7 +180,9 @@ class TestNewPrune:
                     can_cause(alpha, beta, mode=PRECEDES, answers=answers)
                     for guard in guards:
                         can_cause(alpha, beta, guard, PRECEDES_P, answers)
-        assert judged and not any(judged)
+        assert any(old for old, _ in judged)
+        assert any(accepted for _, accepted in judged)
+        assert not any(old and accepted for old, accepted in judged)
 
 
 class TestUnguardedReuse:
@@ -249,7 +253,8 @@ class TestUnguardedReuse:
                         table = dict(answers)
                         key = firing.find_edge(alpha, beta, guard, PRECEDES_P,
                                                table)
-                        if key is None or not firing._guarded(w.instance, guard):
+                        if key is None or not firing._guarded(
+                                w.instance.facts, guard):
                             continue
                         off = w._replace(instance=Instance(
                             w.instance.facts | {A("off_guard", N("off"))}))

@@ -7,23 +7,24 @@ instance builder, which the package replaced with model._bind,
 model.instantiate and model.instance. can_cause skips only candidates that
 the judge must reject, so it has to return the same first witness, compared
 strictly: nulls by name and creation index, so a witness that merely looks
-the same does not pass. The search must also skip every candidate that
-its "new" prune names: no assignment without placeholders whose body
-image lies in the candidate instance may reach the judge, and under
-PRECEDES_P no assignment that puts no null on beta's frontier ("copying").
-The same holds for "settled": no assignment whose beta head holds in the
-step's image of alpha's body image may reach the judge. A weaker prune
-would still find the same witnesses. Every set is asked twice, each time
-over a fresh answer table, with PRECEDES first and with it last, since a
-guarded query whose table holds the pair's unguarded "no" is answered at
+the same does not pass. The judge must also reject, with its first three
+checks, before it scans I or builds an instance, every candidate that
+they name: an assignment without placeholders whose body image lies in
+the candidate instance ("new"), one whose beta head holds in the step's
+image of alpha's body image ("settled"), and under PRECEDES_P one that
+puts no null on beta's frontier ("copying"). A judge that left them to
+its later checks would still find the same witnesses. Every set is asked
+twice, each time over a fresh answer table, with PRECEDES first and with
+it last, since a guarded query whose table holds the pair's unguarded "no" is answered at
 once and would compare nothing ("unguarded"). For an EGD alpha, the
 existence check must find an edge exactly when oracles.ref_egd_exists
 does, which judges a candidate for every loser slot set of every merge
 unifier, not only the largest, and exactly when ref_search does. The
 sets with an instance's alpha_I appended hold the pairs that
-dynamic.irrelevant_constraints searches, body-less targets among them. On those sets the judge must also give every candidate the
-generators yield, settled ones included, the verdict of oracles.ref_holds,
-and the same resolved b when both accept. Last, the chase graph and the
+dynamic.irrelevant_constraints searches, body-less targets among them.
+On those sets the judge must also give every candidate the generators
+yield, settled ones included, the verdict of oracles.ref_holds, and the
+same resolved b when both accept. Last, the chase graph and the
 minimal restriction system, which build each witness when it is read, must
 equal the eager copies in oracles, witnesses included.
 """
@@ -36,7 +37,8 @@ import pytest
 from chaseterm import firing
 from chaseterm.dynamic import constraint_from_instance
 from chaseterm.firing import (
-    PRECEDES, PRECEDES_P, _holds, _witness, can_cause, chase_graph,
+    PRECEDES, PRECEDES_P, _passes, _step_image, _witness, can_cause,
+    chase_graph,
 )
 from chaseterm.fixtures import rotation_family
 from chaseterm.model import (
@@ -51,20 +53,39 @@ from .oracles import strict
 
 
 @pytest.fixture(autouse=True)
-def judge_sees_only_new_triggers(monkeypatch):
-    holds = firing._holds
+def judge_rejects_old_and_settled_triggers(monkeypatch):
+    """Every candidate that the judge takes past its first three checks,
+    to the guard scan or a later check, must be new, not settled and,
+    under PRECEDES_P, copy a null: the judge rejects every other one
+    before it builds an instance or scans I."""
+    passes, reached = firing._passes, []
 
-    def checked_holds(I, after, alpha, a, beta, b, P, mode):
-        assert not oracles.old_trigger(I, beta, b), (alpha, a, beta, b, I)
-        assert not oracles.settled_trigger(alpha, a, beta, b), (alpha, a, beta, b)
-        if mode == PRECEDES_P:
-            # the frontier: beta's head variables that b binds
-            frontier = [v for v in oracles.head_vars(beta) if v in b]
-            assert any(isinstance(b[v], LabeledNull) for v in frontier), (
+    def watched(fn):
+        def call(*args):
+            reached.append(fn)
+            return fn(*args)
+        return call
+
+    for name in ("_guarded", "Instance", "instance"):
+        monkeypatch.setattr(firing, name, watched(getattr(firing, name)))
+
+    def checked_passes(alpha, a, base, after, beta, b, B, P, mode):
+        reached.clear()
+        I = passes(alpha, a, base, after, beta, b, B, P, mode)
+        if reached:
+            facts = instance(base | B)
+            assert not oracles.old_trigger(facts, beta, b), (
+                alpha, a, beta, b, facts)
+            assert not oracles.settled_trigger(alpha, a, beta, b), (
                 alpha, a, beta, b)
-        return holds(I, after, alpha, a, beta, b, P, mode)
+            if mode == PRECEDES_P:
+                # the frontier: beta's head variables that b binds
+                frontier = [v for v in oracles.head_vars(beta) if v in b]
+                assert any(isinstance(b[v], LabeledNull) for v in frontier), (
+                    alpha, a, beta, b)
+        return I
 
-    monkeypatch.setattr(firing, "_holds", checked_holds)
+    monkeypatch.setattr(firing, "_passes", checked_passes)
 
 
 def assert_same_witnesses(sigma, rng):
@@ -87,41 +108,53 @@ def assert_same_witnesses(sigma, rng):
 
 
 def assert_same_verdicts(sigma, rng, seen):
-    """_holds, reading the step's image that the candidate generators
-    yield, against ref_holds on every (b, B) that they yield for every pair
-    of sigma and every guard, an accepted b resolved by its witness's step,
-    with the settled and copying prunes switched off (in the generators
-    head_holds serves the first alone), so that every check of the judge
-    has candidates to reject. seen counts the verdicts, so the caller can see
-    that both answers and settled candidates occurred."""
+    """_passes, the judge, on the step's image that _step_image builds,
+    against ref_holds on every (b, B) that the candidate generators yield
+    for every pair of sigma and every guard, an accepted b resolved by its
+    witness's step. The generators leave the settled, new and copying
+    checks to the judge, so it has candidates of each kind to reject. An a
+    that _step_image skips must be one that oracles.no_step names. seen
+    counts the verdicts and the skipped a, so the caller can see that both
+    answers, settled candidates and skipped a occurred."""
     cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P) for P in guards(sigma, rng)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(firing, "head_holds", lambda *args: False)
-        for alpha in sigma:
-            for beta in sigma:
-                named = firing._named_constants(alpha, beta)
-                generate = (firing._tgd_candidates if alpha.kind == TGD
-                            else firing._egd_candidates)
-                for P, mode in cases:
-                    no_null_b = firing._no_null_vars(beta, P, mode)
-                    for a, pool, fc in firing._alpha_assignments(
-                            alpha, named, firing._no_null_vars(alpha, P, mode)):
-                        base = instantiate(alpha.body, a)
-                        for b, B, after in generate(alpha, a, base, beta, pool,
-                                                    named, fc, no_null_b, False):
-                            I = instance(base | B)
-                            got = None
-                            if _holds(I, after, alpha, a, beta, b, P, mode):
-                                # the step resolves b, for the accepted b alone
-                                w = _witness(I, alpha, a, beta, b)
-                                got = {Variable(name): val
-                                       for name, val in w.assignment_b}
-                            want = oracles.ref_holds(I, alpha, a, beta, b, P, mode)
-                            want = want and want[0]  # the judge builds no J
-                            assert strict(got) == strict(want), (alpha, a, beta, b, I)
-                            settled = oracles.settled_trigger(alpha, a, beta, b)
-                            assert not (settled and got), (alpha, a, beta, b, I)
-                            seen[got is not None, settled] += 1
+    for alpha in sigma:
+        for beta in sigma:
+            named = firing._named_constants(alpha, beta)
+            for P, mode in cases:
+                no_null_b = firing._no_null_vars(beta, P, mode)
+                for a, pool, fc in firing._alpha_assignments(
+                        alpha, named, firing._no_null_vars(alpha, P, mode)):
+                    image = _step_image(alpha, a)
+                    assert (image is None) == oracles.no_step(alpha, a), (
+                        alpha, a)
+                    if image is None:
+                        seen["no step"] += 1
+                        continue
+                    base, after = image
+                    if alpha.kind == TGD:
+                        candidates = firing._tgd_candidates(
+                            alpha, a, base, beta, pool, named, fc, no_null_b)
+                    else:
+                        candidates = firing._egd_candidates(
+                            alpha, a, after, beta, pool, named, fc, no_null_b)
+                    for b, B in candidates:
+                        I = instance(base | B)
+                        got = None
+                        accepted = _passes(alpha, a, base, after, beta, b, B,
+                                           P, mode)
+                        if accepted is not None:
+                            assert strict(accepted) == strict(I)
+                            # the step resolves b, for the accepted b alone
+                            w = _witness(accepted, alpha, a, beta, b)
+                            got = {Variable(name): val
+                                   for name, val in w.assignment_b}
+                        want = oracles.ref_holds(I, alpha, a, beta, b, P, mode)
+                        want = want and want[0]  # the judge builds no J
+                        assert strict(got) == strict(want), (
+                            alpha, a, beta, b, I)
+                        settled = oracles.settled_trigger(alpha, a, beta, b)
+                        assert not (settled and got), (alpha, a, beta, b, I)
+                        seen[got is not None, settled] += 1
 
 
 @pytest.mark.parametrize("egd_rate", [0.25, 0.75])
@@ -133,7 +166,7 @@ def test_judge_agrees_on_every_candidate(egd_rate):
         assert_same_verdicts(sigma, rng, seen)
         I = generators.random_instance(rng, max_facts=6, n_constants=2)
         assert_same_verdicts(sigma + [constraint_from_instance(I)], rng, seen)
-    assert seen[True, False] and seen[False, True], seen
+    assert seen[True, False] and seen[False, True] and seen["no step"], seen
 
 
 @pytest.mark.parametrize("egd_rate", [0.25, 0.75])
@@ -244,13 +277,13 @@ def test_target_without_frontier_has_no_guarded_edge(monkeypatch):
         r4: R(X1, X2) -> T(X1, X2).
     """).constraints
     beta = sigma[2]
-    holds, judged = firing._holds, []
+    passes, judged = firing._passes, []
 
-    def counting_holds(*args):
+    def counting_passes(*args):
         judged.append(args)
-        return holds(*args)
+        return passes(*args)
 
-    monkeypatch.setattr(firing, "_holds", counting_holds)
+    monkeypatch.setattr(firing, "_passes", counting_passes)
     for alpha in sigma:
         for P in guards(sigma, random.Random(f"frontier/{alpha.id}")):
             assert can_cause(alpha, beta, P, PRECEDES_P) is None
