@@ -59,9 +59,10 @@ def irrelevant_constraints(I: Instance, sigma: Sequence[Constraint],
     roots = [ALPHA_I] + [c.id for c in sigma
                          if not c.body and find_violations(I, c)]
     reached = reachable_from(roots, g.edges)
-    relevant = tuple(c for c in sigma if c.id in reached and c.id != ALPHA_I)
-    irrelevant = tuple(c for c in sigma if c not in relevant)
-    return irrelevant, relevant, g
+    relevant, irrelevant = [], []
+    for c in sigma:
+        (relevant if c.id in reached else irrelevant).append(c)
+    return tuple(irrelevant), tuple(relevant), g
 
 
 class TerminationGuarantee(NamedTuple):

@@ -36,8 +36,11 @@ pass starts, so the second changes no witness the first finds.
 The judge, _passes, takes no step. _step_image builds the step's image
 of alpha's body image base once per assignment a: for a TGD alpha, base
 plus the instantiated head with placeholders for the fresh nulls; for an
-EGD alpha, base with the loser renamed to the survivor. The judge checks
-"b violates beta in J" on that image plus b's body image, with b
+EGD alpha, base with the loser renamed to the survivor. It returns the
+step too, the added facts in fact order or (survivor, loser), which the
+candidate generators read. The judge finds a's image in a table keyed by
+alpha.body_key(a), and builds it there after null-copying. It checks "b
+violates beta in J" on that image plus b's body image, with b
 unresolved. This is exact. For an EGD alpha the set is J itself, since
 the renaming distributes over base | B and maps B onto b's body image.
 For a TGD alpha, b's body image is B plus facts of the image, J is
@@ -69,16 +72,17 @@ unguarded one, in its order, with only subtrees cut that fail those two
 tests, and its judge adds just them, so that witness is its first.
 
 The judge runs one chain of checks, cheapest first, for both searches,
-the existence check and the enumeration: copying, new and settled below,
-which read b, base | B and the step's image; then the guard scan of I; then
-"b violates beta in J"; then "a violates alpha in I". Every other entry
-below skips a whole subtree of the enumeration, or the whole search, in
-which the judge rejects every candidate: the guard, satisfied (in
-_step_image), never, body-less, unguarded, held and exists, and the two
-subtree cuts named under "new". So does one more cut for an EGD alpha: a
-b that holds the loser, whose body image no J holds. They never skip a
-candidate the judge would accept, and they keep the order of the rest,
-so the first witness found is the one the unpruned enumeration finds.
+the existence check and the enumeration: copying; satisfied; new and
+settled, which read b, base | B and the step's image; then the guard scan
+of I; then "b violates beta in J"; then "a violates alpha in I". Every
+other entry below skips a whole subtree of the enumeration, or the whole
+search, in which the judge rejects every candidate: the guard, satisfied
+(an a with no image), never, body-less, unguarded, held and exists, and
+the two subtree cuts named under "new". So does one more cut for an EGD
+alpha: a b that holds the loser, whose body image no J holds. They never
+skip a candidate the judge would accept, and they keep the order of the
+rest, so the first witness found is the one the unpruned enumeration
+finds.
 
   guard     Under PRECEDES_P, a variable with a body position outside P never
             takes a null, in alpha's enumeration or in beta's. Every such
@@ -88,10 +92,11 @@ so the first witness found is the one the unpruned enumeration finds.
             merge pre-image keeps a null in every slot where b's body
             image has one, since a null survivor means a null loser.
   satisfied For a TGD alpha, an assignment a whose body image already
-            satisfies alpha's head has no step image and is skipped: each
-            I contains that image, so alpha is satisfied in I and a is no
-            violation. So is an a of an EGD alpha whose step does not
-            apply, one that equates a value with itself or two constants.
+            satisfies alpha's head has no step image: each I contains
+            that image, so alpha is satisfied in I and a is no violation.
+            Nor has an a of an EGD alpha whose step does not apply, one
+            that equates a value with itself or two constants. The judge
+            rejects its candidates, and the enumeration skips the a.
   never     A pair whose alpha or beta is a TGD with a head that maps into
             its own body, body variables fixed, has no witness: the map
             satisfies that head wherever the body image lies, so alpha
@@ -128,9 +133,9 @@ so the first witness found is the one the unpruned enumeration finds.
             restriction-system call searches no PRECEDES pair.
   copying   Under PRECEDES_P, the judge rejects a b that puts no null on
             beta's frontier, the head variables of beta that occur in its
-            body, before any other check: the null-copying check reads b
-            alone, and counts a placeholder as the null it resolves to. A
-            beta with no frontier variable has no edge at all.
+            body, first, before it builds a's step image: the check reads
+            b alone, and counts a placeholder as the null it resolves to.
+            A beta with no frontier variable has no edge at all.
   settled   The judge rejects a b under which beta's head already holds in
             the step's image of alpha's body image. For a TGD alpha that
             image is base plus the added facts, placeholders in place of
@@ -165,9 +170,9 @@ so the first witness found is the one the unpruned enumeration finds.
             constant takes it, an existential's class takes its
             placeholder, and every other class a distinct fresh value, a
             null exactly when all its positions in I = base | B lie in P
-            (never under PRECEDES, where P is empty), else a constant. A
-            candidate whose a has no step image (see "satisfied") is
-            dropped, and any other goes to the judge.
+            (never under PRECEDES, where P is empty), else a constant. The
+            judge gets every candidate, and rejects one whose a has no
+            step image (see "satisfied").
             Complete: take a witness (I, a, b). Dropping from I every fact
             outside base and the body image of b keeps each condition
             (alpha's head and beta's head fail in less, b's body image still
@@ -375,11 +380,6 @@ def _added(alpha: Constraint, a: Assignment) -> frozenset:
     return instantiate(alpha.head, ext)
 
 
-def _added_pattern(alpha: Constraint, a: Assignment) -> List[Atom]:
-    """_added in fact order, the order the enumeration matches into."""
-    return sorted(_added(alpha, a), key=fact_key)
-
-
 def _subset_matches(atoms: Sequence[Atom], targets: Sequence[Atom], match,
                     start) -> Iterator[Tuple[object, List[Atom], List[Atom]]]:
     """Every way to match a non-empty subset of atoms into targets. Atom by
@@ -416,30 +416,38 @@ def _guarded(facts: frozenset, P: frozenset) -> bool:
     return True
 
 
-def _step_image(alpha: Constraint, a: Assignment,
-                ) -> Optional[Tuple[frozenset, Instance]]:
-    """(base, after): alpha's body image base under a, and the step's image
-    of it, after (see the module docstring). None when a is no violation in
-    any I that holds base (see "satisfied"), or when the step does not
+Image = Tuple[frozenset, Instance, Union[List[Atom], Tuple[Value, Value]]]
+
+
+def _step_image(alpha: Constraint, a: Assignment) -> Optional[Image]:
+    """(base, after, step): alpha's body image base under a, the step's
+    image of it, after (see the module docstring), and the step: for a TGD
+    alpha the added facts in fact order, the order the enumeration matches
+    into, for an EGD alpha (survivor, loser). None when a is no violation
+    in any I that holds base (see "satisfied"), or when the step does not
     apply: an EGD alpha whose equated values are equal, or two constants."""
     base = instantiate(alpha.body, a)
     if alpha.kind == TGD:
         if head_holds(Instance(base), alpha, a):
             return None  # see "satisfied"
-        return base, Instance(base | _added(alpha, a))
+        added = sorted(_added(alpha, a), key=fact_key)
+        return base, Instance(base.union(added)), added
     try:
         survivor, loser = _merged_pair(alpha, a)
     except (ChaseFailed, ValueError):
         return None
-    return base, Instance(replace_value(base, loser, survivor))
+    return (base, Instance(replace_value(base, loser, survivor)),
+            (survivor, loser))
 
 
-def _passes(alpha: Constraint, a: Assignment, base: frozenset, after: Instance,
-            beta: Constraint, b: Assignment, B: frozenset, P: frozenset,
+def _passes(alpha: Constraint, a: Assignment,
+            images: Dict[Tuple, Optional[Image]], beta: Constraint,
+            b: Assignment, B: frozenset, P: frozenset,
             mode: str) -> Optional[Instance]:
     """The judge: the candidate's I = base | B when (I, a, b) is a witness,
-    else None. after is the step's image of base (see _step_image). b may
-    still hold placeholders, and each answers null-copying as the null it
+    else None. images maps alpha.body_key(a) to a's step image, built
+    there after null-copying if missing (see _step_image). b may still
+    hold placeholders, and each answers null-copying as the null it
     resolves to. The checks run cheapest first (see the module docstring).
     Each head is tested on a set that holds its body image, so head_holds
     decides it. "new" stands in for "beta not violated in I": a b whose
@@ -450,6 +458,12 @@ def _passes(alpha: Constraint, a: Assignment, base: frozenset, after: Instance,
     accepted candidate's, once."""
     if mode == PRECEDES_P and not _copies_null(b, beta.frontier):
         return None  # see "copying"
+    key = alpha.body_key(a)
+    if key not in images:
+        images[key] = _step_image(alpha, a)
+    if images[key] is None:
+        return None  # see "satisfied"
+    base, after, _ = images[key]
     image = instantiate(beta.body, b)
     facts = base | B
     if image <= facts:
@@ -476,22 +490,21 @@ def _witness(I: Instance, alpha: Constraint, a: Assignment, beta: Constraint,
                    J)
 
 
-def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
-                    beta: Constraint, pool: Tuple[Value, ...],
+def _tgd_candidates(image: Image, beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
                     no_null: frozenset,
                     ) -> Iterator[Tuple[Assignment, frozenset]]:
-    """(b, B) for a TGD alpha: b matches part of beta's body into the
-    step's added facts, and B holds the rest, to be planted in
-    I = base | B. Two cuts drop a match with its whole subtree: one that
-    binds a variable of the rest to a placeholder, since the placeholders
-    come from the match alone, so every B below it would hold a fresh null
-    of the step, which no I holds; and one whose matched atoms hold no
-    placeholder and all lie in base, since every b below it then has its
-    body image in I (see "new")."""
-    pattern = _added_pattern(alpha, a)
-    fresh = {f for f in pattern if any(_is_placeholder(t) for t in f.args)}
-    for b0, deferred, hit in _subset_matches(beta.body, pattern, _bound, {}):
+    """(b, B) for a TGD alpha, whose step image is image: b matches part
+    of beta's body into the step's added facts, and B holds the rest, to
+    be planted in I = base | B. Two cuts drop a match with its whole
+    subtree: one that binds a variable of the rest to a placeholder, since
+    the placeholders come from the match alone, so every B below it would
+    hold a fresh null of the step, which no I holds; and one whose matched
+    atoms hold no placeholder and all lie in base, since every b below it
+    then has its body image in I (see "new")."""
+    base, _, added = image
+    fresh = {f for f in added if any(_is_placeholder(t) for t in f.args)}
+    for b0, deferred, hit in _subset_matches(beta.body, added, _bound, {}):
         if any(_is_placeholder(b0.get(t)) for at in deferred for t in at.args):
             continue
         if not fresh.intersection(hit) and base.issuperset(hit):
@@ -502,26 +515,25 @@ def _tgd_candidates(alpha: Constraint, a: Assignment, base: frozenset,
             yield b, instantiate(deferred, b)
 
 
-def _egd_candidates(alpha: Constraint, a: Assignment, after: Instance,
-                    beta: Constraint, pool: Tuple[Value, ...],
+def _egd_candidates(image: Image, beta: Constraint, pool: Tuple[Value, ...],
                     named: Tuple[Constant, ...], fresh_count: int,
                     no_null: frozenset,
                     ) -> Iterator[Tuple[Assignment, frozenset]]:
-    """(b, B) for an EGD alpha: B ranges over the pre-images of b's body
-    image under the merge, so the merge itself can complete beta's body;
-    after is the merged base. A b that holds the loser is skipped, since
+    """(b, B) for an EGD alpha, whose step image is image: B ranges over
+    the pre-images of b's body image under the merge, so the merge itself
+    can complete beta's body. A b that holds the loser is skipped, since
     no J does, and so are the pre-images of a b whose beta head holds in J
     (see "held")."""
-    survivor, loser = _merged_pair(alpha, a)
+    _, after, (survivor, loser) = image
     for b, _, _ in _extensions(list(beta.body_vars), {}, pool, named,
                                fresh_count, no_null):
         if loser in b.values():
             continue
-        image = instantiate(beta.body, b)
-        if head_holds(Instance(after.facts | image), beta, b):
+        b_image = instantiate(beta.body, b)
+        if head_holds(Instance(after.facts | b_image), beta, b):
             continue  # see "held"
         per_atom: List[List[Atom]] = []
-        for f in sorted(image, key=fact_key):
+        for f in sorted(b_image, key=fact_key):
             slots = [i for i, t in enumerate(f.args) if t == survivor]
             choices = []
             for picks in itertools.product((survivor, loser), repeat=len(slots)):
@@ -601,74 +613,53 @@ def _most_general(alpha: Constraint, beta: Constraint, parent: Dict,
             {v: value[r] for v, r in zip(beta.body_vars, b_reps)})
 
 
-def _has_edge(alpha: Constraint, beta: Constraint, P: frozenset,
-              mode: str) -> bool:
-    """For a TGD alpha: does the most general candidate of some piece
-    unifier of beta's body with alpha's head pass the judge? See "exists"."""
+def _piece_candidates(alpha: Constraint, beta: Constraint, P: frozenset,
+                      ) -> Iterator[Tuple[Assignment, Assignment, frozenset]]:
+    """For a TGD alpha: (a, b, B), the most general candidate of each piece
+    unifier of beta's body with alpha's head (see "exists")."""
     taken = frozenset(c.name for c in _named_constants(alpha, beta))
     existentials = {(0, v): i for i, v in enumerate(alpha.existential_vars)}
-    # a's values -> _step_image(alpha, a). A body-less alpha has one a, {},
-    # whose entry no beta changes: its table is kept in alpha's instance
-    # dict, as Instance.candidates keeps its buckets, so that pruning builds
-    # alpha_I's image once, not once per beta
-    images: Dict[Tuple, Optional[Tuple[frozenset, Instance]]] = (
-        alpha.__dict__.setdefault("_images", {}) if not alpha.body else {})
     for parent, deferred, _ in _subset_matches(beta.body, alpha.head, _unify, {}):
         candidate = _most_general(alpha, beta, parent, deferred, P, taken,
                                   existentials)
-        if candidate is None:
-            continue
-        a, b = candidate
-        key = tuple(a.values())
-        if key not in images:
-            images[key] = _step_image(alpha, a)
-        image = images[key]
-        if image is not None and _passes(alpha, a, *image, beta, b,
-                                         instantiate(deferred, b), P,
-                                         mode) is not None:
-            return True
-    return False
+        if candidate is not None:
+            a, b = candidate
+            yield a, b, instantiate(deferred, b)
 
 
-def _merge_unifiers(alpha: Constraint, beta: Constraint, P: frozenset,
-                    guarded: bool) -> Iterator[Tuple]:
-    """(keep, lose, const, joined, lost) for each merge unifier of an EGD
-    alpha with beta that has a loser slot (see "exists"): keep survives,
-    lose is the loser's variable, const the constant survivor or None,
-    joined the class that takes the survivor, and lost, atom by atom of
-    beta's body, which slots hold the loser."""
-    consts = sorted({t for at in beta.body for t in at.args
-                     if t.__class__ is Constant})
-    free = [[not guarded or p in P for p in beta.atom_positions[at]]
-            for at in beta.body]
-    for keep, lose in (alpha.equated, alpha.equated[::-1]):
-        if guarded and not P.issuperset(alpha.body_var_positions[lose]):
-            continue  # the loser, a null, would sit outside P
-        for const in [None] + consts:
-            for k in range(const is None, len(beta.body_vars) + 1):
-                for M in itertools.combinations(beta.body_vars, k):
-                    joined = {const, *M}
-                    lost = [[t in joined and ok for t, ok in zip(at.args, oks)]
-                            for at, oks in zip(beta.body, free)]
-                    if any(map(any, lost)):  # else b's body image lies in I
-                        yield keep, lose, const, joined, lost
-
-
-def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
-                    mode: str) -> bool:
-    """For an EGD alpha: does the most general candidate of some merge
-    unifier pass the judge? See "exists"."""
-    guarded = mode == PRECEDES_P
+def _merge_candidates(alpha: Constraint, beta: Constraint, P: frozenset,
+                      guarded: bool,
+                      ) -> Iterator[Tuple[Assignment, Assignment, frozenset]]:
+    """For an EGD alpha: (a, b, B), the most general candidate of each
+    merge unifier that has a loser slot (see "exists"). A unifier is keep,
+    the variable that survives; lose, the loser's; const, the constant
+    survivor or None; joined, the class that takes the survivor; and lost,
+    atom by atom of beta's body, the slots that hold the loser."""
     taken = frozenset(c.name for c in _named_constants(alpha, beta))
     a_where, b_where = alpha.body_var_positions, beta.body_var_positions
     others = [v for v in alpha.body_vars if v not in alpha.equated]
     loser = _new_symbols(1, taken)[1]
+    consts = sorted({t for at in beta.body for t in at.args
+                     if t.__class__ is Constant})
+    free = [[not guarded or p in P for p in beta.atom_positions[at]]
+            for at in beta.body]
 
     def fresh(index: int, where) -> Value:
         const, null = _new_symbols(index, taken)
         return null if P.issuperset(where) else const
 
-    for keep, lose, const, joined, lost in _merge_unifiers(alpha, beta, P, guarded):
+    unifiers = ((keep, lose, const, {const, *M})
+                for keep, lose in (alpha.equated, alpha.equated[::-1])
+                # else the loser, a null, would sit outside P
+                if not guarded or P.issuperset(a_where[lose])
+                for const in [None] + consts
+                for k in range(const is None, len(beta.body_vars) + 1)
+                for M in itertools.combinations(beta.body_vars, k))
+    for keep, lose, const, joined in unifiers:
+        lost = [[t in joined and ok for t, ok in zip(at.args, oks)]
+                for at, oks in zip(beta.body, free)]
+        if not any(map(any, lost)):
+            continue  # b's body image lies in I
         survivor = const
         if const is None:
             survivor = fresh(0, set(a_where[keep]).union(
@@ -679,14 +670,10 @@ def _has_merge_edge(alpha: Constraint, beta: Constraint, P: frozenset,
         a.update((v, fresh(i, a_where[v])) for i, v in enumerate(others, 2))
         b = {v: survivor if v in joined else fresh(i, b_where[v])
              for i, v in enumerate(beta.body_vars, len(a))}
-        B = frozenset(Atom(at.relation, tuple(loser if x else b.get(t, t)
-                                              for t, x in zip(at.args, xs)))
-                      for at, xs in zip(beta.body, lost))
-        # the step applies: the loser is a null, and the survivor differs
-        if _passes(alpha, a, *_step_image(alpha, a), beta, b, B, P,
-                   mode) is not None:
-            return True
-    return False
+        yield a, b, frozenset(
+            Atom(at.relation, tuple(loser if x else b.get(t, t)
+                                    for t, x in zip(at.args, xs)))
+            for at, xs in zip(beta.body, lost))
 
 
 class _EdgeMark:
@@ -713,8 +700,19 @@ def _exists(alpha: Constraint, beta: Constraint, P: frozenset,
         return None  # see "copying"
     if alpha.never_violated or beta.never_violated:
         return None
-    has_edge = _has_edge if alpha.kind == TGD else _has_merge_edge
-    return EDGE if has_edge(alpha, beta, P, mode) else None
+    if alpha.kind == TGD:
+        candidates = _piece_candidates(alpha, beta, P)
+    else:
+        candidates = _merge_candidates(alpha, beta, P, mode == PRECEDES_P)
+    # a's body key -> its step image. A body-less alpha has one a, {},
+    # whose entry no beta changes: its table is kept in alpha's instance
+    # dict, as Instance.candidates keeps its buckets, so that pruning
+    # builds alpha_I's image once, not once per beta
+    images = alpha.__dict__.setdefault("_images", {}) if not alpha.body else {}
+    for a, b, B in candidates:
+        if _passes(alpha, a, images, beta, b, B, P, mode) is not None:
+            return EDGE
+    return None
 
 
 def _alpha_assignments(alpha: Constraint, named: Tuple[Constant, ...],
@@ -737,23 +735,19 @@ def _alpha_assignments(alpha: Constraint, named: Tuple[Constant, ...],
 
 def _enumerate(alpha: Constraint, beta: Constraint, P: frozenset,
                mode: str) -> Optional[Witness]:
-    """The canonical enumeration: its first witness, or None."""
+    """The canonical enumeration: its first witness, or None. The judge
+    reads a one-entry image table per a, so no image outlives its a."""
     named = _named_constants(alpha, beta)
     no_null_b = _no_null_vars(beta, P, mode)
+    candidates = _tgd_candidates if alpha.kind == TGD else _egd_candidates
     for a, pool, fc in _alpha_assignments(alpha, named,
                                           _no_null_vars(alpha, P, mode)):
         image = _step_image(alpha, a)
         if image is None:
             continue
-        base, after = image
-        if alpha.kind == TGD:
-            candidates = _tgd_candidates(alpha, a, base, beta, pool, named, fc,
-                                         no_null_b)
-        else:
-            candidates = _egd_candidates(alpha, a, after, beta, pool, named,
-                                         fc, no_null_b)
-        for b, B in candidates:
-            I = _passes(alpha, a, base, after, beta, b, B, P, mode)
+        images = {alpha.body_key(a): image}
+        for b, B in candidates(image, beta, pool, named, fc, no_null_b):
+            I = _passes(alpha, a, images, beta, b, B, P, mode)
             if I is not None:
                 return _witness(I, alpha, a, beta, b)
     return None

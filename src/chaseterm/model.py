@@ -287,8 +287,9 @@ class Constraint(_Frozen):
     are existential. For an EGD the head is the equated variable pair and
     both variables occur in the body. Equal fields make equal constraints,
     hashed as the tuple of the fields. No __slots__: the shape fields (see
-    _walk) and the three cached properties below, never_violated and the
-    two compiled programs, live in the instance dict.
+    _walk), the three cached properties below, never_violated and the
+    two compiled programs, and, for a body-less TGD, firing's _images
+    table of its step image live in the instance dict.
     """
 
     def __init__(self, id: str, kind: str, body: Tuple[Atom, ...],

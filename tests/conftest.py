@@ -31,9 +31,9 @@ def A(rel, *args):
 
 
 def count_searches(monkeypatch, parts=("_exists", "_enumerate")):
-    """The (alpha, beta, P, mode) of every call to the named parts of the
-    firing search, in call order: by default both, the existence check and
-    the canonical enumeration."""
+    """The arguments of every call to the named parts of the firing search,
+    in call order: by default both, the existence check and the canonical
+    enumeration, each called with (alpha, beta, P, mode)."""
     searched = []
     for name in parts:
         def counting(*args, part=getattr(firing, name)):

@@ -34,7 +34,7 @@ from chaseterm.chase import (
 )
 from chaseterm.firing import (
     _PLACEHOLDER_BASE, PRECEDES, PRECEDES_P, ChaseGraph, Witness,
-    _added_pattern, _is_placeholder, _named_constants, _new_symbols, can_cause,
+    _is_placeholder, _named_constants, _new_symbols, can_cause,
 )
 from chaseterm.model import (
     EGD, TGD, Atom, Constant, Constraint, Instance, LabeledNull, ModelError,
@@ -449,6 +449,20 @@ def old_trigger(I, beta, b):
             and instantiate(beta.body, b) <= I.facts)
 
 
+def ref_step(alpha, a):
+    """The step of alpha under a, without taking it: for a TGD alpha the
+    instantiated head in fact order, existential i replaced by the
+    placeholder null of creation index _PLACEHOLDER_BASE + i, and for an
+    EGD alpha (survivor, loser), the one of lower sort key surviving."""
+    if alpha.kind == TGD:
+        ext = dict(a)
+        for i, v in enumerate(ref_shape(alpha)["existential_vars"]):
+            ext[v] = LabeledNull(f"~f{i}", _PLACEHOLDER_BASE + i)
+        return sorted({_ground(at, ext) for at in alpha.head}, key=fact_key)
+    left, right = alpha.equated
+    return tuple(sorted((a[left], a[right]), key=value_key))
+
+
 def settled_trigger(alpha, a, beta, b):
     """Does beta's head under b hold in the step's image of alpha's body
     image: for a TGD alpha the body image plus the added facts, with
@@ -457,10 +471,9 @@ def settled_trigger(alpha, a, beta, b):
     such b (see "settled")."""
     base = {_ground(at, a) for at in alpha.body}
     if alpha.kind == TGD:
-        image = base | set(_added_pattern(alpha, a))
+        image = base | set(ref_step(alpha, a))
     else:
-        left, right = alpha.equated
-        survivor, loser = sorted((a[left], a[right]), key=value_key)
+        survivor, loser = ref_step(alpha, a)
         image = replace_value(base, loser, survivor)
     if beta.kind == EGD:
         left, right = beta.equated
@@ -584,7 +597,7 @@ def _ref_extensions(vars_seq, bound, pool, named, fresh_count):
 
 
 def _ref_tgd_candidates(alpha, a, beta, pool, named, fresh_count):
-    pattern = _added_pattern(alpha, a)
+    pattern = ref_step(alpha, a)
     for b0, deferred in _subset_matches(list(beta.body), pattern):
         remaining = [v for v in beta.body_vars if v not in b0]
         for b, _, _ in _ref_extensions(remaining, b0, pool, named, fresh_count):

@@ -15,7 +15,8 @@ from chaseterm.firing import (
     PRECEDES, PRECEDES_P, Witness, can_cause, verify_witness,
 )
 from chaseterm.model import (
-    Instance, LabeledNull, Position, egd, instance, position_key, tgd,
+    Instance, LabeledNull, Position, egd, instance, instantiate, position_key,
+    tgd,
 )
 from chaseterm.syntax import parse_constraints
 
@@ -160,9 +161,10 @@ class TestNewPrune:
         # judge must reject it
         passes, judged = firing._passes, []
 
-        def recording_passes(alpha, a, base, after, beta, b, B, P, mode):
-            I = passes(alpha, a, base, after, beta, b, B, P, mode)
-            old = oracles.old_trigger(instance(base | B), beta, b)
+        def recording_passes(alpha, a, images, beta, b, B, P, mode):
+            I = passes(alpha, a, images, beta, b, B, P, mode)
+            old = oracles.old_trigger(
+                instance(instantiate(alpha.body, a) | B), beta, b)
             judged.append((old, I is not None))
             return I
 
@@ -339,6 +341,41 @@ class TestExistencePhase:
                             assert len(entered) == before, (alpha, beta, P)
                         edges += w is not None
         assert edges and entered
+
+
+class TestStepImages:
+    def test_no_image_for_a_candidate_that_copies_no_null(self, monkeypatch):
+        # the one piece unifier joins beta's frontier X to alpha's body
+        # variable, at R[1], outside the guard, so its most general
+        # candidate gives X a constant: the judge rejects it at
+        # null-copying, before it needs the step's image
+        alpha, beta = parse_constraints("""
+            a: R(X) -> S(X, Y).
+            b: S(X, Y) -> T(X).
+        """).constraints
+        guard = P(("S", 1), ("S", 2))
+        judged = count_searches(monkeypatch, ("_passes",))
+        built = count_searches(monkeypatch, ("_step_image",))
+        assert firing._exists(alpha, beta, guard, PRECEDES_P) is None
+        assert len(judged) == 1 and built == []
+        assert oracles.ref_search(alpha, beta, guard, PRECEDES_P) is None
+        assert firing._exists(alpha, beta, frozenset(), PRECEDES) is not None
+        assert len(built) == 1
+
+    def test_enumeration_builds_the_added_facts_once_per_image(
+            self, monkeypatch):
+        # the added facts of each a are built once, by _step_image, and
+        # the candidate generator reads them there
+        alpha, beta = parse_constraints("""
+            a: R(X, Y) -> R(Y, Z).
+            b: R(X, Y), R(Y, X) -> T(X).
+        """).constraints
+        added = count_searches(monkeypatch, ("_added",))
+        built = count_searches(monkeypatch, ("_step_image",))
+        assert firing._enumerate(alpha, beta, frozenset(), PRECEDES) is None
+        images = [a for _, a in built if not oracles.no_step(alpha, a)]
+        assert len(images) > 1 and len(images) < len(built)
+        assert len(added) == len(images)
 
 
 class TestBuild:

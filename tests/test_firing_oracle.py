@@ -57,8 +57,10 @@ def judge_rejects_old_and_settled_triggers(monkeypatch):
     """Every candidate that the judge takes past its first three checks,
     to the guard scan or a later check, must be new, not settled and,
     under PRECEDES_P, copy a null: the judge rejects every other one
-    before it builds an instance or scans I."""
-    passes, reached = firing._passes, []
+    before it builds an instance or scans I. The judge builds a's step
+    image itself when its table lacks one, and what that build calls is
+    not counted: it is no check of the candidate."""
+    passes, step_image, reached = firing._passes, firing._step_image, []
 
     def watched(fn):
         def call(*args):
@@ -69,11 +71,17 @@ def judge_rejects_old_and_settled_triggers(monkeypatch):
     for name in ("_guarded", "Instance", "instance"):
         monkeypatch.setattr(firing, name, watched(getattr(firing, name)))
 
-    def checked_passes(alpha, a, base, after, beta, b, B, P, mode):
+    def unwatched_step_image(alpha, a):
+        n = len(reached)
+        image = step_image(alpha, a)
+        del reached[n:]
+        return image
+
+    def checked_passes(alpha, a, images, beta, b, B, P, mode):
         reached.clear()
-        I = passes(alpha, a, base, after, beta, b, B, P, mode)
+        I = passes(alpha, a, images, beta, b, B, P, mode)
         if reached:
-            facts = instance(base | B)
+            facts = instance(instantiate(alpha.body, a) | B)
             assert not oracles.old_trigger(facts, beta, b), (
                 alpha, a, beta, b, facts)
             assert not oracles.settled_trigger(alpha, a, beta, b), (
@@ -85,6 +93,7 @@ def judge_rejects_old_and_settled_triggers(monkeypatch):
                     alpha, a, beta, b)
         return I
 
+    monkeypatch.setattr(firing, "_step_image", unwatched_step_image)
     monkeypatch.setattr(firing, "_passes", checked_passes)
 
 
@@ -113,8 +122,9 @@ def assert_same_verdicts(sigma, rng, seen):
     for every pair of sigma and every guard, an accepted b resolved by its
     witness's step. The generators leave the settled, new and copying
     checks to the judge, so it has candidates of each kind to reject. An a
-    that _step_image skips must be one that oracles.no_step names. seen
-    counts the verdicts and the skipped a, so the caller can see that both
+    that _step_image skips must be one that oracles.no_step names, and the
+    step it returns with the image must be oracles.ref_step's. seen counts
+    the verdicts and the skipped a, so the caller can see that both
     answers, settled candidates and skipped a occurred."""
     cases = [(frozenset(), PRECEDES)] + [(P, PRECEDES_P) for P in guards(sigma, rng)]
     for alpha in sigma:
@@ -130,18 +140,17 @@ def assert_same_verdicts(sigma, rng, seen):
                     if image is None:
                         seen["no step"] += 1
                         continue
-                    base, after = image
-                    if alpha.kind == TGD:
-                        candidates = firing._tgd_candidates(
-                            alpha, a, base, beta, pool, named, fc, no_null_b)
-                    else:
-                        candidates = firing._egd_candidates(
-                            alpha, a, after, beta, pool, named, fc, no_null_b)
-                    for b, B in candidates:
+                    base, _, step = image
+                    assert strict(step) == strict(oracles.ref_step(alpha, a))
+                    candidates = (firing._tgd_candidates if alpha.kind == TGD
+                                  else firing._egd_candidates)
+                    for b, B in candidates(image, beta, pool, named, fc,
+                                           no_null_b):
                         I = instance(base | B)
                         got = None
-                        accepted = _passes(alpha, a, base, after, beta, b, B,
-                                           P, mode)
+                        images = {alpha.body_key(a): image}
+                        accepted = _passes(alpha, a, images, beta, b, B, P,
+                                           mode)
                         if accepted is not None:
                             assert strict(accepted) == strict(I)
                             # the step resolves b, for the accepted b alone
